@@ -16,6 +16,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from itertools import product
 
 from .bisim import greatest_sigma_bisimulation, is_am_bisimulation, is_sigma_bisimulation
 from .errors import DocumentError, FgmlError, UnknownModalityError
@@ -40,7 +41,7 @@ from .signature import (
     identity_functor,
     powerset_atom_name,
 )
-from .topology import FuzzySpace, generate_topology, is_continuous, is_topology
+from .topology import FuzzySpace, generate_topology, is_continuous
 
 _PROP_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -100,6 +101,12 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
     for key in ("lattice", "functor", "carrier", "sigma", "valuation"):
         if key not in doc:
             raise DocumentError(f"document misses required key {key!r}")
+    for key, kind in (("opens", list), ("generate_from", list), ("modalities", list),
+                      ("sigma", dict), ("valuation", dict), ("relations", dict),
+                      ("formulas", dict)):
+        if key in doc and not isinstance(doc[key], kind):
+            shape = "list" if kind is list else "object"
+            raise DocumentError(f"{key!r} must be a JSON {shape}")
     try:
         lattice = make_lattice(int(doc["lattice"]))
     except (TypeError, ValueError, FgmlError) as exc:
@@ -120,13 +127,11 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
         raise DocumentError('document needs exactly one of "opens" and '
                             '"generate_from"')
     if "opens" in doc:
+        # validate_model below checks that the opens form a topology
         opens = frozenset(
             _fuzzy_set_from_doc(o, carrier, lattice, f"open #{i}")
             for i, o in enumerate(doc["opens"]))
         space = FuzzySpace(carrier, lattice, opens)
-        topo = is_topology(space)
-        if not topo:
-            raise DocumentError(f"opens are not a topology: {topo.violation}")
     else:
         subbasis = [
             _fuzzy_set_from_doc(o, carrier, lattice, f"generate_from #{i}")
@@ -141,7 +146,7 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
     for e in carrier:
         value = sigma_doc[e]
         if doc["functor"] == "identity":
-            if value not in carrier:
+            if not isinstance(value, str) or value not in carrier:
                 raise DocumentError(f"sigma[{e!r}] names unknown state {value!r}")
             assignment.append(value)
         else:
@@ -163,13 +168,17 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
 
     relations = {}
     for name, pairs in doc.get("relations", {}).items():
+        if not isinstance(pairs, list):
+            raise DocumentError(f"relation {name!r} must be a list of pairs")
         cleaned = []
         for p in pairs:
-            if not (isinstance(p, list) and len(p) == 2):
-                raise DocumentError(f"relation {name!r}: pairs are two-element lists")
+            if not (isinstance(p, list) and [type(e) for e in p] == [str, str]):
+                raise DocumentError(f"relation {name!r}: pairs are lists of two names")
             cleaned.append((p[0], p[1]))
         relations[name] = tuple(cleaned)
-    formulas = {name: text for name, text in doc.get("formulas", {}).items()}
+    formulas = dict(doc.get("formulas", {}))
+    if not all(isinstance(text, str) for text in formulas.values()):
+        raise DocumentError("formulas must map names to formula strings")
     return LoadedModel(model, signature, lattice, doc["functor"], modalities,
                        relations, formulas)
 
@@ -335,7 +344,7 @@ def _cmd_sig(args) -> int:
         ok = ok and mono.ok
     n = len(space.carrier)
     maps = [CarrierMap(space.carrier, space.carrier, assignment)
-            for assignment in _all_assignments(space.carrier.elements, n)]
+            for assignment in product(space.carrier.elements, repeat=n)]
     natural_ok = True
     for f in maps:
         if not is_continuous(f, space, space):
@@ -353,15 +362,6 @@ def _cmd_sig(args) -> int:
     ok = ok and characteristic
     _emit(args, {"ok": ok, "lines": lines}, lines)
     return 0 if ok else 1
-
-
-def _all_assignments(elements: tuple[str, ...], n: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _all_assignments(elements, n - 1):
-        for e in elements:
-            yield rest + (e,)
 
 
 def _cmd_duality(args) -> int:

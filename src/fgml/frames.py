@@ -19,7 +19,7 @@ from .errors import (
 )
 from .fuzzyset import DEFAULT_MAX_SIZE, Carrier, CarrierMap, FuzzySet, direct_image, inverse_image
 from .grades import Grade, GradeLattice
-from .topology import FuzzySpace, generate_topology, is_continuous, opens_frame
+from .topology import FuzzySpace, _close, generate_topology, is_continuous, opens_frame
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,13 @@ class FiniteFrame:
         """Build from a strict-or-partial pair list; takes the
         reflexive-transitive closure and derives top/bottom."""
         elems = tuple(elements)
-        rel = {(a, a) for a in elems} | {tuple(p) for p in pairs}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c, d in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
+        rel = dict.fromkeys([(a, a) for a in elems] + [tuple(p) for p in pairs])
+
+        def compose(ab, cd):
+            (a, b), (c, d) = ab[0], cd[0]
+            return (((a, d), None),) if b == c else ()
+
+        _close(rel, [(2, False, compose)])
         bottoms = [a for a in elems if all((a, b) in rel for b in elems)]
         tops = [a for a in elems if all((b, a) in rel for b in elems)]
         if len(bottoms) != 1 or len(tops) != 1:
@@ -193,10 +191,10 @@ def grade_chain(lattice: GradeLattice) -> FiniteFrame:
 def points(frame: FiniteFrame, lattice: GradeLattice,
            max_size: int = DEFAULT_MAX_SIZE) -> tuple[FramePoint, ...]:
     """All lattice-valued frame homomorphisms, in lexicographic value order."""
-    vals = lattice.values
-    total = len(vals) ** len(frame)
+    total = len(lattice) ** len(frame)
     if total > max_size:
         raise ResourceLimitError("point enumeration", total, max_size)
+    vals = lattice.values
     chain = grade_chain(lattice)
     found: list[FramePoint] = []
 
@@ -340,19 +338,3 @@ def duality_check(space: FuzzySpace, max_size: int = DEFAULT_MAX_SIZE) -> Dualit
     items.append(("eta pullback recovers each open",
                   all(inverse_image(eta, evaluation[o]) == o for o in space.opens)))
     return DualityReport(tuple(items))
-
-
-def frame_to_document(frame: FiniteFrame) -> dict:
-    """Frame as a JSON-able document: element names plus order pairs."""
-    names = [str(e) for e in frame.elements]
-    if len(set(names)) != len(names):
-        raise MalformedFrameError("element names collide under str()")
-    by_elem = dict(zip(frame.elements, names))
-    pairs = sorted([by_elem[a], by_elem[b]] for a, b in frame.leq)
-    return {"elements": names, "leq": pairs}
-
-
-def frame_from_document(doc: Mapping) -> FiniteFrame:
-    """Inverse of frame_to_document for string-labelled frames."""
-    return FiniteFrame.from_order(tuple(doc["elements"]),
-                                  [tuple(p) for p in doc["leq"]])

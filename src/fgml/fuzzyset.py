@@ -252,10 +252,10 @@ def all_fuzzy_sets(carrier: Carrier, lattice: GradeLattice,
                    max_size: int = DEFAULT_MAX_SIZE) -> tuple[FuzzySet, ...]:
     """Every lattice-valued fuzzy set on the carrier, in numerator-tuple order."""
     n = len(carrier)
-    vals = lattice.values
-    total = len(vals) ** n
+    total = len(lattice) ** n
     if total > max_size:
         raise ResourceLimitError("fuzzy-set enumeration", total, max_size)
+    vals = lattice.values
     out: list[FuzzySet] = []
 
     def build(prefix: list[Grade]):

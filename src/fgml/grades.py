@@ -78,7 +78,7 @@ class GradeLattice:
         try:
             num_s, den_s = text.split("/")
             num, den = int(num_s), int(den_s)
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: not a string
             raise ValueError(f"not a grade string: {text!r}") from None
         if den != self.den:
             raise LatticeMismatchError(

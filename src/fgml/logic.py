@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -36,7 +35,7 @@ from .fuzzyset import (
     inverse_image,
 )
 from .signature import Signature
-from .topology import FuzzySpace, is_continuous, is_topology
+from .topology import FuzzySpace, _close, is_continuous, is_topology
 
 
 class Formula:
@@ -276,6 +275,29 @@ def evaluate(m: Model, sig: Signature, formula: Formula) -> FuzzySet:
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def _formula_operations(models: Sequence[Model], sig: Signature) -> list:
+    """Closure operations on formulas labelled by their evaluation vector
+    over the models: meet and join, then each lifting composed with the
+    structure maps, in that order of offer."""
+
+    def lattice(a, b):
+        (va, fa), (vb, fb) = a, b
+        return ((tuple(map(fs_meet, va, vb)), And(fa, fb)),
+                (tuple(map(fs_join, va, vb)), Or((fa, fb))))
+
+    def modal(lifting):
+        def apply(*combo):
+            formula = Modal(lifting.name, tuple(f for _, f in combo))
+            key = tuple(
+                inverse_image(m.sigma,
+                              lifting.apply(m.space, tuple(v[i] for v, _ in combo)))
+                for i, m in enumerate(models))
+            return ((key, formula),)
+        return lifting.arity, False, apply
+
+    return [(2, True, lattice)] + [modal(lifting) for lifting in sig.liftings]
+
+
 def definable_opens(m: Model, sig: Signature) -> dict[FuzzySet, Formula]:
     """Least family containing constant-1 and the valuations, closed under
     meet, join and each lifting composed with the structure map.
@@ -283,31 +305,11 @@ def definable_opens(m: Model, sig: Signature) -> dict[FuzzySet, Formula]:
     Every member keeps the first formula that produced it, so each
     definable open can be re-checked by direct evaluation.
     """
-    found: dict[FuzzySet, Formula] = {m.space.top_open: Top()}
+    found: dict[tuple[FuzzySet], Formula] = {(m.space.top_open,): Top()}
     for name, v in m.valuation:
-        found.setdefault(v, Prop(name))
-    while True:
-        items = list(found.items())
-        fresh: list[tuple[FuzzySet, Formula]] = []
-
-        def offer(fs: FuzzySet, formula: Formula):
-            if fs not in found and all(fs != g for g, _ in fresh):
-                fresh.append((fs, formula))
-
-        for i, (fa, pa) in enumerate(items):
-            for fb, pb in items[i:]:
-                offer(fs_meet(fa, fb), And(pa, pb))
-                offer(fs_join(fa, fb), Or((pa, pb)))
-        for lifting in sig.liftings:
-            for combo in product(items, repeat=lifting.arity):
-                args = tuple(fs for fs, _ in combo)
-                formulas = tuple(p for _, p in combo)
-                image = inverse_image(m.sigma, lifting.apply(m.space, args))
-                offer(image, Modal(lifting.name, formulas))
-        if not fresh:
-            return found
-        for fs, formula in fresh:
-            found[fs] = formula
+        found.setdefault((v,), Prop(name))
+    _close(found, _formula_operations([m], sig))
+    return {fs: formula for (fs,), formula in found.items()}
 
 
 def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...], ...]:
@@ -451,28 +453,5 @@ def enumerate_formulas(models: Sequence[Model], sig: Signature,
     for formula in [Top(), Or(())] + [Prop(p) for p in props]:
         key = tuple(evaluate(m, sig, formula) for m in models)
         reps.setdefault(key, formula)
-    for _ in range(depth):
-        current = list(reps.items())
-        fresh: dict[tuple, Formula] = {}
-
-        def offer(key, formula):
-            if key not in reps and key not in fresh:
-                fresh[key] = formula
-
-        for i, (va, fa) in enumerate(current):
-            for vb, fb in current[i:]:
-                offer(tuple(fs_meet(a, b) for a, b in zip(va, vb)), And(fa, fb))
-                offer(tuple(fs_join(a, b) for a, b in zip(va, vb)), Or((fa, fb)))
-        for lifting in sig.liftings:
-            for combo in product(current, repeat=lifting.arity):
-                formula = Modal(lifting.name, tuple(f for _, f in combo))
-                key = tuple(
-                    inverse_image(m.sigma,
-                                  lifting.apply(m.space,
-                                                tuple(v[i] for v, _ in combo)))
-                    for i, m in enumerate(models))
-                offer(key, formula)
-        if not fresh:
-            break
-        reps.update(fresh)
+    _close(reps, _formula_operations(models, sig), rounds=depth)
     return list(reps.values())

@@ -1,15 +1,23 @@
-"""Finite fuzzy topological spaces.
+"""Finite fuzzy topological spaces, and the closure engine behind them.
 
 A space is a carrier together with an explicit finite family of fuzzy
 opens. Over a finite carrier and a finite grade chain every family of
 fuzzy sets is finite, so closure under arbitrary joins coincides with
 closure under binary joins; generation and validation both work by
 binary fixpoint.
+
+Every least fixpoint in the package is computed by `_close`, round by
+round and semi-naively (Bancilhon and Ramakrishnan, 1986): a round
+offers only the argument tuples that use an element added by the round
+before, in the order a naive round over all elements would. Older tuples
+were offered before, so results, their order, each element's provenance
+(its first offer) and the size at which a guard trips are the naive ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, product, repeat
 from typing import Iterable
 
 from .errors import CarrierMismatchError, ResourceLimitError
@@ -19,6 +27,7 @@ from .fuzzyset import (
     CarrierMap,
     FuzzySet,
     Relation,
+    all_fuzzy_sets,
     fs_join,
     fs_leq,
     fs_meet,
@@ -76,13 +85,52 @@ def is_topology(space: FuzzySpace) -> TopologyCheck:
         return TopologyCheck(False, "constant-0 fuzzy set missing")
     if space.top_open not in space.opens:
         return TopologyCheck(False, "constant-1 fuzzy set missing")
-    for a in opens:
-        for b in opens:
+    for i, a in enumerate(opens):
+        for b in opens[i:]:  # meet and join commute
             if fs_meet(a, b) not in space.opens:
                 return TopologyCheck(False, f"meet of {a} and {b} not open")
             if fs_join(a, b) not in space.opens:
                 return TopologyCheck(False, f"join of {a} and {b} not open")
     return TopologyCheck(True)
+
+
+def _new_combos(items: list, old: int, arity: int, symmetric: bool, start: int = 0):
+    """Tuples from `product(items, repeat=arity)`, or if symmetric from
+    `combinations_with_replacement(items[start:], arity)`, in that order,
+    that use an item at index >= old; all of them when old == 0."""
+    if old == 0:
+        yield from (combinations_with_replacement(items[start:], arity) if symmetric
+                    else product(items, repeat=arity))
+    elif arity:
+        for i in range(start if arity > 1 else max(start, old), len(items)):
+            for tail in _new_combos(items, old if i < old else 0, arity - 1,
+                                    symmetric, i if symmetric else 0):
+                yield (items[i], *tail)
+
+
+def _close(found: dict, operations: list, rounds: int | None = None,
+           guard: tuple[str, int] | None = None) -> None:
+    """Extend `found` (element -> provenance) in place to the least dict
+    closed under the operations (arity, symmetric, fn): fn maps a tuple of
+    (element, provenance) items to the items it derives, and a symmetric
+    operation gets each multiset of arguments once. At most `rounds` rounds
+    run; a guard (what, max_size) raises ResourceLimitError after a round
+    that leaves more than max_size elements."""
+    items, old = list(found.items()), 0
+    for _ in repeat(None) if rounds is None else range(rounds):
+        fresh: dict = {}
+        for arity, symmetric, fn in operations:
+            for args in _new_combos(items, old, arity, symmetric):
+                for element, provenance in fn(*args):
+                    if element not in found:
+                        fresh.setdefault(element, provenance)
+        if not fresh:
+            break
+        found.update(fresh)
+        if guard is not None and len(found) > guard[1]:
+            raise ResourceLimitError(guard[0], len(found), guard[1])
+        old = len(items)
+        items += fresh.items()
 
 
 def generate_topology(carrier: Carrier, lattice: GradeLattice,
@@ -95,34 +143,23 @@ def generate_topology(carrier: Carrier, lattice: GradeLattice,
     fuzzy sets here is finite, so the fixpoint exists and realizes
     closure under arbitrary joins.
     """
-    current: set[FuzzySet] = {FuzzySet.empty(carrier, lattice),
-                              FuzzySet.full(carrier, lattice)}
+    found = dict.fromkeys([FuzzySet.empty(carrier, lattice),
+                           FuzzySet.full(carrier, lattice)])
     for s in subbasis:
         if s.carrier != carrier:
             raise CarrierMismatchError("subbasis member not on the given carrier")
-        current.add(s)
+        found[s] = None
 
-    def close(op) -> None:
-        while True:
-            ordered = sorted(current, key=lambda f: f.key())
-            fresh = {c for i, a in enumerate(ordered) for b in ordered[i:]
-                     if (c := op(a, b)) not in current}
-            if not fresh:
-                return
-            current.update(fresh)
-            if len(current) > max_size:
-                raise ResourceLimitError("topology generation", len(current), max_size)
-
-    close(fs_meet)  # basis: finite meets of subbasis members
-    close(fs_join)  # meets of joins reduce to joins of basis meets
-    return FuzzySpace(carrier, lattice, frozenset(current))
+    # meets first give a basis; meets of joins reduce to joins of basis meets
+    for op in (fs_meet, fs_join):
+        _close(found, [(2, True, lambda a, b, op=op: ((op(a[0], b[0]), None),))],
+               guard=("topology generation", max_size))
+    return FuzzySpace(carrier, lattice, frozenset(found))
 
 
 def discrete_space(carrier: Carrier, lattice: GradeLattice,
                    max_size: int = DEFAULT_MAX_SIZE) -> FuzzySpace:
     """All fuzzy sets open."""
-    from .fuzzyset import all_fuzzy_sets
-
     return FuzzySpace(carrier, lattice,
                       frozenset(all_fuzzy_sets(carrier, lattice, max_size)))
 

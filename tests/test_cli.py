@@ -187,6 +187,40 @@ def test_cli_parse_error_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _set(key, value, inside=None):
+    def edit(doc):
+        (doc if inside is None else doc[inside])[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("fixture, edit, argv", [
+    (M1, _set("p", {"x": 1, "y": "1/2"}, inside="valuation"), ["validate"]),
+    (M1, _set("valuation", []), ["validate"]),
+    (M1, _set("sigma", ["x", "y"]), ["validate"]),
+    (M1, _set("diag", 3, inside="relations"), ["validate"]),
+    (M1, _set("diag", [[["x"], "x"]], inside="relations"), ["validate"]),
+    (TINY, _set("opens", 3), ["validate"]),
+    (M1, _set("generate_from", None), ["validate"]),
+    (M1, _set("modalities", 1), ["validate"]),
+    (M1, _set("relations", []), ["validate"]),
+    (M1, _set("formulas", ["diap"]), ["validate"]),
+    (M1, _set("diap", 3, inside="formulas"), ["eval", "-f", "diap"]),
+    (TINY, _set("s", ["s"], inside="sigma"), ["validate"]),
+    (TINY, _set("opens", [{"s": "1/1"}]), ["validate"]),
+], ids=["grade-number", "valuation-list", "sigma-list", "relation-not-list",
+        "relation-pair-not-names", "opens-not-list", "generate-from-not-list",
+        "modalities-not-list", "relations-list", "formulas-list",
+        "formula-not-string", "identity-sigma-list", "opens-not-topology"])
+def test_malformed_document_exits_2(tmp_path, capsys, fixture, edit, argv):
+    with open(fixture) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_command([argv[0], "-m", str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_max_size_guard(capsys):
     assert run_command(["--max-size", "2", "validate", "-m", M1]) == 2
     capsys.readouterr()

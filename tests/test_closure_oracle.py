@@ -1,0 +1,213 @@
+"""The semi-naive closure engine against naive round-by-round closure.
+
+The naive_* functions are the reference: each round re-combines every
+pair (every argument tuple) of the current family, as fgml did before
+its least fixpoints moved onto one engine. Results must agree exactly,
+down to dict order and the formula each definable open keeps.
+"""
+
+from itertools import product
+
+import pytest
+
+from fgml import (
+    And,
+    FuzzySet,
+    Modal,
+    Or,
+    Prop,
+    Top,
+    definable_opens,
+    enumerate_formulas,
+    evaluate,
+    fs_complement,
+    fs_join,
+    fs_leq,
+    fs_meet,
+    generate_topology,
+    inverse_image,
+)
+from fgml.errors import ResourceLimitError
+from fgml.frames import FiniteFrame
+from fgml.fuzzyset import DEFAULT_MAX_SIZE
+
+from modelgen import identity_zoo, powerset_zoo
+
+
+def naive_generate_topology(carrier, lattice, subbasis, max_size=DEFAULT_MAX_SIZE):
+    current = {FuzzySet.empty(carrier, lattice), FuzzySet.full(carrier, lattice)}
+    current.update(subbasis)
+
+    def close(op):
+        while True:
+            ordered = sorted(current, key=lambda f: f.key())
+            fresh = {c for i, a in enumerate(ordered) for b in ordered[i:]
+                     if (c := op(a, b)) not in current}
+            if not fresh:
+                return
+            current.update(fresh)
+            if len(current) > max_size:
+                raise ResourceLimitError("topology generation", len(current), max_size)
+
+    close(fs_meet)
+    close(fs_join)
+    return frozenset(current)
+
+
+def naive_definable_opens(m, sig):
+    found = {m.space.top_open: Top()}
+    for name, v in m.valuation:
+        found.setdefault(v, Prop(name))
+    while True:
+        items = list(found.items())
+        fresh = []
+
+        def offer(fs, formula):
+            if fs not in found and all(fs != g for g, _ in fresh):
+                fresh.append((fs, formula))
+
+        for i, (fa, pa) in enumerate(items):
+            for fb, pb in items[i:]:
+                offer(fs_meet(fa, fb), And(pa, pb))
+                offer(fs_join(fa, fb), Or((pa, pb)))
+        for lifting in sig.liftings:
+            for combo in product(items, repeat=lifting.arity):
+                args = tuple(fs for fs, _ in combo)
+                formulas = tuple(p for _, p in combo)
+                image = inverse_image(m.sigma, lifting.apply(m.space, args))
+                offer(image, Modal(lifting.name, formulas))
+        if not fresh:
+            return found
+        for fs, formula in fresh:
+            found[fs] = formula
+
+
+def naive_enumerate_formulas(models, sig, depth):
+    reps = {}
+    for formula in [Top(), Or(())] + [Prop(p) for p in models[0].props]:
+        reps.setdefault(tuple(evaluate(m, sig, formula) for m in models), formula)
+    for _ in range(depth):
+        current = list(reps.items())
+        fresh = {}
+
+        def offer(key, formula):
+            if key not in reps and key not in fresh:
+                fresh[key] = formula
+
+        for i, (va, fa) in enumerate(current):
+            for vb, fb in current[i:]:
+                offer(tuple(fs_meet(a, b) for a, b in zip(va, vb)), And(fa, fb))
+                offer(tuple(fs_join(a, b) for a, b in zip(va, vb)), Or((fa, fb)))
+        for lifting in sig.liftings:
+            for combo in product(current, repeat=lifting.arity):
+                formula = Modal(lifting.name, tuple(f for _, f in combo))
+                key = tuple(
+                    inverse_image(m.sigma,
+                                  lifting.apply(m.space,
+                                                tuple(v[i] for v, _ in combo)))
+                    for i, m in enumerate(models))
+                offer(key, formula)
+        if not fresh:
+            break
+        reps.update(fresh)
+    return list(reps.values())
+
+
+def naive_transitive_closure(elements, pairs):
+    rel = {(a, a) for a in elements} | {tuple(p) for p in pairs}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(rel):
+            for c, d in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
+    return frozenset(rel)
+
+
+ZOO = {
+    "powerset3": lambda: powerset_zoo(3),
+    "powerset2-dia-box": lambda: powerset_zoo(2, dens=(1, 2, 3),
+                                              modalities=("dia", "box")),
+    "identity5": lambda: identity_zoo(5, dens=(1, 2, 3)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ZOO))
+def zoo(request):
+    return ZOO[request.param]()
+
+
+def _labelled(pairs):
+    return [(key, str(formula)) for key, formula in pairs]
+
+
+def test_definable_opens_match_naive(zoo):
+    for m, sig in zoo:
+        assert _labelled(definable_opens(m, sig).items()) == \
+            _labelled(naive_definable_opens(m, sig).items())
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_enumerate_formulas_match_naive(zoo, depth):
+    for m, sig in zoo:
+        assert [str(f) for f in enumerate_formulas([m], sig, depth)] == \
+            [str(f) for f in naive_enumerate_formulas([m], sig, depth)]
+    sig = zoo[0][1]
+    models = [m for m, s in zoo if s is sig and m.props == zoo[0][0].props][:3]
+    assert [str(f) for f in enumerate_formulas(models, sig, depth)] == \
+        [str(f) for f in naive_enumerate_formulas(models, sig, depth)]
+
+
+def _generations(zoo):
+    """Subbases from each model: the opens with their complements on the
+    carrier, and the liftings of the opens on the image carrier."""
+    for m, sig in zoo:
+        space = m.space
+        opens = space.sorted_opens()
+        yield space.carrier, space.lattice, [*opens, *map(fs_complement, opens)]
+        image = sig.functor.on_space(space)
+        lifted = [lifting.apply(space, args) for lifting in sig.liftings
+                  for args in product(opens, repeat=lifting.arity)]
+        yield image.carrier, space.lattice, lifted
+
+
+def test_generate_topology_matches_naive(zoo):
+    for carrier, lattice, gens in _generations(zoo):
+        assert generate_topology(carrier, lattice, gens).opens == \
+            naive_generate_topology(carrier, lattice, gens)
+
+
+def _tripped_size(generate, *args):
+    try:
+        generate(*args)
+    except ResourceLimitError as exc:
+        return exc.size
+    return None
+
+
+def test_guard_trips_at_the_naive_size(zoo):
+    # A cheap stand-in for the slow case powerset_zoo(3, ("dia", "box")),
+    # whose image generation trips the default guard at 18870 opens both
+    # ways but takes minutes per run.
+    sizes = []
+    for carrier, lattice, gens in _generations(zoo):
+        limit = len(generate_topology(carrier, lattice, gens).opens) // 2
+        sizes.append(_tripped_size(generate_topology, carrier, lattice, gens, limit))
+        assert sizes[-1] == _tripped_size(naive_generate_topology,
+                                          carrier, lattice, gens, limit)
+    assert any(sizes)
+
+
+def test_from_order_matches_naive(zoo):
+    for m, _ in zoo:
+        opens = m.space.sorted_opens()
+        below = [(a, b) for a in opens for b in opens if a != b and fs_leq(a, b)]
+        covers = [(a, b) for a, b in below
+                  if not any(fs_leq(a, c) and fs_leq(c, b)
+                             for c in opens if c not in (a, b))]
+        frame = FiniteFrame.from_order(opens, covers)
+        assert frame.leq == naive_transitive_closure(opens, covers)
+        assert frame.leq == frozenset((a, a) for a in opens) | frozenset(below)
+        assert (frame.bottom, frame.top) == (m.space.bottom_open, m.space.top_open)

@@ -15,12 +15,7 @@ from fgml import (
     pt_on_morphism,
 )
 from fgml.errors import MalformedFrameError, NotSoberError, PreconditionError
-from fgml.frames import (
-    FiniteFrame,
-    frame_from_document,
-    frame_to_document,
-    named_points,
-)
+from fgml.frames import FiniteFrame, named_points
 from fgml.topology import discrete_space, indiscrete_space
 
 D1 = make_lattice(1)
@@ -169,14 +164,6 @@ def test_duality_rejects_non_sober():
 def test_named_points_deterministic():
     names = [n for n, _ in named_points(CHAIN3, D2)]
     assert names == sorted(names)
-
-
-def test_frame_documents_round_trip():
-    doc = frame_to_document(CHAIN3)
-    back = frame_from_document(doc)
-    assert back.elements == CHAIN3.elements
-    assert back.leq == CHAIN3.leq
-    assert frame_to_document(back) == doc
 
 
 def test_opens_frame_is_frame_across_zoo():

@@ -17,8 +17,10 @@ from fgml import (
     relation_image,
     relation_preimage,
 )
-from fgml.errors import CarrierMismatchError
+from fgml.errors import CarrierMismatchError, ResourceLimitError
+from fgml.frames import FiniteFrame, points
 from fgml.fuzzyset import all_fuzzy_sets
+from fgml.grades import GradeLattice
 
 LAT = make_lattice(2)
 XY = Carrier(("x", "y"))
@@ -130,3 +132,16 @@ def test_pair_carrier_deterministic():
     pi1, pi2 = r.projections()
     assert pi1.assignment == ("x", "x", "y")
     assert pi2.assignment == ("u", "v", "u")
+
+
+@pytest.mark.parametrize("enumerate_grades", [
+    lambda lat: all_fuzzy_sets(XY, lat),
+    lambda lat: points(FiniteFrame.chain(("bot", "top")), lat),
+], ids=["fuzzy-sets", "frame-points"])
+def test_guard_fires_before_grades_are_built(monkeypatch, enumerate_grades):
+    def refuse(self):
+        raise AssertionError("grade values built before the guard")
+
+    monkeypatch.setattr(GradeLattice, "values", property(refuse))
+    with pytest.raises(ResourceLimitError):
+        enumerate_grades(make_lattice(1_000_000))
