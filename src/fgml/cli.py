@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bisim import greatest_sigma_bisimulation, is_am_bisimulation, is_sigma_bisimulation
-from .errors import DocumentError, FgmlError, UnknownModalityError
+from .errors import DocumentError, FgmlError, ResourceLimitError, UnknownModalityError
 from .frames import duality_check
 from .fuzzyset import DEFAULT_MAX_SIZE, Carrier, CarrierMap, FuzzySet, Relation
 from .grades import GradeLattice, make_lattice
@@ -111,6 +111,8 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
         lattice = make_lattice(int(doc["lattice"]))
     except (TypeError, ValueError, FgmlError) as exc:
         raise DocumentError(f"bad lattice denominator: {exc}") from None
+    if lattice.den > max_size:  # every fuzzy set holds one cut per grade above 0
+        raise ResourceLimitError("grade cuts per fuzzy set", lattice.den, max_size)
     carrier_names = doc["carrier"]
     if not isinstance(carrier_names, list) \
             or not all(isinstance(e, str) and e for e in carrier_names):

@@ -43,6 +43,7 @@ class FiniteFrame:
         if self.bottom not in known or self.top not in known:
             raise MalformedFrameError("designated top/bottom not among the elements")
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
 
     @classmethod
     def chain(cls, elements: tuple[Hashable, ...] | list[Hashable]) -> "FiniteFrame":
@@ -180,7 +181,7 @@ class FramePoint:
     values: tuple[Grade, ...]
 
     def __call__(self, element: Hashable) -> Grade:
-        return self.values[self.frame.elements.index(element)]
+        return self.values[self.frame._index[element]]
 
 
 def grade_chain(lattice: GradeLattice) -> FiniteFrame:

@@ -8,6 +8,7 @@ Values are immutable and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidLatticeError, LatticeMismatchError
 
@@ -58,7 +59,7 @@ class GradeLattice:
         if self.den < 1:
             raise InvalidLatticeError(f"denominator must be >= 1, got {self.den}")
 
-    @property
+    @cached_property
     def values(self) -> tuple[Grade, ...]:
         return tuple(Grade(k, self.den) for k in range(self.den + 1))
 

@@ -26,13 +26,14 @@ from .fuzzyset import (
     Carrier,
     CarrierMap,
     FuzzySet,
+    _from_cuts,
     all_fuzzy_sets,
     direct_image,
     fs_complement,
     fs_leq,
     inverse_image,
 )
-from .grades import GradeLattice, complement, join, meet
+from .grades import GradeLattice
 from .topology import FuzzySpace, generate_topology, is_continuous
 
 
@@ -101,18 +102,24 @@ def identity_functor() -> tuple[FunctorInstance, Signature]:
 
 @lru_cache(maxsize=None)
 def _powerset_atoms(carrier: Carrier, lattice: GradeLattice, max_size: int
-                    ) -> tuple[Carrier, tuple[FuzzySet, ...]]:
-    """Carrier of all fuzzy subsets (as named atoms) plus the subsets
-    themselves, in matching enumeration order."""
+                    ) -> tuple[Carrier, tuple[FuzzySet, ...], tuple[tuple[int, ...], ...]]:
+    """Carrier of all fuzzy subsets (as named atoms), the subsets themselves
+    in matching enumeration order, and the table `holds`: bit a of
+    holds[k][s] is set iff cut k+1 of subset a contains state s."""
     subsets = all_fuzzy_sets(carrier, lattice, max_size)
-    names = tuple(",".join(str(g) for g in fs.grades) if len(fs.grades) else "{}"
-                  for fs in subsets)
-    return Carrier(names), subsets
+    names = tuple(map(powerset_atom_name, subsets))
+    holds = [[0] * len(carrier) for _ in range(lattice.den)]
+    for a, nu in enumerate(subsets):
+        for row, cut in zip(holds, nu.cuts):
+            for s in range(len(carrier)):
+                if cut >> s & 1:
+                    row[s] |= 1 << a
+    return Carrier(names), subsets, tuple(map(tuple, holds))
 
 
 def powerset_atom_name(fs: FuzzySet) -> str:
     """Canonical atom name of a fuzzy subset inside the powerset carrier."""
-    return ",".join(str(g) for g in fs.grades) if len(fs.grades) else "{}"
+    return ",".join(f"{k}/{fs.lattice.den}" for k in fs.key()) or "{}"
 
 
 def fuzzy_powerset_functor(lattice: GradeLattice,
@@ -141,7 +148,7 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
 
     def on_space(space: FuzzySpace) -> FuzzySpace:
         if space not in space_cache:
-            atoms, _ = _powerset_atoms(space.carrier, lattice, max_size)
+            atoms = _powerset_atoms(space.carrier, lattice, max_size)[0]
             gens = []
             for l in generating:
                 for args in product(space.sorted_opens(), repeat=l.arity):
@@ -152,8 +159,8 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     def on_map(f: CarrierMap, source: FuzzySpace, target: FuzzySpace) -> CarrierMap:
         key = (f, source.carrier, target.carrier)
         if key not in map_cache:
-            src_atoms, src_subsets = _powerset_atoms(source.carrier, lattice, max_size)
-            tgt_atoms, _ = _powerset_atoms(target.carrier, lattice, max_size)
+            src_atoms, src_subsets, _ = _powerset_atoms(source.carrier, lattice, max_size)
+            tgt_atoms = _powerset_atoms(target.carrier, lattice, max_size)[0]
             assignment = tuple(powerset_atom_name(direct_image(f, nu))
                                for nu in src_subsets)
             map_cache[key] = CarrierMap(src_atoms, tgt_atoms, assignment)
@@ -161,27 +168,32 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
 
     functor = FunctorInstance(name="fuzzy-powerset", on_space=on_space, on_map=on_map)
 
+    # dia(mu)(nu) >= k/d iff cut k of nu meets cut k of mu;
+    # box(mu)(nu) >= k/d iff cut d-k+1 of nu lies inside cut k of mu
     def dia_raw(space: FuzzySpace, args: tuple[FuzzySet, ...]) -> FuzzySet:
         (mu,) = args
-        atoms, subsets = _powerset_atoms(space.carrier, lattice, max_size)
-        values = []
-        for nu in subsets:
-            g = lattice.bottom
-            for a, b in zip(nu.grades, mu.grades):
-                g = join(g, meet(a, b))
-            values.append(g)
-        return FuzzySet(atoms, lattice, tuple(values))
+        atoms, _, holds = _powerset_atoms(space.carrier, lattice, max_size)
+        cuts = []
+        for row, mu_k in zip(holds, mu.cuts):
+            mask = 0
+            for s, nus in enumerate(row):
+                if mu_k >> s & 1:
+                    mask |= nus
+            cuts.append(mask)
+        return _from_cuts(atoms, lattice, tuple(cuts))
 
     def box_raw(space: FuzzySpace, args: tuple[FuzzySet, ...]) -> FuzzySet:
         (mu,) = args
-        atoms, subsets = _powerset_atoms(space.carrier, lattice, max_size)
-        values = []
-        for nu in subsets:
-            g = lattice.top
-            for a, b in zip(nu.grades, mu.grades):
-                g = meet(g, join(complement(a), b))
-            values.append(g)
-        return FuzzySet(atoms, lattice, tuple(values))
+        atoms, _, holds = _powerset_atoms(space.carrier, lattice, max_size)
+        full = (1 << len(atoms)) - 1
+        cuts = []
+        for row, mu_k in zip(reversed(holds), mu.cuts):
+            mask = 0
+            for s, nus in enumerate(row):
+                if not mu_k >> s & 1:
+                    mask |= nus
+            cuts.append(full ^ mask)
+        return _from_cuts(atoms, lattice, tuple(cuts))
 
     raw = {"dia": dia_raw, "box": box_raw}
     liftings = tuple(Lifting(m, 1, functor, raw[m]) for m in mods)

@@ -10,23 +10,27 @@ Every least fixpoint in the package is computed by `_close`, round by
 round and semi-naively (Bancilhon and Ramakrishnan, 1986): a round
 offers only the argument tuples that use an element added by the round
 before, in the order a naive round over all elements would. Older tuples
-were offered before, so results, their order, each element's provenance
-(its first offer) and the size at which a guard trips are the naive ones.
+were offered before, so results, their order and each element's
+provenance (its first offer) are the naive ones, and a guard trips on
+the same inputs, though at the first element past its limit rather than
+at the end of the round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product, repeat
+from operator import and_, or_
 from typing import Iterable
 
-from .errors import CarrierMismatchError, ResourceLimitError
+from .errors import CarrierMismatchError, LatticeMismatchError, ResourceLimitError
 from .fuzzyset import (
     DEFAULT_MAX_SIZE,
     Carrier,
     CarrierMap,
     FuzzySet,
     Relation,
+    _from_cuts,
     all_fuzzy_sets,
     fs_join,
     fs_leq,
@@ -114,21 +118,27 @@ def _close(found: dict, operations: list, rounds: int | None = None,
     closed under the operations (arity, symmetric, fn): fn maps a tuple of
     (element, provenance) items to the items it derives, and a symmetric
     operation gets each multiset of arguments once. At most `rounds` rounds
-    run; a guard (what, max_size) raises ResourceLimitError after a round
-    that leaves more than max_size elements."""
+    run; a guard (what, max_size) raises ResourceLimitError at the first new
+    element past max_size, mid-round, so that it bounds the work and not
+    only the result; it reports max_size + 1, or one past the starting dict
+    when that is already larger."""
     items, old = list(found.items()), 0
+    room = guard[1] - len(found) if guard is not None else None
     for _ in repeat(None) if rounds is None else range(rounds):
         fresh: dict = {}
         for arity, symmetric, fn in operations:
             for args in _new_combos(items, old, arity, symmetric):
                 for element, provenance in fn(*args):
-                    if element not in found:
-                        fresh.setdefault(element, provenance)
+                    if element not in found and element not in fresh:
+                        fresh[element] = provenance
+                        if room is not None and len(fresh) > room:
+                            raise ResourceLimitError(guard[0], len(found) + len(fresh),
+                                                     guard[1])
         if not fresh:
             break
         found.update(fresh)
-        if guard is not None and len(found) > guard[1]:
-            raise ResourceLimitError(guard[0], len(found), guard[1])
+        if room is not None:
+            room -= len(fresh)
         old = len(items)
         items += fresh.items()
 
@@ -143,18 +153,25 @@ def generate_topology(carrier: Carrier, lattice: GradeLattice,
     fuzzy sets here is finite, so the fixpoint exists and realizes
     closure under arbitrary joins.
     """
-    found = dict.fromkeys([FuzzySet.empty(carrier, lattice),
-                           FuzzySet.full(carrier, lattice)])
+    # The closure runs on each set's cuts packed into one int, cut k + 1 in
+    # bits k*n up to (k+1)*n, so that a meet or a join is a single & or |.
+    n, d = len(carrier), lattice.den
+    full = (1 << n) - 1
+    found = dict.fromkeys([0, sum(full << k * n for k in range(d))])
     for s in subbasis:
         if s.carrier != carrier:
             raise CarrierMismatchError("subbasis member not on the given carrier")
-        found[s] = None
+        if s.lattice != lattice:
+            raise LatticeMismatchError("subbasis member uses a foreign grade lattice")
+        found[sum(cut << k * n for k, cut in enumerate(s.cuts))] = None
 
     # meets first give a basis; meets of joins reduce to joins of basis meets
-    for op in (fs_meet, fs_join):
+    for op in (and_, or_):
         _close(found, [(2, True, lambda a, b, op=op: ((op(a[0], b[0]), None),))],
                guard=("topology generation", max_size))
-    return FuzzySpace(carrier, lattice, frozenset(found))
+    return FuzzySpace(carrier, lattice, frozenset(
+        _from_cuts(carrier, lattice, tuple(p >> k * n & full for k in range(d)))
+        for p in found))
 
 
 def discrete_space(carrier: Carrier, lattice: GradeLattice,

@@ -221,6 +221,34 @@ def test_malformed_document_exits_2(tmp_path, capsys, fixture, edit, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _write(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_lattice_denominator_over_guard_exits_2(tmp_path, capsys):
+    doc = {"lattice": 1_000_000, "functor": "identity", "carrier": ["s"],
+           "opens": [{"s": "0/1000000"}, {"s": "1000000/1000000"}],
+           "sigma": {"s": "s"}, "valuation": {}}
+    assert run_command(["validate", "-m", _write(tmp_path / "d.json", doc)]) == 2
+    assert "guard of 4096" in capsys.readouterr().err
+
+
+def test_bisim_am_with_punctuated_state_names(tmp_path, capsys):
+    # the pairs ("a,b", "c") and ("a", "b,c") need distinct pair atoms
+    def doc(states, relations):
+        return {"lattice": 1, "functor": "identity", "carrier": states,
+                "opens": [{s: g for s in states} for g in ("0/1", "1/1")],
+                "sigma": {s: s for s in states}, "valuation": {},
+                "relations": relations}
+
+    left = _write(tmp_path / "l.json",
+                  doc(["a,b", "a"], {"r": [["a,b", "c"], ["a", "b,c"]]}))
+    right = _write(tmp_path / "r.json", doc(["c", "b,c"], {}))
+    assert run_command(["bisim", "am", "-m", left, "-n", right, "-r", "r"]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_max_size_guard(capsys):
     assert run_command(["--max-size", "2", "validate", "-m", M1]) == 2
     capsys.readouterr()

@@ -188,16 +188,30 @@ def _tripped_size(generate, *args):
 
 
 def test_guard_trips_at_the_naive_size(zoo):
-    # A cheap stand-in for the slow case powerset_zoo(3, ("dia", "box")),
-    # whose image generation trips the default guard at 18870 opens both
-    # ways but takes minutes per run.
+    # The engine trips on exactly the inputs the naive loop trips on, but
+    # as soon as the family passes the limit: at limit + 1, or one past the
+    # starting family (constants plus subbasis) when that is already over.
     sizes = []
     for carrier, lattice, gens in _generations(zoo):
         limit = len(generate_topology(carrier, lattice, gens).opens) // 2
-        sizes.append(_tripped_size(generate_topology, carrier, lattice, gens, limit))
-        assert sizes[-1] == _tripped_size(naive_generate_topology,
-                                          carrier, lattice, gens, limit)
-    assert any(sizes)
+        size = _tripped_size(generate_topology, carrier, lattice, gens, limit)
+        naive = _tripped_size(naive_generate_topology, carrier, lattice, gens, limit)
+        assert (size is None) == (naive is None)
+        if size is not None:
+            start = {FuzzySet.empty(carrier, lattice), FuzzySet.full(carrier, lattice),
+                     *gens}
+            assert size == max(limit, len(start)) + 1
+            sizes.append(size)
+    assert sizes
+
+
+def test_guard_bounds_the_work_of_a_round():
+    # This image topology grows from 222 to 3521 opens in one join round;
+    # the next round offers about 6.2M pairs, and the guard must stop it
+    # at the first open past the limit rather than after the round.
+    with pytest.raises(ResourceLimitError) as exc:
+        powerset_zoo(3, modalities=("dia", "box"))
+    assert (exc.value.size, exc.value.limit) == (DEFAULT_MAX_SIZE + 1, DEFAULT_MAX_SIZE)
 
 
 def test_from_order_matches_naive(zoo):

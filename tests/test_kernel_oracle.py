@@ -1,0 +1,260 @@
+"""The level-cut kernel against grade-by-grade reference operations.
+
+The ref_* functions are the reference: they work on tuples of Grade
+objects, one per atom, as fgml did before fuzzy sets were stored as
+nested cut bitmasks. Every kernel result must have exactly the grades
+the reference computes, and the same key() and str(). The round-trip
+tests pin the boundary itself: grades given to the checked constructor
+come back unchanged from .grades, key() and calls.
+"""
+
+from itertools import product
+
+import pytest
+
+from fgml import (
+    Carrier,
+    CarrierMap,
+    FuzzySet,
+    Relation,
+    direct_image,
+    fs_complement,
+    fs_join,
+    fs_leq,
+    fs_meet,
+    fuzzy_powerset_functor,
+    inverse_image,
+    make_lattice,
+    relation_image,
+    relation_preimage,
+)
+from fgml.fuzzyset import all_fuzzy_sets
+from fgml.grades import Grade, complement, join, meet
+
+from modelgen import identity_zoo, powerset_zoo
+
+
+def ref_meet(a, b):
+    return tuple(meet(x, y) for x, y in zip(a, b))
+
+
+def ref_join(a, b):
+    return tuple(join(x, y) for x, y in zip(a, b))
+
+
+def ref_leq(a, b):
+    return all(x.num <= y.num for x, y in zip(a, b))
+
+
+def ref_complement(a):
+    return tuple(complement(g) for g in a)
+
+
+def ref_subsets(n, lattice):
+    return list(product(lattice.values, repeat=n))
+
+
+def ref_dia(mu, n, lattice):
+    out = []
+    for nu in ref_subsets(n, lattice):
+        g = lattice.bottom
+        for a, b in zip(nu, mu):
+            g = join(g, meet(a, b))
+        out.append(g)
+    return tuple(out)
+
+
+def ref_box(mu, n, lattice):
+    out = []
+    for nu in ref_subsets(n, lattice):
+        g = lattice.top
+        for a, b in zip(nu, mu):
+            g = meet(g, join(complement(a), b))
+        out.append(g)
+    return tuple(out)
+
+
+def ref_direct_image(f, a, lattice):
+    best = {s: lattice.bottom for s in f.target}
+    for e, g in zip(f.source.elements, a):
+        best[f(e)] = join(best[f(e)], g)
+    return tuple(best[s] for s in f.target)
+
+
+def ref_inverse_image(f, b):
+    at = dict(zip(f.target.elements, b))
+    return tuple(at[f(e)] for e in f.source)
+
+
+def ref_relation_image(rel, a, lattice):
+    at = dict(zip(rel.left.elements, a))
+    best = {r: lattice.bottom for r in rel.right}
+    for l, r in rel.pairs:
+        best[r] = join(best[r], at[l])
+    return tuple(best[r] for r in rel.right)
+
+
+def ref_relation_preimage(rel, b, lattice):
+    at = dict(zip(rel.right.elements, b))
+    best = {l: lattice.bottom for l in rel.left}
+    for l, r in rel.pairs:
+        best[l] = join(best[l], at[r])
+    return tuple(best[l] for l in rel.left)
+
+
+def ref_str(carrier, grades):
+    return "{" + ", ".join(f"{e}:{g}" for e, g in zip(carrier.elements, grades)) + "}"
+
+
+ZOO = {
+    "powerset3": lambda: powerset_zoo(3),
+    "powerset2-dia-box": lambda: powerset_zoo(2, dens=(1, 2, 3),
+                                              modalities=("dia", "box")),
+    "identity5": lambda: identity_zoo(5, dens=(1, 2, 3)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ZOO))
+def zoo(request):
+    return ZOO[request.param]()
+
+
+def _spaces(zoo):
+    """Each distinct space of the zoo, with its opens."""
+    seen = set()
+    for m, _ in zoo:
+        if m.space not in seen:
+            seen.add(m.space)
+            yield m.space, m.space.sorted_opens()
+
+
+def _maps(carrier):
+    """The identity, every constant map, and a cyclic shift."""
+    elems = carrier.elements
+    yield CarrierMap.identity(carrier)
+    for e in elems:
+        yield CarrierMap(carrier, carrier, tuple(e for _ in elems))
+    yield CarrierMap(carrier, carrier, elems[1:] + elems[:1])
+
+
+def _relations(carrier):
+    """Empty, diagonal, full, and each element to itself and its successor."""
+    elems = carrier.elements
+    yield Relation.of(carrier, carrier, [])
+    yield Relation.diagonal(carrier)
+    yield Relation.of(carrier, carrier, product(elems, repeat=2))
+    yield Relation.of(carrier, carrier, [*zip(elems, elems), *zip(elems, elems[1:])])
+
+
+def _same(kernel, carrier, lattice, grades):
+    """The kernel's result has exactly the reference grades, and equals
+    (with an equal hash) the set the checked constructor builds from them."""
+    assert kernel.grades == grades
+    expected = FuzzySet(carrier, lattice, grades)
+    assert kernel == expected and hash(kernel) == hash(expected)
+
+
+def test_lattice_operations_match_reference(zoo):
+    for space, opens in _spaces(zoo):
+        carrier, lattice = space.carrier, space.lattice
+        for a in opens:
+            _same(fs_complement(a), carrier, lattice, ref_complement(a.grades))
+            for b in opens:
+                _same(fs_meet(a, b), carrier, lattice, ref_meet(a.grades, b.grades))
+                _same(fs_join(a, b), carrier, lattice, ref_join(a.grades, b.grades))
+                assert fs_leq(a, b) == ref_leq(a.grades, b.grades)
+
+
+def test_key_and_str_match_reference(zoo):
+    for space, opens in _spaces(zoo):
+        for a in opens:
+            grades = tuple(a(e) for e in space.carrier)
+            assert a.grades == grades
+            assert a.key() == tuple(g.num for g in grades)
+            assert str(a) == ref_str(space.carrier, grades)
+            assert a.as_dict() == dict(zip(space.carrier.elements, grades))
+
+
+def test_liftings_match_reference(zoo):
+    for space, opens in _spaces(zoo):
+        n, lattice = len(space.carrier), space.lattice
+        _, sig = fuzzy_powerset_functor(lattice, ("dia", "box"))
+        for mu in opens:
+            for name, ref in (("dia", ref_dia), ("box", ref_box)):
+                lifted = sig.lifting(name).apply(space, (mu,))
+                _same(lifted, lifted.carrier, lattice, ref(mu.grades, n, lattice))
+
+
+def test_images_match_reference(zoo):
+    for space, opens in _spaces(zoo):
+        carrier, lattice = space.carrier, space.lattice
+        for f in _maps(carrier):
+            for a in opens:
+                _same(direct_image(f, a), carrier, lattice,
+                      ref_direct_image(f, a.grades, lattice))
+                _same(inverse_image(f, a), carrier, lattice,
+                      ref_inverse_image(f, a.grades))
+        for rel in _relations(carrier):
+            for a in opens:
+                _same(relation_image(rel, a), carrier, lattice,
+                      ref_relation_image(rel, a.grades, lattice))
+                _same(relation_preimage(rel, a), carrier, lattice,
+                      ref_relation_preimage(rel, a.grades, lattice))
+
+
+def test_structure_map_pullbacks_match_reference(zoo):
+    for m, sig in zoo:
+        image = sig.functor.on_space(m.space)
+        for o in image.sorted_opens():
+            _same(inverse_image(m.sigma, o), m.space.carrier, m.space.lattice,
+                  ref_inverse_image(m.sigma, o.grades))
+
+
+@pytest.mark.parametrize("d, n", [(1, 0), (1, 4), (2, 3), (3, 3), (4, 2)])
+def test_enumeration_round_trips(d, n):
+    lattice = make_lattice(d)
+    carrier = Carrier(tuple("abcd"[:n]))
+    sets = all_fuzzy_sets(carrier, lattice)
+    assert [s.grades for s in sets] == ref_subsets(n, lattice)
+    for s, grades in zip(sets, ref_subsets(n, lattice)):
+        _same(s, carrier, lattice, grades)
+        assert s.key() == tuple(g.num for g in grades)
+    assert len(set(sets)) == len(sets)
+
+
+def test_property_cuts_hash_and_round_trip():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def two_sets(draw):
+        d = draw(st.integers(1, 6))
+        n = draw(st.integers(0, 9))
+        nums = st.lists(st.integers(0, d), min_size=n, max_size=n)
+        return d, draw(nums), draw(nums)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(two_sets())
+    def check(case):
+        d, xs, ys = case
+        lattice = make_lattice(d)
+        carrier = Carrier(tuple(f"s{i}" for i in range(len(xs))))
+        a = FuzzySet(carrier, lattice, tuple(Grade(k, d) for k in xs))
+        b = FuzzySet(carrier, lattice, tuple(Grade(k, d) for k in ys))
+        full = (1 << len(xs)) - 1
+        for s in (a, b, fs_meet(a, b), fs_join(a, b), fs_complement(a)):
+            assert len(s.cuts) == d
+            assert all(cut & ~full == 0 for cut in s.cuts)
+            assert all(lo & ~hi == 0 for hi, lo in zip(s.cuts, s.cuts[1:]))
+        assert a.key() == tuple(xs) and [g.num for g in a.grades] == xs
+        assert [a(e).num for e in carrier] == xs
+        assert FuzzySet(carrier, lattice, a.grades) == a
+        assert fs_meet(a, b).key() == tuple(map(min, xs, ys))
+        assert fs_join(a, b).key() == tuple(map(max, xs, ys))
+        assert fs_complement(a).key() == tuple(d - x for x in xs)
+        assert fs_leq(a, b) == all(x <= y for x, y in zip(xs, ys))
+        assert (a == b) == (xs == ys)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    check()
