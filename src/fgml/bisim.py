@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import LatticeMismatchError, PreconditionError, ResourceLimitError
 from .fuzzyset import (
     DEFAULT_MAX_SIZE,
     CarrierMap,
@@ -37,11 +37,20 @@ def is_coherent(rel: Relation, mu: FuzzySet, eta: FuzzySet) -> bool:
 
 def coherent_pairs(rel: Relation, space1: FuzzySpace, space2: FuzzySpace
                    ) -> tuple[tuple[FuzzySet, FuzzySet], ...]:
-    """All coherent pairs drawn from opens x opens, in canonical order."""
-    return tuple((mu, eta)
-                 for mu in space1.sorted_opens()
-                 for eta in space2.sorted_opens()
-                 if is_coherent(rel, mu, eta))
+    """All coherent pairs drawn from opens x opens, in canonical order.
+
+    By the coherence lemma, which holds for every relation, (mu, eta) is
+    coherent iff their pullbacks to the pair carrier are equal, so the
+    opens of space2 are bucketed by pullback and each mu meets its bucket.
+    """
+    if space1.lattice != space2.lattice:
+        raise LatticeMismatchError("the two spaces use different grade lattices")
+    pi1, pi2 = rel.projections()
+    buckets: dict[FuzzySet, list[FuzzySet]] = {}
+    for eta in space2.sorted_opens():
+        buckets.setdefault(inverse_image(pi2, eta), []).append(eta)
+    return tuple((mu, eta) for mu in space1.sorted_opens()
+                 for eta in buckets.get(inverse_image(pi1, mu), ()))
 
 
 def coherence_lemma_check(rel: Relation, space1: FuzzySpace,

@@ -3,17 +3,19 @@
 A space is a carrier together with an explicit finite family of fuzzy
 opens. Over a finite carrier and a finite grade chain every family of
 fuzzy sets is finite, so closure under arbitrary joins coincides with
-closure under binary joins; generation and validation both work by
-binary fixpoint.
+closure under binary joins.
 
-Every least fixpoint in the package is computed by `_close`, round by
-round and semi-naively (Bancilhon and Ramakrishnan, 1986): a round
+Generation and validation pack each set's cuts into one int, so that a
+meet or a join is a single `&` or `|`. A family closed under such an
+idempotent, commutative, associative operation is its generators swept
+in turn over the growing family: no fixpoint rounds are needed.
+
+The provenance-keeping least fixpoints are computed by `_close`, round
+by round and semi-naively (Bancilhon and Ramakrishnan, 1986): a round
 offers only the argument tuples that use an element added by the round
 before, in the order a naive round over all elements would. Older tuples
 were offered before, so results, their order and each element's
-provenance (its first offer) are the naive ones, and a guard trips on
-the same inputs, though at the first element past its limit rather than
-at the end of the round.
+provenance (its first offer) are the naive ones.
 """
 
 from __future__ import annotations
@@ -82,6 +84,15 @@ class TopologyCheck:
         return self.ok
 
 
+def _packing(carrier: Carrier, lattice: GradeLattice):
+    """pack(s) puts cut k + 1 of s in bits k*n up to (k+1)*n of one int;
+    unpack inverts it."""
+    n, d = len(carrier), lattice.den
+    full = (1 << n) - 1
+    return (lambda s: sum(cut << k * n for k, cut in enumerate(s.cuts)),
+            lambda p: _from_cuts(carrier, lattice, tuple(p >> k * n & full for k in range(d))))
+
+
 def is_topology(space: FuzzySpace) -> TopologyCheck:
     """Constants present and binary meet/join closure; first violation reported."""
     opens = space.sorted_opens()
@@ -89,8 +100,15 @@ def is_topology(space: FuzzySpace) -> TopologyCheck:
         return TopologyCheck(False, "constant-0 fuzzy set missing")
     if space.top_open not in space.opens:
         return TopologyCheck(False, "constant-1 fuzzy set missing")
-    for i, a in enumerate(opens):
-        for b in opens[i:]:  # meet and join commute
+    pack, _ = _packing(space.carrier, space.lattice)
+    packed = list(map(pack, opens))
+    family = set(packed)
+    for i, p in enumerate(packed):  # meet and join commute
+        if family.issuperset(map(p.__and__, packed[i:])) \
+                and family.issuperset(map(p.__or__, packed[i:])):
+            continue
+        a = opens[i]  # the failing row, walked again for its first witness
+        for b in opens[i:]:
             if fs_meet(a, b) not in space.opens:
                 return TopologyCheck(False, f"meet of {a} and {b} not open")
             if fs_join(a, b) not in space.opens:
@@ -112,18 +130,13 @@ def _new_combos(items: list, old: int, arity: int, symmetric: bool, start: int =
                 yield (items[i], *tail)
 
 
-def _close(found: dict, operations: list, rounds: int | None = None,
-           guard: tuple[str, int] | None = None) -> None:
+def _close(found: dict, operations: list, rounds: int | None = None) -> None:
     """Extend `found` (element -> provenance) in place to the least dict
     closed under the operations (arity, symmetric, fn): fn maps a tuple of
     (element, provenance) items to the items it derives, and a symmetric
     operation gets each multiset of arguments once. At most `rounds` rounds
-    run; a guard (what, max_size) raises ResourceLimitError at the first new
-    element past max_size, mid-round, so that it bounds the work and not
-    only the result; it reports max_size + 1, or one past the starting dict
-    when that is already larger."""
+    run."""
     items, old = list(found.items()), 0
-    room = guard[1] - len(found) if guard is not None else None
     for _ in repeat(None) if rounds is None else range(rounds):
         fresh: dict = {}
         for arity, symmetric, fn in operations:
@@ -131,14 +144,9 @@ def _close(found: dict, operations: list, rounds: int | None = None,
                 for element, provenance in fn(*args):
                     if element not in found and element not in fresh:
                         fresh[element] = provenance
-                        if room is not None and len(fresh) > room:
-                            raise ResourceLimitError(guard[0], len(found) + len(fresh),
-                                                     guard[1])
         if not fresh:
             break
         found.update(fresh)
-        if room is not None:
-            room -= len(fresh)
         old = len(items)
         items += fresh.items()
 
@@ -149,29 +157,31 @@ def generate_topology(carrier: Carrier, lattice: GradeLattice,
     """Smallest fuzzy topology containing the subbasis.
 
     Adds the two constants, then closes under binary meets (yielding a
-    basis) and binary joins, iterating to a fixpoint. The family of all
-    fuzzy sets here is finite, so the fixpoint exists and realizes
-    closure under arbitrary joins.
+    basis) and binary joins. The family of all fuzzy sets here is finite,
+    so closure under binary joins realizes closure under arbitrary joins.
+    The guard trips when a sweep adds an open and the family passes
+    max_size, and reports max(max_size, starting family) + 1; a sweep at
+    most doubles the family, so it bounds the work as well.
     """
-    # The closure runs on each set's cuts packed into one int, cut k + 1 in
-    # bits k*n up to (k+1)*n, so that a meet or a join is a single & or |.
-    n, d = len(carrier), lattice.den
-    full = (1 << n) - 1
-    found = dict.fromkeys([0, sum(full << k * n for k in range(d))])
+    pack, unpack = _packing(carrier, lattice)
+    found = {pack(FuzzySet.empty(carrier, lattice)), pack(FuzzySet.full(carrier, lattice))}
     for s in subbasis:
         if s.carrier != carrier:
             raise CarrierMismatchError("subbasis member not on the given carrier")
         if s.lattice != lattice:
             raise LatticeMismatchError("subbasis member uses a foreign grade lattice")
-        found[sum(cut << k * n for k, cut in enumerate(s.cuts))] = None
+        found.add(pack(s))
 
     # meets first give a basis; meets of joins reduce to joins of basis meets
+    start = len(found)
     for op in (and_, or_):
-        _close(found, [(2, True, lambda a, b, op=op: ((op(a[0], b[0]), None),))],
-               guard=("topology generation", max_size))
-    return FuzzySpace(carrier, lattice, frozenset(
-        _from_cuts(carrier, lattice, tuple(p >> k * n & full for k in range(d)))
-        for p in found))
+        for g in list(found):
+            size = len(found)
+            found.update([op(g, x) for x in found])
+            if size < len(found) > max_size:
+                raise ResourceLimitError("topology generation", max(max_size, start) + 1,
+                                         max_size)
+    return FuzzySpace(carrier, lattice, frozenset(map(unpack, found)))
 
 
 def discrete_space(carrier: Carrier, lattice: GradeLattice,

@@ -94,7 +94,15 @@ def complete_identity_model(carrier: Carrier, lat, assignment, valuation,
         space = generate_topology(carrier, lat, list(space.opens) + missing)
 
 
-_NAMES = ("a", "b", "c")
+_NAMES = ("a", "b", "c", "d", "e", "f")
+
+
+def _carrier(n: int) -> Carrier:
+    """The first n state names; refuses an n past the name list, which would
+    silently repeat a smaller carrier."""
+    if n > len(_NAMES):
+        raise ValueError(f"the zoo names at most {len(_NAMES)} states")
+    return Carrier(_NAMES[:n])
 
 
 def _pattern(carrier: Carrier, lat, offset: int, step: int) -> FuzzySet:
@@ -115,7 +123,7 @@ def powerset_zoo(max_states: int, dens=(1, 2), modalities=("dia",),
         lat = make_lattice(d)
         functor, sig = fuzzy_powerset_functor(lat, modalities)
         for n in range(1, max_states + 1):
-            carrier = Carrier(_NAMES[:n])
+            carrier = _carrier(n)
             combos = []
             for v_off, v_step in ((d, 1), (1, 0), (0, 1)):
                 for s_off, s_step in ((0, 1), (d, d), (1, 1)):
@@ -149,7 +157,7 @@ def identity_zoo(max_states: int, dens=(1, 2)) -> list[tuple[Model, Signature]]:
     for d in dens:
         lat = make_lattice(d)
         for n in range(1, max_states + 1):
-            carrier = Carrier(_NAMES[:n])
+            carrier = _carrier(n)
             assignments = {tuple(carrier.elements),
                            tuple(carrier.elements[0] for _ in carrier),
                            tuple(reversed(carrier.elements))}

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from fgml import (
@@ -19,7 +22,13 @@ from fgml.errors import PreconditionError
 from fgml.signature import Lifting, Signature
 from fgml.topology import generate_topology, indiscrete_space
 
-from modelgen import complete_identity_model, duplicate_state, m1_model, powerset_zoo
+from modelgen import (
+    complete_identity_model,
+    duplicate_state,
+    identity_zoo,
+    m1_model,
+    powerset_zoo,
+)
 
 D2 = make_lattice(2)
 XY = Carrier(("x", "y"))
@@ -66,6 +75,22 @@ def test_coherent_pairs_is_filtered_enumeration():
     assert coherent_pairs(r, space1, space2) == expected
     assert (space1.bottom_open, space2.bottom_open) in expected
     assert (space1.top_open, space2.top_open) in expected
+    # zoo model pairs on one lattice: diagonal (on shared names), empty,
+    # full and seeded random relations
+    rng = random.Random(4)
+    zoo = [m for m, _ in powerset_zoo(3) + identity_zoo(5, dens=(1, 2, 3))]
+    for m1, m2 in product(zoo, repeat=2):
+        space1, space2 = m1.space, m2.space
+        if space1.lattice != space2.lattice:
+            continue
+        c1, c2 = space1.carrier, space2.carrier
+        full = [(a, b) for a in c1 for b in c2]
+        for pairs in ([(a, a) for a in c1 if a in c2], [], full,
+                      [p for p in full if rng.random() < 0.5]):
+            r = Relation.of(c1, c2, pairs)
+            assert coherent_pairs(r, space1, space2) == tuple(
+                (mu, eta) for mu in space1.sorted_opens()
+                for eta in space2.sorted_opens() if is_coherent(r, mu, eta))
 
 
 def test_coherence_lemma_identity_and_random():

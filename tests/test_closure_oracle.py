@@ -3,7 +3,9 @@
 The naive_* functions are the reference: each round re-combines every
 pair (every argument tuple) of the current family, as fgml did before
 its least fixpoints moved onto one engine. Results must agree exactly,
-down to dict order and the formula each definable open keeps.
+down to dict order and the formula each definable open keeps. Topology
+generation and validation sweep packed families instead; their
+references are the naive closure and the pairwise scan over fuzzy sets.
 """
 
 from itertools import product
@@ -12,7 +14,9 @@ import pytest
 
 from fgml import (
     And,
+    Carrier,
     FuzzySet,
+    Grade,
     Modal,
     Or,
     Prop,
@@ -26,10 +30,13 @@ from fgml import (
     fs_meet,
     generate_topology,
     inverse_image,
+    is_topology,
+    make_lattice,
 )
 from fgml.errors import ResourceLimitError
 from fgml.frames import FiniteFrame
 from fgml.fuzzyset import DEFAULT_MAX_SIZE
+from fgml.topology import FuzzySpace, TopologyCheck
 
 from modelgen import identity_zoo, powerset_zoo
 
@@ -52,6 +59,21 @@ def naive_generate_topology(carrier, lattice, subbasis, max_size=DEFAULT_MAX_SIZ
     close(fs_meet)
     close(fs_join)
     return frozenset(current)
+
+
+def naive_is_topology(space):
+    opens = space.sorted_opens()
+    if space.bottom_open not in space.opens:
+        return TopologyCheck(False, "constant-0 fuzzy set missing")
+    if space.top_open not in space.opens:
+        return TopologyCheck(False, "constant-1 fuzzy set missing")
+    for i, a in enumerate(opens):
+        for b in opens[i:]:
+            if fs_meet(a, b) not in space.opens:
+                return TopologyCheck(False, f"meet of {a} and {b} not open")
+            if fs_join(a, b) not in space.opens:
+                return TopologyCheck(False, f"join of {a} and {b} not open")
+    return TopologyCheck(True)
 
 
 def naive_definable_opens(m, sig):
@@ -179,6 +201,24 @@ def test_generate_topology_matches_naive(zoo):
             naive_generate_topology(carrier, lattice, gens)
 
 
+def test_is_topology_matches_naive(zoo):
+    # Each generated topology, and the family left by dropping one of its
+    # non-constant opens (every one, or about 20 spread over a large family).
+    checked = failed = 0
+    for carrier, lattice, gens in _generations(zoo):
+        space = generate_topology(carrier, lattice, gens)
+        opens = [o for o in space.sorted_opens()
+                 if o not in (space.bottom_open, space.top_open)]
+        spaces = [space] + [FuzzySpace(carrier, lattice, space.opens - {o})
+                            for o in opens[::max(1, len(opens) // 20)]]
+        for candidate in spaces:
+            got, want = is_topology(candidate), naive_is_topology(candidate)
+            assert (got.ok, got.violation) == (want.ok, want.violation)
+            checked += 1
+            failed += not got.ok
+    assert failed and checked > failed
+
+
 def _tripped_size(generate, *args):
     try:
         generate(*args)
@@ -225,3 +265,42 @@ def test_from_order_matches_naive(zoo):
         assert frame.leq == naive_transitive_closure(opens, covers)
         assert frame.leq == frozenset((a, a) for a in opens) | frozenset(below)
         assert (frame.bottom, frame.top) == (m.space.bottom_open, m.space.top_open)
+
+
+def test_property_generate_topology_matches_naive():
+    # Random subbases over 4-6 states; a small max_size often trips the guard.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        d = draw(st.integers(1, 3))
+        n = draw(st.integers(4, 6))
+        nums = st.lists(st.integers(0, d), min_size=n, max_size=n)
+        subbasis = draw(st.lists(nums, max_size=5))
+        limit = draw(st.sampled_from([2, 4, 8, 16, 32, DEFAULT_MAX_SIZE]))
+        return d, n, subbasis, limit
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        d, n, subbasis, limit = case
+        lattice = make_lattice(d)
+        carrier = Carrier(tuple(f"s{i}" for i in range(n)))
+        gens = [FuzzySet(carrier, lattice, tuple(Grade(k, d) for k in nums))
+                for nums in subbasis]
+        size = _tripped_size(generate_topology, carrier, lattice, gens, limit)
+        naive = _tripped_size(naive_generate_topology, carrier, lattice, gens, limit)
+        assert (size is None) == (naive is None)
+        outcomes.add(size is None)
+        if size is None:
+            assert generate_topology(carrier, lattice, gens, limit).opens == \
+                naive_generate_topology(carrier, lattice, gens, limit)
+        else:
+            start = {FuzzySet.empty(carrier, lattice), FuzzySet.full(carrier, lattice),
+                     *gens}
+            assert size == max(limit, len(start)) + 1
+
+    outcomes = set()
+    check()
+    assert outcomes == {True, False}  # both closed and tripped cases were drawn
