@@ -16,6 +16,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .bisim import greatest_sigma_bisimulation, is_am_bisimulation, is_sigma_bisimulation
@@ -294,7 +295,7 @@ def _cmd_classes(args) -> int:
 
 def _cmd_quotient(args) -> int:
     lm = load_model(args.model, args.max_size)
-    result = quotient_model(lm.model, lm.signature, args.max_size)
+    result = quotient_model(lm.model, lm.signature)
     if not result:
         _emit(args, {"ok": False, "failure": result.failure},
               [f"quotient failed: {result.failure}"])
@@ -375,6 +376,7 @@ def _cmd_duality(args) -> int:
     return 0 if report.passed else 1
 
 
+@cache  # parse_args keeps no state between calls, so one parser serves all
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fgml",

@@ -1,14 +1,17 @@
 """Finite frames, their points, and finite-instance duality checks.
 
 A finite frame is a finite distributive lattice given by an explicit
-order table. Points are frame homomorphisms into a grade chain, found by
-exhaustive enumeration, so sobriety and spatiality verdicts are always
-relative to the chosen lattice and reported as such.
+order table. Points are frame homomorphisms into a grade chain, read off
+the multichains of join-irreducible elements (Birkhoff's representation
+of finite distributive lattices), so sobriety and spatiality verdicts
+are always relative to the chosen lattice and reported as such.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
+from math import comb
 from typing import Hashable, Mapping
 
 from .errors import (
@@ -78,15 +81,15 @@ class FiniteFrame:
         """Meet/join lookup tables; None entries mark missing bounds."""
         cache = self._cache
         if "tables" not in cache:
+            elems = self.elements
+            down = {a: frozenset(c for c in elems if self.holds(c, a)) for a in elems}
+            up = {a: frozenset(c for c in elems if self.holds(a, c)) for a in elems}
             meets, joins = {}, {}
-            for a in self.elements:
-                for b in self.elements:
-                    lower = [c for c in self.elements
-                             if self.holds(c, a) and self.holds(c, b)]
-                    glb = [c for c in lower if all(self.holds(d, c) for d in lower)]
-                    upper = [c for c in self.elements
-                             if self.holds(a, c) and self.holds(b, c)]
-                    lub = [c for c in upper if all(self.holds(c, d) for d in upper)]
+            for a in elems:
+                for b in elems:
+                    lower, upper = down[a] & down[b], up[a] & up[b]
+                    glb = [c for c in lower if lower <= down[c]]
+                    lub = [c for c in upper if upper <= up[c]]
                     meets[a, b] = glb[0] if len(glb) == 1 else None
                     joins[a, b] = lub[0] if len(lub) == 1 else None
             cache["tables"] = (meets, joins)
@@ -184,32 +187,38 @@ class FramePoint:
         return self.values[self.frame._index[element]]
 
 
-def grade_chain(lattice: GradeLattice) -> FiniteFrame:
-    """The grade lattice itself, viewed as a frame."""
-    return FiniteFrame.chain(lattice.values)
-
-
 def points(frame: FiniteFrame, lattice: GradeLattice,
            max_size: int = DEFAULT_MAX_SIZE) -> tuple[FramePoint, ...]:
-    """All lattice-valued frame homomorphisms, in lexicographic value order."""
-    total = len(lattice) ** len(frame)
-    if total > max_size:
-        raise ResourceLimitError("point enumeration", total, max_size)
+    """All lattice-valued frame homomorphisms, in lexicographic value order.
+
+    Precondition: `frame` passes `is_frame`; otherwise PreconditionError.
+    In a finite distributive lattice each cut {a : h(a) >= k/d} of a point
+    h is a principal filter of a join-irreducible j_k (Birkhoff, "Rings of
+    sets", 1937), so the points are exactly the multichains j_1 <= ... <= j_d
+    of join-irreducibles, with h(a) = #{k : j_k <= a}/d. The guard, checked
+    before `is_frame`, counts the element triples that `is_frame` visits,
+    the candidate multichains, C(|J| + d - 1, d), and the d + 1 grades.
+    """
+    down = {a: frozenset(c for c in frame.elements if frame.holds(c, a))
+            for a in frame.elements}
+    # j is join-irreducible iff the elements strictly below it are the
+    # down-set of one element; by down-set size is a linear extension
+    downsets = set(down.values())
+    irreducibles = sorted((j for j in frame.elements if down[j] - {j} in downsets),
+                          key=lambda j: len(down[j]))
+    d = lattice.den
+    size = max(len(frame) ** 3, comb(len(irreducibles) + d - 1, d), d + 1)
+    if size > max_size:
+        raise ResourceLimitError("point enumeration", size, max_size)
+    check = is_frame(frame)
+    if not check:
+        raise PreconditionError(f"points requires a frame: {check.violation}")
+    found = sorted(
+        tuple(sum(frame.holds(j, a) for j in chain) for a in frame.elements)
+        for chain in combinations_with_replacement(irreducibles, d)
+        if all(map(frame.holds, chain, chain[1:])))
     vals = lattice.values
-    chain = grade_chain(lattice)
-    found: list[FramePoint] = []
-
-    def assign(prefix: list[Grade]):
-        if len(prefix) == len(frame.elements):
-            h = dict(zip(frame.elements, prefix))
-            if is_frame_hom(h, frame, chain):
-                found.append(FramePoint(frame, tuple(prefix)))
-            return
-        for v in vals:
-            assign(prefix + [v])
-
-    assign([])
-    return tuple(found)
+    return tuple(FramePoint(frame, tuple(vals[k] for k in nums)) for nums in found)
 
 
 def named_points(frame: FiniteFrame, lattice: GradeLattice,
@@ -220,15 +229,22 @@ def named_points(frame: FiniteFrame, lattice: GradeLattice,
                  for p in points(frame, lattice, max_size))
 
 
+def _point_space(frame: FiniteFrame, lattice: GradeLattice, max_size: int):
+    """The named points, the evaluation open h -> h(a) of each element a,
+    and the topology those opens generate on the points."""
+    named = named_points(frame, lattice, max_size)
+    carrier = Carrier(tuple(name for name, _ in named))
+    evaluation = {a: FuzzySet(carrier, lattice, tuple(p(a) for _, p in named))
+                  for a in frame.elements}
+    return named, evaluation, generate_topology(carrier, lattice, evaluation.values(),
+                                                max_size)
+
+
 def point_topology(frame: FiniteFrame, lattice: GradeLattice,
                    max_size: int = DEFAULT_MAX_SIZE) -> FuzzySpace:
     """Space of points with the topology generated by evaluation opens:
     one generator per frame element a, valued h -> h(a)."""
-    named = named_points(frame, lattice, max_size)
-    carrier = Carrier(tuple(name for name, _ in named))
-    gens = [FuzzySet(carrier, lattice, tuple(p(a) for _, p in named))
-            for a in frame.elements]
-    return generate_topology(carrier, lattice, gens, max_size)
+    return _point_space(frame, lattice, max_size)[2]
 
 
 def pt_on_morphism(f: Mapping[Hashable, Hashable], source: FiniteFrame,
@@ -250,47 +266,37 @@ def pt_on_morphism(f: Mapping[Hashable, Hashable], source: FiniteFrame,
                       tuple(assignment))
 
 
+def _bijective(eta: CarrierMap) -> bool:
+    return len(set(eta.assignment)) == len(eta.source) == len(eta.target)
+
+
 def state_point_map(space: FuzzySpace, max_size: int = DEFAULT_MAX_SIZE
-                    ) -> tuple[CarrierMap, FuzzySpace, FiniteFrame]:
+                    ) -> tuple[CarrierMap, FuzzySpace, FiniteFrame, dict[FuzzySet, FuzzySet]]:
     """The canonical map s -> (open g -> g(s)) into the points of the
-    opens frame, plus the point space and the opens frame themselves."""
+    opens frame, plus the point space, the opens frame, and each open's
+    evaluation open h -> h(g) in the point space."""
     frame = opens_frame(space)
-    named = named_points(frame, space.lattice, max_size)
+    named, evaluation, point_space = _point_space(frame, space.lattice, max_size)
     by_values = {p.values: name for name, p in named}
-    point_space = point_topology(frame, space.lattice, max_size)
-    assignment = []
-    for s in space.carrier:
-        values = tuple(o(s) for o in frame.elements)
-        assignment.append(by_values[values])
-    eta = CarrierMap(space.carrier, point_space.carrier, tuple(assignment))
-    return eta, point_space, frame
+    eta = CarrierMap(space.carrier, point_space.carrier, tuple(
+        by_values[tuple(o(s) for o in frame.elements)] for s in space.carrier))
+    return eta, point_space, frame, evaluation
 
 
 def is_sober(space: FuzzySpace, max_size: int = DEFAULT_MAX_SIZE) -> bool:
     """True iff the state-to-point map is bijective (lattice-relative)."""
-    eta, point_space, _ = state_point_map(space, max_size)
-    image = set(eta.assignment)
-    return len(image) == len(space.carrier) and image == set(point_space.carrier)
+    return _bijective(state_point_map(space, max_size)[0])
 
 
 def is_spatial(frame: FiniteFrame, lattice: GradeLattice,
                max_size: int = DEFAULT_MAX_SIZE) -> bool:
     """True iff a -> (evaluation open of a) is an isomorphism onto the
-    opens frame of the point space (lattice-relative)."""
-    named = named_points(frame, lattice, max_size)
-    carrier = Carrier(tuple(n for n, _ in named))
-    zeta = {a: FuzzySet(carrier, lattice, tuple(p(a) for _, p in named))
-            for a in frame.elements}
-    if len(set(zeta.values())) != len(frame.elements):
-        return False
-    from .fuzzyset import fs_leq
-
-    for a in frame.elements:
-        for b in frame.elements:
-            if frame.holds(a, b) != fs_leq(zeta[a], zeta[b]):
-                return False
-    space = point_topology(frame, lattice, max_size)
-    return set(zeta.values()) == set(space.opens)
+    opens frame of the point space (lattice-relative). Points preserve
+    meets and joins, so the evaluation opens are all the opens they
+    generate and the map is a lattice homomorphism onto them: an
+    isomorphism iff the points separate the elements."""
+    pts = points(frame, lattice, max_size)
+    return len({tuple(h(a) for h in pts) for a in frame.elements}) == len(frame)
 
 
 @dataclass(frozen=True)
@@ -316,26 +322,19 @@ def duality_check(space: FuzzySpace, max_size: int = DEFAULT_MAX_SIZE) -> Dualit
 
     Checks, one line each: bijectivity, fuzzy continuity, openness of
     direct images, and that each open's direct image is exactly the
-    evaluation open of that open in the point space.
+    evaluation open of that open in the point space. A space that is
+    not sober raises NotSoberError.
     """
-    if not is_sober(space, max_size):
+    eta, point_space, _, evaluation = state_point_map(space, max_size)
+    if not _bijective(eta):
         raise NotSoberError("duality_check requires a sober space")
-    eta, point_space, frame = state_point_map(space, max_size)
-    named = named_points(frame, space.lattice, max_size)
-    evaluation = {o: FuzzySet(point_space.carrier, space.lattice,
-                              tuple(p(o) for _, p in named))
-                  for o in space.opens}
-    items: list[tuple[str, bool]] = []
-    image = set(eta.assignment)
-    items.append(("eta bijective",
-                  len(image) == len(space.carrier)
-                  and image == set(point_space.carrier)))
-    items.append(("eta fuzzy continuous", is_continuous(eta, space, point_space)))
-    items.append(("eta open map",
-                  all(direct_image(eta, o) in point_space.opens
-                      for o in space.opens)))
-    items.append(("eta image equals evaluation open",
-                  all(direct_image(eta, o) == evaluation[o] for o in space.opens)))
-    items.append(("eta pullback recovers each open",
-                  all(inverse_image(eta, evaluation[o]) == o for o in space.opens)))
-    return DualityReport(tuple(items))
+    return DualityReport((
+        ("eta bijective", True),  # the NotSoberError check above
+        ("eta fuzzy continuous", is_continuous(eta, space, point_space)),
+        ("eta open map",
+         all(direct_image(eta, o) in point_space.opens for o in space.opens)),
+        ("eta image equals evaluation open",
+         all(direct_image(eta, o) == evaluation[o] for o in space.opens)),
+        ("eta pullback recovers each open",
+         all(inverse_image(eta, evaluation[o]) == o for o in space.opens)),
+    ))

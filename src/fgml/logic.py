@@ -25,11 +25,10 @@ from .errors import (
     UnboundPropositionError,
 )
 from .fuzzyset import (
-    DEFAULT_MAX_SIZE,
     Carrier,
     CarrierMap,
     FuzzySet,
-    all_fuzzy_sets,
+    direct_image,
     fs_join,
     fs_meet,
     inverse_image,
@@ -389,13 +388,13 @@ class QuotientResult:
         return self.ok
 
 
-def quotient_model(m: Model, sig: Signature,
-                   max_size: int = DEFAULT_MAX_SIZE) -> QuotientResult:
+def quotient_model(m: Model, sig: Signature) -> QuotientResult:
     """Collapse modally equivalent states.
 
     Class representatives name the quotient states; the topology is the
-    final topology along the quotient map; the structure map sends a
-    class to the functor image of the representative's structure value
+    final topology along the onto quotient map q, whose opens are the
+    images q(o) of the opens o with q^-1(q(o)) = o; the structure map sends
+    a class to the functor image of the representative's structure value
     and is accepted only if that choice is representative-independent.
     """
     classes = modal_equivalence_classes(m, sig)
@@ -405,8 +404,8 @@ def quotient_model(m: Model, sig: Signature,
     q = CarrierMap(m.space.carrier, q_carrier,
                    tuple(rep_of[s] for s in m.space.carrier))
 
-    opens = frozenset(w for w in all_fuzzy_sets(q_carrier, m.space.lattice, max_size)
-                      if inverse_image(q, w) in m.space.opens)
+    opens = frozenset(w for o in m.space.opens
+                      if inverse_image(q, w := direct_image(q, o)) == o)
     q_space = FuzzySpace(q_carrier, m.space.lattice, opens)
 
     image_map = sig.functor.on_map(q, m.space, q_space)

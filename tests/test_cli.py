@@ -1,4 +1,6 @@
 import json
+import time
+from itertools import product
 
 import pytest
 
@@ -159,6 +161,43 @@ def test_cli_duality_non_sober_is_error(capsys):
     assert "sober" in err
 
 
+def test_cli_duality_on_thirteen_chain_point_space(tmp_path, capsys):
+    # the opens form a 13-chain: (d+1)^13 = 8192 brute-force assignments
+    # at d=1, past the default guard, but only 12 points
+    states = [f"s{i}" for i in range(12)]
+    doc = {"lattice": 1, "functor": "identity", "carrier": states,
+           "opens": [{s: "1/1" if i >= k else "0/1" for i, s in enumerate(states)}
+                     for k in range(13)],
+           "sigma": {s: s for s in states}, "valuation": {}}
+    path = tmp_path / "chain13.json"
+    path.write_text(json.dumps(doc))
+    code = run_command(["--json", "duality", "-m", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["items"]) == 5
+    assert all(ok for _, ok in payload["items"])
+
+
+def test_cli_duality_on_many_opens_is_refused_at_once(tmp_path, capsys):
+    # the crisp discrete topology on 7 states has 2^7 opens: the guard
+    # counts the 128^3 element triples of the frame check and refuses
+    # before any of them is visited
+    states = [f"s{i}" for i in range(7)]
+    doc = {"lattice": 1, "functor": "identity", "carrier": states,
+           "opens": [{s: f"{bit}/1" for s, bit in zip(states, bits)}
+                     for bits in product((0, 1), repeat=7)],
+           "sigma": {s: s for s in states}, "valuation": {}}
+    path = tmp_path / "discrete7.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = run_command(["duality", "-m", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert f"needs {128 ** 3} entries" in capsys.readouterr().err
+    assert elapsed < 10  # well under 0.1 s; unguarded, the frame check runs for minutes
+
+
 def test_cli_json_output(capsys):
     code = run_command(["--json", "eval", "-m", M1, "-f", "<dia>(p)"])
     out = capsys.readouterr().out
@@ -185,6 +224,14 @@ def test_cli_unknown_subcommand(capsys):
 def test_cli_parse_error_exit_2(capsys):
     assert run_command(["eval", "-m", M1, "-f", "(p &"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_valid_command_after_parse_failure(capsys):
+    # the parser is built once per process and reused by every command
+    assert run_command(["eval", "-m", M1]) == 2
+    capsys.readouterr()
+    assert run_command(["eval", "-m", M1, "-f", "<dia>(p)"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["x: 1/2", "y: 1/2"]
 
 
 def _set(key, value, inside=None):

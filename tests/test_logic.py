@@ -18,6 +18,7 @@ from fgml import (
     enumerate_formulas,
     evaluate,
     identity_functor,
+    inverse_image,
     make_lattice,
     modal_equivalence_classes,
     parse_formula,
@@ -31,6 +32,7 @@ from fgml.errors import (
     UnboundPropositionError,
     UnknownModalityError,
 )
+from fgml.fuzzyset import all_fuzzy_sets
 from fgml.signature import Signature
 from fgml.topology import discrete_space
 
@@ -375,6 +377,51 @@ def test_quotient_reports_representative_dependence():
     assert not result.ok
     assert result.model is None
     assert "'s'" in result.failure and "'t'" in result.failure
+
+
+def oracle_quotient_opens(model, q):
+    """The final topology by its definition: every fuzzy set on the
+    quotient carrier whose pullback along q is open."""
+    return frozenset(w for w in all_fuzzy_sets(q.target, model.space.lattice)
+                     if inverse_image(q, w) in model.space.opens)
+
+
+def test_quotient_topology_matches_oracle():
+    zoo = powerset_zoo(3) + identity_zoo(5, dens=(1, 2, 3))
+    zoo += [(duplicate_state(m, sig, m.space.carrier.elements[0], "z"), sig)
+            for m, sig in powerset_zoo(3)]
+    # a and b agree on p, so they merge, yet {a} is open: the zoo's opens
+    # are all constant on the classes, this one is not
+    _, sig = identity_functor()
+    lat = make_lattice(1)
+    carrier = Carrier(("a", "b", "c"))
+    only = {e: FuzzySet(carrier, lat, tuple(lat.grade(int(x == e)) for x in carrier))
+            for e in carrier}
+    split = complete_identity_model(carrier, lat, carrier.elements, {"p": only["c"]},
+                                    sig, extra_opens=[only["a"]])
+    zoo.append((split, sig))
+    for model, sig in zoo:
+        result = quotient_model(model, sig)
+        assert result.ok
+        assert result.model.space.opens == \
+            oracle_quotient_opens(model, result.quotient_map)
+    assert quotient_model(split, sig).classes == (("a", "b"), ("c",))
+
+
+def test_quotient_beyond_the_fuzzy_set_guard():
+    # 7 classes at d=3: 4^7 = 16384 fuzzy sets on the quotient carrier,
+    # past the default guard of 4096
+    _, sig = identity_functor()
+    lat = make_lattice(3)
+    carrier = Carrier(tuple("abcdefg"))
+    p = FuzzySet(carrier, lat, tuple(lat.grade(i % 4) for i in range(7)))
+    q = FuzzySet(carrier, lat, tuple(lat.grade(i // 4) for i in range(7)))
+    model = complete_identity_model(carrier, lat, carrier.elements,
+                                    {"p": p, "q": q}, sig)
+    result = quotient_model(model, sig)
+    assert result.ok
+    assert len(result.classes) == 7
+    assert result.model.space.opens == model.space.opens
 
 
 # ------------------------------------------------------ formula enumeration
