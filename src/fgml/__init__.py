@@ -9,14 +9,11 @@ Aczel-Mendler bisimulation checking.
 from .bisim import (
     BisimReport,
     BisimWitness,
-    am_implies_sigma_suite,
-    coherence_lemma_check,
     coherent_pairs,
     greatest_sigma_bisimulation,
     is_am_bisimulation,
     is_coherent,
     is_sigma_bisimulation,
-    sigma_implies_modal_suite,
 )
 from .errors import FgmlError
 from .frames import (

@@ -339,15 +339,17 @@ def _cmd_bisim(args) -> int:
 def _cmd_sig(args) -> int:
     lm = load_model(args.model, args.max_size)
     sig, space = lm.signature, lm.model.space
+    n = len(space.carrier)
+    if n ** n > args.max_size:
+        raise ResourceLimitError("self-map enumeration", n ** n, args.max_size)
     lines = []
     ok = True
     for lifting in sig.liftings:
         mono = check_monotone(lifting, space)
         lines.append(f"monotone[{lifting.name}]: {'PASS' if mono.ok else 'FAIL'}")
         ok = ok and mono.ok
-    n = len(space.carrier)
-    maps = [CarrierMap(space.carrier, space.carrier, assignment)
-            for assignment in product(space.carrier.elements, repeat=n)]
+    maps = (CarrierMap(space.carrier, space.carrier, assignment)
+            for assignment in product(space.carrier.elements, repeat=n))
     natural_ok = True
     for f in maps:
         if not is_continuous(f, space, space):

@@ -1,16 +1,21 @@
 """Finite frames, their points, and finite-instance duality checks.
 
 A finite frame is a finite distributive lattice given by an explicit
-order table. Points are frame homomorphisms into a grade chain, read off
-the multichains of join-irreducible elements (Birkhoff's representation
-of finite distributive lattices), so sobriety and spatiality verdicts
-are always relative to the chosen lattice and reported as such.
+order table, held as each element's down-set and up-set bitmask with a
+dict from each mask back to its element: the meet of a and b is the
+element whose down-set is down(a) & down(b), their join the one whose
+up-set is up(a) & up(b), so a table of n elements is checked in O(n^2)
+mask operations. Points are frame homomorphisms into a grade chain, read
+off the multichains of join-irreducible elements (Birkhoff's
+representation of finite distributive lattices), so sobriety and
+spatiality verdicts are always relative to the chosen lattice and
+reported as such.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Hashable, Mapping
 
@@ -22,12 +27,18 @@ from .errors import (
 )
 from .fuzzyset import DEFAULT_MAX_SIZE, Carrier, CarrierMap, FuzzySet, direct_image, inverse_image
 from .grades import Grade, GradeLattice
-from .topology import FuzzySpace, _close, generate_topology, is_continuous, opens_frame
+from .topology import FuzzySpace, generate_topology, is_continuous, opens_frame
 
 
 @dataclass(frozen=True)
 class FiniteFrame:
-    """Finite lattice: ordered elements, full <= table, designated ends."""
+    """Finite lattice: ordered elements, full <= table, designated ends.
+
+    Bit j of `_down[i]` (`_up[i]`) is set iff element j is below (above)
+    element i; `_by_down` and `_by_up` map each mask back to its element.
+    `_irreducible` has a bit for each join-irreducible j: one whose strictly
+    lower elements are the down-set of one element.
+    """
 
     elements: tuple[Hashable, ...]
     leq: frozenset[tuple[Hashable, Hashable]]
@@ -37,69 +48,61 @@ class FiniteFrame:
     def __post_init__(self):
         if not self.elements:
             raise MalformedFrameError("a frame needs at least one element")
-        if len(set(self.elements)) != len(self.elements):
+        index = {e: i for i, e in enumerate(self.elements)}
+        if len(index) != len(self.elements):
             raise MalformedFrameError("duplicate frame elements")
-        known = set(self.elements)
+        down, up = [0] * len(index), [0] * len(index)
         for a, b in self.leq:
-            if a not in known or b not in known:
+            if a not in index or b not in index:
                 raise MalformedFrameError(f"order pair ({a!r}, {b!r}) uses unknown elements")
-        if self.bottom not in known or self.top not in known:
+            down[index[b]] |= 1 << index[a]
+            up[index[a]] |= 1 << index[b]
+        if self.bottom not in index or self.top not in index:
             raise MalformedFrameError("designated top/bottom not among the elements")
-        object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
+        by_down = dict(zip(down, self.elements))
+        irreducible = sum(1 << j for j, mask in enumerate(down) if mask & ~(1 << j) in by_down)
+        for name, value in (("_index", index), ("_down", tuple(down)), ("_up", tuple(up)),
+                            ("_by_down", by_down), ("_by_up", dict(zip(up, self.elements))),
+                            ("_irreducible", irreducible)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def chain(cls, elements: tuple[Hashable, ...] | list[Hashable]) -> "FiniteFrame":
         """Total order in ascending listing order."""
         elems = tuple(elements)
-        leq = frozenset((elems[i], elems[j])
-                        for i in range(len(elems)) for j in range(i, len(elems)))
-        return cls(elems, leq, bottom=elems[0], top=elems[-1])
+        return cls.from_order(elems, zip(elems, elems[1:]))
 
     @classmethod
     def from_order(cls, elements, pairs) -> "FiniteFrame":
         """Build from a strict-or-partial pair list; takes the
         reflexive-transitive closure and derives top/bottom."""
         elems = tuple(elements)
-        rel = dict.fromkeys([(a, a) for a in elems] + [tuple(p) for p in pairs])
-
-        def compose(ab, cd):
-            (a, b), (c, d) = ab[0], cd[0]
-            return (((a, d), None),) if b == c else ()
-
-        _close(rel, [(2, False, compose)])
-        bottoms = [a for a in elems if all((a, b) in rel for b in elems)]
-        tops = [a for a in elems if all((b, a) in rel for b in elems)]
+        index = {e: i for i, e in enumerate(elems)}
+        up = [1 << i for i in range(len(elems))]
+        for a, b in pairs:
+            if a not in index or b not in index:
+                raise MalformedFrameError(f"order pair ({a!r}, {b!r}) uses unknown elements")
+            up[index[a]] |= 1 << index[b]
+        for k in range(len(up)):  # Warshall: after step k, paths may pass 0..k
+            for i, row in enumerate(up):
+                if row >> k & 1:
+                    up[i] = row | up[k]
+        leq = frozenset((a, b) for a, row in zip(elems, up)
+                        for j, b in enumerate(elems) if row >> j & 1)
+        bottoms = [a for a, row in zip(elems, up) if row == (1 << len(elems)) - 1]
+        tops = [b for j, b in enumerate(elems) if all(row >> j & 1 for row in up)]
         if len(bottoms) != 1 or len(tops) != 1:
             raise MalformedFrameError("order has no unique top/bottom")
-        return cls(elems, frozenset(rel), bottom=bottoms[0], top=tops[0])
+        return cls(elems, leq, bottom=bottoms[0], top=tops[0])
 
     def holds(self, a: Hashable, b: Hashable) -> bool:
-        return (a, b) in self.leq
-
-    def _tables(self):
-        """Meet/join lookup tables; None entries mark missing bounds."""
-        cache = self._cache
-        if "tables" not in cache:
-            elems = self.elements
-            down = {a: frozenset(c for c in elems if self.holds(c, a)) for a in elems}
-            up = {a: frozenset(c for c in elems if self.holds(a, c)) for a in elems}
-            meets, joins = {}, {}
-            for a in elems:
-                for b in elems:
-                    lower, upper = down[a] & down[b], up[a] & up[b]
-                    glb = [c for c in lower if lower <= down[c]]
-                    lub = [c for c in upper if upper <= up[c]]
-                    meets[a, b] = glb[0] if len(glb) == 1 else None
-                    joins[a, b] = lub[0] if len(lub) == 1 else None
-            cache["tables"] = (meets, joins)
-        return cache["tables"]
+        return bool(self._up[self._index[a]] >> self._index[b] & 1)
 
     def meet(self, a: Hashable, b: Hashable) -> Hashable | None:
-        return self._tables()[0][a, b]
+        return self._by_down.get(self._down[self._index[a]] & self._down[self._index[b]])
 
     def join(self, a: Hashable, b: Hashable) -> Hashable | None:
-        return self._tables()[1][a, b]
+        return self._by_up.get(self._up[self._index[a]] & self._up[self._index[b]])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -119,39 +122,39 @@ def is_frame(candidate: FiniteFrame) -> FrameCheck:
 
     A table that is not a partial order at all raises MalformedFrameError;
     lattice or distributivity failures are reported with a witness.
+    Distributivity is Birkhoff's test: a finite lattice is distributive
+    iff each join-irreducible j below a v b is below a or below b, and a
+    j that is neither makes (j, a, b) fail the law.
     """
-    elems = candidate.elements
-    for a in elems:
-        if not candidate.holds(a, a):
+    elems, index, down, up = candidate.elements, candidate._index, candidate._down, candidate._up
+    for i, a in enumerate(elems):
+        if not up[i] >> i & 1:
             raise MalformedFrameError(f"order not reflexive at {a!r}")
-    for a in elems:
-        for b in elems:
-            if a != b and candidate.holds(a, b) and candidate.holds(b, a):
-                raise MalformedFrameError(f"order not antisymmetric on {a!r}, {b!r}")
-            for c in elems:
-                if candidate.holds(a, b) and candidate.holds(b, c) \
-                        and not candidate.holds(a, c):
-                    raise MalformedFrameError(
-                        f"order not transitive via {a!r} <= {b!r} <= {c!r}")
+    for (i, a), (j, b) in product(enumerate(elems), repeat=2):
+        if not up[i] >> j & 1:
+            continue
+        if a != b and up[j] >> i & 1:
+            raise MalformedFrameError(f"order not antisymmetric on {a!r}, {b!r}")
+        beyond = up[j] & ~up[i]  # the c with b <= c but not a <= c; take the first
+        if beyond:
+            c = elems[(beyond & -beyond).bit_length() - 1]
+            raise MalformedFrameError(f"order not transitive via {a!r} <= {b!r} <= {c!r}")
     for a in elems:
         if not candidate.holds(candidate.bottom, a):
             return FrameCheck(False, f"designated bottom is not below {a!r}")
         if not candidate.holds(a, candidate.top):
             return FrameCheck(False, f"designated top is not above {a!r}")
-    for a in elems:
-        for b in elems:
-            if candidate.meet(a, b) is None:
-                return FrameCheck(False, f"no meet for ({a!r}, {b!r})")
-            if candidate.join(a, b) is None:
-                return FrameCheck(False, f"no join for ({a!r}, {b!r})")
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                lhs = candidate.meet(a, candidate.join(b, c))
-                rhs = candidate.join(candidate.meet(a, b), candidate.meet(a, c))
-                if lhs != rhs:
-                    return FrameCheck(
-                        False, f"distributivity fails on ({a!r}, {b!r}, {c!r})")
+    for a, b in product(elems, repeat=2):
+        if candidate.meet(a, b) is None:
+            return FrameCheck(False, f"no meet for ({a!r}, {b!r})")
+        if candidate.join(a, b) is None:
+            return FrameCheck(False, f"no join for ({a!r}, {b!r})")
+    for (i, a), (k, b) in combinations(enumerate(elems), 2):
+        missing = down[index[candidate.join(a, b)]] & candidate._irreducible \
+            & ~(down[i] | down[k])
+        if missing:
+            j = elems[missing.bit_length() - 1]
+            return FrameCheck(False, f"distributivity fails on ({j!r}, {a!r}, {b!r})")
     return FrameCheck(True)
 
 
@@ -162,18 +165,13 @@ def is_frame_hom(f: Mapping[Hashable, Hashable], source: FiniteFrame,
     Binary preservation suffices here: in a finite lattice every join is
     an iterated binary join and the empty cases are the designated ends.
     """
-    for a in source.elements:
-        if a not in f:
-            return False
+    if any(a not in f for a in source.elements):
+        return False
     if f[source.bottom] != target.bottom or f[source.top] != target.top:
         return False
-    for a in source.elements:
-        for b in source.elements:
-            if f[source.meet(a, b)] != target.meet(f[a], f[b]):
-                return False
-            if f[source.join(a, b)] != target.join(f[a], f[b]):
-                return False
-    return True
+    return all(f[source.meet(a, b)] == target.meet(f[a], f[b])
+               and f[source.join(a, b)] == target.join(f[a], f[b])
+               for a, b in product(source.elements, repeat=2))
 
 
 @dataclass(frozen=True)
@@ -196,27 +194,24 @@ def points(frame: FiniteFrame, lattice: GradeLattice,
     h is a principal filter of a join-irreducible j_k (Birkhoff, "Rings of
     sets", 1937), so the points are exactly the multichains j_1 <= ... <= j_d
     of join-irreducibles, with h(a) = #{k : j_k <= a}/d. The guard, checked
-    before `is_frame`, counts the element triples that `is_frame` visits,
-    the candidate multichains, C(|J| + d - 1, d), and the d + 1 grades.
+    before `is_frame`, counts the n^2 ordered element pairs whose masks
+    `is_frame` combines (n = |frame|), the candidate multichains,
+    C(|J| + d - 1, d), and the d + 1 grades.
     """
-    down = {a: frozenset(c for c in frame.elements if frame.holds(c, a))
-            for a in frame.elements}
-    # j is join-irreducible iff the elements strictly below it are the
-    # down-set of one element; by down-set size is a linear extension
-    downsets = set(down.values())
-    irreducibles = sorted((j for j in frame.elements if down[j] - {j} in downsets),
-                          key=lambda j: len(down[j]))
+    down, up = frame._down, frame._up
+    irreducibles = sorted((j for j in range(len(frame)) if frame._irreducible >> j & 1),
+                          key=lambda j: down[j].bit_count())  # a linear extension
     d = lattice.den
-    size = max(len(frame) ** 3, comb(len(irreducibles) + d - 1, d), d + 1)
+    size = max(len(frame) ** 2, comb(len(irreducibles) + d - 1, d), d + 1)
     if size > max_size:
         raise ResourceLimitError("point enumeration", size, max_size)
     check = is_frame(frame)
     if not check:
         raise PreconditionError(f"points requires a frame: {check.violation}")
     found = sorted(
-        tuple(sum(frame.holds(j, a) for j in chain) for a in frame.elements)
+        tuple(sum(mask >> j & 1 for j in chain) for mask in down)
         for chain in combinations_with_replacement(irreducibles, d)
-        if all(map(frame.holds, chain, chain[1:])))
+        if all(up[j] >> k & 1 for j, k in zip(chain, chain[1:])))
     vals = lattice.values
     return tuple(FramePoint(frame, tuple(vals[k] for k in nums)) for nums in found)
 
@@ -275,6 +270,9 @@ def state_point_map(space: FuzzySpace, max_size: int = DEFAULT_MAX_SIZE
     """The canonical map s -> (open g -> g(s)) into the points of the
     opens frame, plus the point space, the opens frame, and each open's
     evaluation open h -> h(g) in the point space."""
+    pairs = len(space.opens) ** 2
+    if pairs > max_size:  # before opens_frame compares every pair of opens
+        raise ResourceLimitError("point enumeration", pairs, max_size)
     frame = opens_frame(space)
     named, evaluation, point_space = _point_space(frame, space.lattice, max_size)
     by_values = {p.values: name for name, p in named}

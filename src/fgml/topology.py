@@ -35,7 +35,6 @@ from .fuzzyset import (
     _from_cuts,
     all_fuzzy_sets,
     fs_join,
-    fs_leq,
     fs_meet,
     inverse_image,
 )
@@ -231,5 +230,7 @@ def opens_frame(space: FuzzySpace):
     from .frames import FiniteFrame
 
     opens = space.sorted_opens()
-    leq = frozenset((a, b) for a in opens for b in opens if fs_leq(a, b))
+    pack, _ = _packing(space.carrier, space.lattice)
+    packed = list(zip(opens, map(pack, opens)))
+    leq = frozenset((a, b) for a, p in packed for b, q in packed if p & ~q == 0)
     return FiniteFrame(opens, leq, bottom=space.bottom_open, top=space.top_open)

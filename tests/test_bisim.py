@@ -7,8 +7,6 @@ from fgml import (
     Carrier,
     FuzzySet,
     Relation,
-    am_implies_sigma_suite,
-    coherence_lemma_check,
     coherent_pairs,
     greatest_sigma_bisimulation,
     identity_functor,
@@ -16,12 +14,16 @@ from fgml import (
     is_coherent,
     is_sigma_bisimulation,
     make_lattice,
-    sigma_implies_modal_suite,
 )
 from fgml.errors import PreconditionError
 from fgml.signature import Lifting, Signature
 from fgml.topology import generate_topology, indiscrete_space
 
+from bisim_oracles import (
+    am_implies_sigma_suite,
+    coherence_lemma_check,
+    sigma_implies_modal_suite,
+)
 from modelgen import (
     complete_identity_model,
     duplicate_state,

@@ -179,10 +179,14 @@ def test_cli_duality_on_thirteen_chain_point_space(tmp_path, capsys):
     assert all(ok for _, ok in payload["items"])
 
 
-def test_cli_duality_on_many_opens_is_refused_at_once(tmp_path, capsys):
+def test_cli_duality_on_many_opens_is_refused_at_once(tmp_path, capsys, monkeypatch):
     # the crisp discrete topology on 7 states has 2^7 opens: the guard
-    # counts the 128^3 element triples of the frame check and refuses
-    # before any of them is visited
+    # counts the 128^2 pairs of opens that the opens frame compares and
+    # refuses before that frame is built
+    def refuse(space):
+        raise AssertionError("opens_frame ran before the guard")
+
+    monkeypatch.setattr("fgml.frames.opens_frame", refuse)
     states = [f"s{i}" for i in range(7)]
     doc = {"lattice": 1, "functor": "identity", "carrier": states,
            "opens": [{s: f"{bit}/1" for s, bit in zip(states, bits)}
@@ -194,8 +198,23 @@ def test_cli_duality_on_many_opens_is_refused_at_once(tmp_path, capsys):
     code = run_command(["duality", "-m", str(path)])
     elapsed = time.perf_counter() - start
     assert code == 2
-    assert f"needs {128 ** 3} entries" in capsys.readouterr().err
+    assert f"needs {128 ** 2} entries" in capsys.readouterr().err
     assert elapsed < 10  # well under 0.1 s; unguarded, the frame check runs for minutes
+
+
+def _indiscrete_identity_document(states):
+    return {"lattice": 1, "functor": "identity", "carrier": states,
+            "opens": [{s: "0/1" for s in states}, {s: "1/1" for s in states}],
+            "sigma": {s: s for s in states}, "valuation": {}}
+
+
+def test_cli_sig_check_guards_the_self_maps(tmp_path, capsys):
+    # 5 states have 5^5 = 3125 self-maps; the guard refuses before any is built
+    path = tmp_path / "indiscrete5.json"
+    path.write_text(json.dumps(_indiscrete_identity_document([f"s{i}" for i in range(5)])))
+    assert run_command(["--max-size", "3124", "sig", "check", "-m", str(path)]) == 2
+    assert "needs 3125 entries" in capsys.readouterr().err
+    assert run_command(["sig", "check", "-m", str(path)]) == 0
 
 
 def test_cli_json_output(capsys):

@@ -1,4 +1,4 @@
-"""Point enumeration read off join-irreducibles against brute force.
+"""Frame checks and point enumeration against the pair-set references.
 
 brute_points is the reference: it tries every assignment of grades to
 frame elements, in lexicographic order, and keeps the frame
@@ -7,6 +7,13 @@ Birkhoff's representation. The oracle_* functions are the sobriety,
 spatiality and duality checks as they were then, each building its
 points and point space afresh on top of brute_points. Points, their
 order and every verdict must agree exactly.
+
+ref_tables and ref_is_frame are the order-table checks as they were
+before frames held down-set and up-set masks: meets and joins searched
+in the pair set, and the cubic walk over every element triple. Verdicts
+and violation strings must agree byte for byte, except that a failing
+distributivity triple may differ; the one reported is re-checked to
+fail under the reference meets and joins.
 """
 
 from functools import cache
@@ -21,6 +28,7 @@ from fgml import (
     generate_topology,
     inverse_image,
     is_continuous,
+    is_frame,
     is_sober,
     is_spatial,
     make_lattice,
@@ -28,7 +36,7 @@ from fgml import (
     point_topology,
     points,
 )
-from fgml.errors import NotSoberError, PreconditionError, ResourceLimitError
+from fgml.errors import MalformedFrameError, NotSoberError, PreconditionError, ResourceLimitError
 from fgml.frames import FiniteFrame, FramePoint, is_frame_hom
 from fgml.fuzzyset import Carrier, CarrierMap, FuzzySet
 from fgml.grades import GradeLattice
@@ -100,6 +108,86 @@ def oracle_duality_items(space):
     )
 
 
+def ref_tables(frame):
+    """Meet and join tables searched in the pair set; None marks a missing bound."""
+    elems = frame.elements
+    down = {a: frozenset(c for c in elems if (c, a) in frame.leq) for a in elems}
+    up = {a: frozenset(c for c in elems if (a, c) in frame.leq) for a in elems}
+    meets, joins = {}, {}
+    for a in elems:
+        for b in elems:
+            lower, upper = down[a] & down[b], up[a] & up[b]
+            glb = [c for c in lower if lower <= down[c]]
+            lub = [c for c in upper if upper <= up[c]]
+            meets[a, b] = glb[0] if len(glb) == 1 else None
+            joins[a, b] = lub[0] if len(lub) == 1 else None
+    return meets, joins
+
+
+def ref_is_frame(frame):
+    """The cubic frame check on the pair set: (ok, violation)."""
+    elems = frame.elements
+
+    def holds(a, b):
+        return (a, b) in frame.leq
+
+    for a in elems:
+        if not holds(a, a):
+            raise MalformedFrameError(f"order not reflexive at {a!r}")
+    for a in elems:
+        for b in elems:
+            if a != b and holds(a, b) and holds(b, a):
+                raise MalformedFrameError(f"order not antisymmetric on {a!r}, {b!r}")
+            for c in elems:
+                if holds(a, b) and holds(b, c) and not holds(a, c):
+                    raise MalformedFrameError(
+                        f"order not transitive via {a!r} <= {b!r} <= {c!r}")
+    for a in elems:
+        if not holds(frame.bottom, a):
+            return False, f"designated bottom is not below {a!r}"
+        if not holds(a, frame.top):
+            return False, f"designated top is not above {a!r}"
+    meets, joins = ref_tables(frame)
+    for a in elems:
+        for b in elems:
+            if meets[a, b] is None:
+                return False, f"no meet for ({a!r}, {b!r})"
+            if joins[a, b] is None:
+                return False, f"no join for ({a!r}, {b!r})"
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                if meets[a, joins[b, c]] != joins[meets[a, b], meets[a, c]]:
+                    return False, f"distributivity fails on ({a!r}, {b!r}, {c!r})"
+    return True, None
+
+
+def check_is_frame(frame):
+    """Compare is_frame, meet and join with the references; return the
+    reference violation with its witness cut off (None when ok)."""
+    try:
+        ok, violation = ref_is_frame(frame)
+    except MalformedFrameError as expected:
+        with pytest.raises(MalformedFrameError) as got:
+            is_frame(frame)
+        assert str(got.value) == str(expected)
+        return str(expected).split(" at ")[0].split(" on ")[0].split(" via ")[0]
+    meets, joins = ref_tables(frame)
+    assert {pair: frame.meet(*pair) for pair in meets} == meets
+    assert {pair: frame.join(*pair) for pair in joins} == joins
+    got = is_frame(frame)
+    assert got.ok == ok
+    if violation is not None and violation.startswith("distributivity"):
+        named = [(a, b, c) for a, b, c in product(frame.elements, repeat=3)
+                 if got.violation == f"distributivity fails on ({a!r}, {b!r}, {c!r})"]
+        assert named, got.violation
+        a, b, c = named[0]
+        assert meets[a, joins[b, c]] != joins[meets[a, b], meets[a, c]]
+    else:
+        assert got.violation == violation
+    return violation and violation.split(" (")[0].split(" is not")[0]
+
+
 def product_frame(m, n):
     elements = tuple(product(range(m), range(n)))
     leq = frozenset((a, b) for a in elements for b in elements
@@ -163,12 +251,80 @@ def test_sober_and_duality_match_oracle():
     assert sober > 10
 
 
-@pytest.mark.parametrize("pairs", [
-    [("bot", "a"), ("bot", "b"), ("bot", "c"), ("a", "top"), ("b", "top"), ("c", "top")],
-    [("bot", "a"), ("a", "c"), ("bot", "b"), ("c", "top"), ("b", "top")],
-], ids=["M3", "N5"])
-def test_points_refuse_non_distributive_lattices(pairs):
-    lattice = FiniteFrame.from_order(("bot", "a", "b", "c", "top"), pairs)
+NON_DISTRIBUTIVE = {
+    "M3": [("bot", "a"), ("bot", "b"), ("bot", "c"), ("a", "top"), ("b", "top"),
+           ("c", "top")],
+    "N5": [("bot", "a"), ("a", "c"), ("bot", "b"), ("c", "top"), ("b", "top")],
+}
+
+
+@pytest.mark.parametrize("name", list(FRAMES) + list(NON_DISTRIBUTIVE))
+def test_is_frame_matches_reference(name):
+    if name in NON_DISTRIBUTIVE:
+        frame = FiniteFrame.from_order(("bot", "a", "b", "c", "top"), NON_DISTRIBUTIVE[name])
+        assert check_is_frame(frame) == "distributivity fails on"
+    else:
+        assert check_is_frame(FRAMES[name]) is None
+
+
+def test_property_is_frame_matches_reference():
+    # Random tables over at most 6 elements: arbitrary relations, their
+    # reflexive closures, and partial orders, bounded or not.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def tables(draw):
+        n = draw(st.integers(1, 6))
+        index = st.integers(0, n - 1)
+        pairs = draw(st.sets(st.tuples(index, index), max_size=2 * n * n))
+        bottom, top = draw(index), draw(index)
+        kind = draw(st.sampled_from(["any", "reflexive", "order", "bounded order"]))
+        if kind != "any":
+            pairs |= {(a, a) for a in range(n)}
+        if kind.endswith("order"):  # upward along a drawn ranking, then closed
+            rank = draw(st.permutations(range(n)))
+            pairs = naive_order({(a, b) for a, b in pairs if rank[a] <= rank[b]})
+        if kind == "bounded order":
+            bottom, top = rank.index(0), rank.index(n - 1)
+            pairs = naive_order(pairs | {(bottom, a) for a in range(n)}
+                                | {(a, top) for a in range(n)})
+        return FiniteFrame(tuple(range(n)), frozenset(pairs), bottom, top)
+
+    def bowtie(low, high):
+        # 0 < both of low < both of high < 5: a bounded non-lattice
+        pairs = {(0, a) for a in low} | {(a, b) for a in low for b in high} \
+            | {(b, 5) for b in high} | {(a, a) for a in range(6)}
+        return FiniteFrame(tuple(range(6)), frozenset(naive_order(pairs)), 0, 5)
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(tables())
+    @hypothesis.example(bowtie((1, 2), (3, 4)))  # no join for (1, 2)
+    @hypothesis.example(bowtie((3, 4), (1, 2)))  # no meet for (1, 2)
+    def check(frame):
+        outcomes.add(check_is_frame(frame))
+
+    outcomes = set()
+    check()
+    assert outcomes == {  # every kind of verdict was drawn
+        "order not reflexive", "order not antisymmetric", "order not transitive",
+        "designated bottom", "designated top", "no meet for", "no join for",
+        "distributivity fails on", None}
+
+
+def naive_order(pairs):
+    """The transitive closure of a set of pairs."""
+    closed = set(pairs)
+    while True:
+        more = {(a, d) for a, b in closed for c, d in closed if b == c} - closed
+        if not more:
+            return closed
+        closed |= more
+
+
+@pytest.mark.parametrize("name", list(NON_DISTRIBUTIVE))
+def test_points_refuse_non_distributive_lattices(name):
+    lattice = FiniteFrame.from_order(("bot", "a", "b", "c", "top"), NON_DISTRIBUTIVE[name])
     with pytest.raises(PreconditionError):
         points(lattice, make_lattice(1))
     with pytest.raises(PreconditionError):
@@ -188,18 +344,18 @@ def _refuse(*_):
     raise AssertionError("work started before the guard")
 
 
-def test_guard_counts_the_frame_check_triples(monkeypatch):
-    # a 17-chain at d=1: 17^3 triples for is_frame, against 16 multichains
-    # and 2 grades
+def test_guard_counts_the_order_pairs(monkeypatch):
+    # a 65-chain at d=1: 65^2 = 4225 ordered element pairs for is_frame,
+    # against 64 multichains and 2 grades
     monkeypatch.setattr("fgml.frames.is_frame", _refuse)
     with pytest.raises(ResourceLimitError) as exc:
-        points(FiniteFrame.chain(tuple(range(17))), make_lattice(1))
-    assert exc.value.size == 17 ** 3
+        points(FiniteFrame.chain(tuple(range(65))), make_lattice(1))
+    assert exc.value.size == 65 ** 2
 
 
 def test_guard_counts_the_multichains(monkeypatch):
     # the subsets of a 3-set at d=31: C(3 + 31 - 1, 31) = 528 multichains
-    # of the 3 singletons, against 8^3 = 512 triples and 32 grades
+    # of the 3 singletons, against 8^2 = 64 element pairs and 32 grades
     cube = tuple(product((0, 1), repeat=3))
     frame = FiniteFrame.from_order(cube, [(a, b) for a in cube for b in cube
                                           if all(x <= y for x, y in zip(a, b))])

@@ -56,6 +56,8 @@ def test_malformed_orders_raise():
         is_frame(bad)
     with pytest.raises(MalformedFrameError):
         FiniteFrame(("a",), frozenset({("a", "zzz")}), bottom="a", top="a")
+    with pytest.raises(MalformedFrameError):
+        FiniteFrame.from_order(("a", "b"), [("a", "b"), ("b", "zzz")])
 
 
 def test_frame_hom_examples():
