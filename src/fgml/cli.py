@@ -304,10 +304,11 @@ def _cmd_quotient(args) -> int:
                       lm.modalities, {}, {})
     doc = model_to_document(out)
     mapping = {s: result.quotient_map(s) for s in lm.model.space.carrier}
+    lines = [] if args.json else [  # the text form only when it is printed
+        "classes: " + "; ".join(" ".join(c) for c in result.classes),
+        json.dumps(doc, indent=2)]
     _emit(args, {"ok": True, "classes": [list(c) for c in result.classes],
-                 "map": mapping, "model": doc},
-          ["classes: " + "; ".join(" ".join(c) for c in result.classes),
-           json.dumps(doc, indent=2)])
+                 "map": mapping, "model": doc}, lines)
     return 0
 
 

@@ -164,14 +164,19 @@ def is_frame_hom(f: Mapping[Hashable, Hashable], source: FiniteFrame,
 
     Binary preservation suffices here: in a finite lattice every join is
     an iterated binary join and the empty cases are the designated ends.
+    False, not an error, when f misses a source element or leaves the
+    target, or when a pair of source elements has no meet or no join.
     """
-    if any(a not in f for a in source.elements):
+    if any(a not in f or f[a] not in target._index for a in source.elements):
         return False
     if f[source.bottom] != target.bottom or f[source.top] != target.top:
         return False
-    return all(f[source.meet(a, b)] == target.meet(f[a], f[b])
-               and f[source.join(a, b)] == target.join(f[a], f[b])
-               for a, b in product(source.elements, repeat=2))
+    for a, b in product(source.elements, repeat=2):
+        meet, join = source.meet(a, b), source.join(a, b)
+        if meet is None or join is None or f[meet] != target.meet(f[a], f[b]) \
+                or f[join] != target.join(f[a], f[b]):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,20 @@ Grammar (whitespace-insensitive):
 The grade to which a state satisfies a formula is the value of the
 formula's evaluation at that state; disjunction over the empty list is
 the constant-0 fuzzy set.
+
+Two closures compute the definable opens: the least family holding
+constant-1 and the valuations, closed under meet, join and each lifting
+composed with the structure map. `definable_opens` and
+`enumerate_formulas` keep a formula per member, through `_close`.
+`modal_equivalence_classes`, and through it `quotient_model` and the
+`classes` and `quotient` commands, need only the partition of the states
+and close packed ints instead. That partition is exact: a pointwise meet
+or join of sets that agree at s and t agrees there too, so the family
+splits the states exactly as its generators do (constant-1, the
+valuations, every modal pullback). The lattice closure is still needed,
+as a lifting is applied to meets and joins of generators; but once the
+generators separate every pair of states no finer partition exists, and
+the closure stops.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ from .fuzzyset import (
     inverse_image,
 )
 from .signature import Signature
-from .topology import FuzzySpace, _close, is_continuous, is_topology
+from .topology import FuzzySpace, _close, _new_combos, _packing, is_continuous, is_topology
 
 
 class Formula:
@@ -302,7 +316,9 @@ def definable_opens(m: Model, sig: Signature) -> dict[FuzzySet, Formula]:
     meet, join and each lifting composed with the structure map.
 
     Every member keeps the first formula that produced it, so each
-    definable open can be re-checked by direct evaluation.
+    definable open can be re-checked by direct evaluation. This is for
+    callers that want the formulas; `modal_equivalence_classes` closes
+    the same family without them.
     """
     found: dict[tuple[FuzzySet], Formula] = {(m.space.top_open,): Top()}
     for name, v in m.valuation:
@@ -314,20 +330,53 @@ def definable_opens(m: Model, sig: Signature) -> dict[FuzzySet, Formula]:
 def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...], ...]:
     """Partition of the carrier by agreement on every definable open.
 
+    Closes the family of `definable_opens` on packed ints, without
+    formulas (exact by the argument in the module docstring). A generator
+    not yet in the family (a valuation, or the pullback of a lifting's
+    value on family members) is swept into the meet basis with `&`, and
+    each new basis member over the family with `|`; as in
+    `generate_topology`, no fixpoint rounds are needed. Each step pulls
+    back only the argument tuples that use a member added since the step
+    before. The partition is refined by each generator's cuts as it
+    arrives, and the closure stops once every state is alone. With the
+    signature's generating liftings every member is an open of the model,
+    so the family is no larger than the opens the load guard admitted.
+
     Classes are ordered by first member in carrier order; members keep
     carrier order too.
     """
-    opens = list(definable_opens(m, sig))
-    signature_of = {s: tuple(o(s) for o in opens) for s in m.space.carrier}
-    classes: list[list[str]] = []
-    for s in m.space.carrier:
-        for cls in classes:
-            if signature_of[cls[0]] == signature_of[s]:
-                cls.append(s)
-                break
-        else:
-            classes.append([s])
-    return tuple(tuple(c) for c in classes)
+    space, carrier = m.space, m.space.carrier
+    n = len(carrier)
+    pack, unpack = _packing(carrier, space.lattice)
+    top = pack(space.top_open)
+    family, basis, members = {top}, {top}, [top]  # members: family by arrival
+    blocks = [(1 << n) - 1] if n else []  # the partition, as state masks
+
+    def generators():
+        yield from (v for _, v in m.valuation)
+        sets: list[FuzzySet] = []  # members unpacked for the liftings
+        while len(sets) < len(members):
+            done = len(sets)
+            sets += map(unpack, members[done:])
+            for lifting in sig.liftings:
+                for args in _new_combos(sets, done, lifting.arity, False):
+                    yield inverse_image(m.sigma, lifting.apply(space, args))
+
+    gens = generators()
+    while len(blocks) < n and (g := next(gens, None)) is not None:
+        p = pack(g)
+        if p in family:
+            continue
+        fresh = {p & b for b in basis} - basis
+        basis |= fresh
+        for c in fresh:
+            new = ({c} | {c | x for x in family}) - family
+            family |= new
+            members += new
+        for cut in g.cuts:
+            blocks = [part for b in blocks for part in (b & cut, b & ~cut) if part]
+    return tuple(tuple(s for i, s in enumerate(carrier) if b >> i & 1)
+                 for b in sorted(blocks, key=lambda b: b & -b))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import product
 
@@ -13,7 +16,7 @@ from fgml.cli import (
 )
 from fgml.errors import DocumentError
 
-from modelgen import FIXTURES
+from modelgen import FIXTURES, duplicate_state, m1_model
 
 M1 = f"{FIXTURES}/m1.json"
 BAD = f"{FIXTURES}/bad_sigma.json"
@@ -136,6 +139,50 @@ def test_cli_quotient_document_loads_back(capsys):
     assert code == 0
     reloaded = load_document(payload["model"])
     assert reloaded.model.space.carrier.elements == ("x", "y")
+
+
+def test_cli_quotient_text_is_the_json_model(capsys):
+    # the text form is built only without --json, from the same document
+    assert run_command(["--json", "quotient", "-m", M1]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert run_command(["quotient", "-m", M1]) == 0
+    first, rest = capsys.readouterr().out.split("\n", 1)
+    assert first == "classes: x; y"
+    assert json.loads(rest) == payload["model"]
+
+
+def test_classes_and_quotient_build_no_formulas(tmp_path, capsys, monkeypatch):
+    import fgml.logic
+    from fgml import modal_equivalence_classes, quotient_model
+
+    m1, sig = m1_model()
+    dup = duplicate_state(m1, sig, "y", "y2")
+    lm = load_model(M1)
+    path = _write(tmp_path / "dup.json", model_to_document(
+        LoadedModel(dup, sig, lm.lattice, lm.functor_name, lm.modalities, {}, {})))
+
+    def refuse(*args):
+        raise AssertionError("definable_opens builds formulas")
+
+    monkeypatch.setattr(fgml.logic, "definable_opens", refuse)
+    classes = (("x",), ("y", "y2"))
+    assert modal_equivalence_classes(dup, sig) == classes
+    assert quotient_model(dup, sig).classes == classes
+    for command in ("classes", "quotient"):
+        assert run_command(["--json", command, "-m", path]) == 0
+        assert json.loads(capsys.readouterr().out)["classes"] == [list(c) for c in classes]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def fgml(*argv):
+        return subprocess.run([sys.executable, "-m", "fgml", *argv], env=env,
+                              capture_output=True, text=True).returncode
+
+    assert fgml("validate", "-m", M1) == 0
+    assert fgml("validate", "-m", str(tmp_path / "missing.json")) == 2
 
 
 def test_cli_sig_check(capsys):

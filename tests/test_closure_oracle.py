@@ -6,6 +6,8 @@ its least fixpoints moved onto one engine. Results must agree exactly,
 down to dict order and the formula each definable open keeps. Topology
 generation and validation sweep packed families instead; their
 references are the naive closure and the pairwise scan over fuzzy sets.
+Modal equivalence classes come from a formula-free closure; their
+reference is the partition read off `definable_opens`.
 """
 
 from itertools import product
@@ -17,28 +19,34 @@ from fgml import (
     Carrier,
     FuzzySet,
     Grade,
+    Lifting,
     Modal,
     Or,
     Prop,
+    Signature,
     Top,
     definable_opens,
+    dual_lifting,
     enumerate_formulas,
     evaluate,
     fs_complement,
     fs_join,
     fs_leq,
     fs_meet,
+    fuzzy_powerset_functor,
     generate_topology,
+    identity_functor,
     inverse_image,
     is_topology,
     make_lattice,
+    modal_equivalence_classes,
 )
 from fgml.errors import ResourceLimitError
 from fgml.frames import FiniteFrame
 from fgml.fuzzyset import DEFAULT_MAX_SIZE
 from fgml.topology import FuzzySpace, TopologyCheck
 
-from modelgen import identity_zoo, powerset_zoo
+from modelgen import complete_identity_model, complete_powerset_model, identity_zoo, powerset_zoo
 
 
 def naive_generate_topology(carrier, lattice, subbasis, max_size=DEFAULT_MAX_SIZE):
@@ -304,3 +312,114 @@ def test_property_generate_topology_matches_naive():
     outcomes = set()
     check()
     assert outcomes == {True, False}  # both closed and tripped cases were drawn
+
+
+def definable_partition(m, sig):
+    """States grouped by their grades on every member of `definable_opens`,
+    classes by first member: the partition before the formula-free closure."""
+    opens = list(definable_opens(m, sig))
+    groups = {}
+    for s in m.space.carrier:
+        groups.setdefault(tuple(o(s) for o in opens), []).append(s)
+    return tuple(map(tuple, groups.values()))
+
+
+def _signatures(sig, binary=False):
+    """The signature, the empty one, the signature with its duals, an
+    antitone lifting (the complement of the first lifting: `neg` for the
+    identity functor) and, if asked, a binary lifting antitone in its
+    second argument."""
+    first = sig.liftings[0]
+    yield sig
+    yield Signature(sig.functor, ())
+    yield Signature(sig.functor, sig.liftings + tuple(map(dual_lifting, sig.liftings)))
+    neg = Lifting("neg", 1, sig.functor,
+                  lambda space, args: fs_complement(first.apply(space, args)))
+    yield Signature(sig.functor, (neg,))
+    if binary:
+        yield Signature(sig.functor, (Lifting(
+            "but", 2, sig.functor,
+            lambda space, args: fs_meet(first.apply(space, args[:1]),
+                                        fs_complement(first.apply(space, args[1:])))),))
+
+
+def test_classes_match_definable_opens(zoo):
+    coarse = 0
+    for m, sig in zoo:
+        small = len(m.space.carrier) <= 3 and m.space.lattice.den <= 2
+        for variant in _signatures(sig, binary=small):
+            classes = modal_equivalence_classes(m, variant)
+            assert classes == definable_partition(m, variant)
+            coarse += len(classes) < len(m.space.carrier)
+    assert coarse  # some partitions need the whole closure, not the early stop
+
+
+def test_classes_need_the_lattice_closure():
+    # s and t agree on both valuations and on the pullback of each; only
+    # the pullback of their meet (dia) or their join (box) separates s and t.
+    lat = make_lattice(1)
+    carrier = Carrier(("u", "v", "w", "s", "t"))
+
+    def crisp(*names):
+        return FuzzySet(carrier, lat, tuple(lat.grade(int(e in names)) for e in carrier))
+
+    cases = [("dia", {"p": crisp("u", "w"), "q": crisp("v", "w")}, ("u", "v"), ("w",)),
+             ("box", {"p": crisp("u"), "q": crisp("v")}, ("u", "v"), ("u", "w"))]
+    for modality, valuation, succ_s, succ_t in cases:
+        _, sig = fuzzy_powerset_functor(lat, (modality,))
+        sigma_sets = {e: crisp() for e in carrier} | {"s": crisp(*succ_s), "t": crisp(*succ_t)}
+        m = complete_powerset_model(carrier, lat, sigma_sets, valuation, sig)
+        assert modal_equivalence_classes(m, sig) == definable_partition(m, sig) \
+            == tuple((e,) for e in carrier)
+
+
+def test_binary_liftings_pull_back_old_with_new_members():
+    # The first round adds only constant-0 (but(top, top)); b leaves the
+    # class of a only on but(top, 0) = dia(top), an old member with a new one.
+    lat = make_lattice(1)
+    carrier = Carrier(("a", "b"))
+    full, empty = FuzzySet.full(carrier, lat), FuzzySet.empty(carrier, lat)
+    sig = next(variant for variant in _signatures(
+        fuzzy_powerset_functor(lat, ("dia",))[1], binary=True) if variant.names == ("but",))
+    m = complete_powerset_model(carrier, lat, {"a": empty, "b": full}, {"p": full}, sig)
+    assert modal_equivalence_classes(m, sig) == definable_partition(m, sig) == (("a",), ("b",))
+
+
+def test_property_classes_match_definable_opens():
+    # Random models of both functors; powerset models with dia, box or both.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def models(draw):
+        d = draw(st.integers(1, 2))
+        lat = make_lattice(d)
+        identity = draw(st.booleans())
+        modalities = draw(st.sampled_from([("dia",), ("box",), ("dia", "box")]))
+        n = draw(st.integers(1, 5 if identity else 2 if len(modalities) > 1 else 3))
+        carrier = Carrier(tuple(f"s{i}" for i in range(n)))
+        grades = st.lists(st.integers(0, d), min_size=n, max_size=n).map(
+            lambda nums: FuzzySet(carrier, lat, tuple(map(lat.grade, nums))))
+        valuation = dict(zip(("p", "q"), draw(st.lists(grades, max_size=2))))
+        if identity:
+            _, sig = identity_functor()
+            assignment = draw(st.lists(st.sampled_from(carrier.elements),
+                                       min_size=n, max_size=n))
+            return complete_identity_model(carrier, lat, tuple(assignment),
+                                           valuation, sig), sig
+        _, sig = fuzzy_powerset_functor(lat, modalities)
+        sigma_sets = {s: draw(grades) for s in carrier}
+        return complete_powerset_model(carrier, lat, sigma_sets, valuation, sig), sig
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(models(), st.integers(0, 4))
+    def check(case, variant):
+        m, sig = case
+        sig = list(_signatures(sig, binary=True))[variant]
+        classes = modal_equivalence_classes(m, sig)
+        assert classes == definable_partition(m, sig)
+        outcomes.add(len(classes) == len(m.space.carrier))
+
+    outcomes = set()
+    check()
+    assert outcomes == {True, False}  # both early-stop and full-closure cases drawn

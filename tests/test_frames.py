@@ -69,6 +69,22 @@ def test_frame_hom_examples():
     assert is_frame_hom(embed, CHAIN2, CHAIN3)
 
 
+def test_frame_hom_rejects_maps_off_the_frames():
+    # each is False rather than a KeyError, and pt_on_morphism turns it
+    # into its PreconditionError
+    antichain = FiniteFrame(("bot", "top"), frozenset({("bot", "bot"), ("top", "top")}),
+                            bottom="bot", top="top")  # no meet or join of bot, top
+    cases = [
+        ({"bot": "bot", "top": "top"}, CHAIN3, CHAIN3),  # misses "m"
+        ({"bot": "bot", "m": "zzz", "top": "top"}, CHAIN3, CHAIN3),  # leaves the target
+        ({"bot": "bot", "top": "top"}, antichain, CHAIN2),  # source not a lattice
+    ]
+    for f, source, target in cases:
+        assert is_frame_hom(f, source, target) is False
+        with pytest.raises(PreconditionError):
+            pt_on_morphism(f, source, target, D2)
+
+
 def test_points_of_two_chain():
     for lat in (D1, D2):
         pts = points(CHAIN2, lat)
