@@ -25,8 +25,8 @@ from .fuzzyset import (
 )
 from .grades import Grade
 from .logic import Model
-from .signature import Signature
-from .topology import FuzzySpace, is_continuous, subspace_topology
+from .signature import Signature, image_subbasis
+from .topology import FuzzySpace, subspace_topology
 
 
 def is_coherent(rel: Relation, mu: FuzzySet, eta: FuzzySet) -> bool:
@@ -190,7 +190,8 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
     The relation carries the subspace topology. Per pair, candidates are
     the atoms of the functor image of the relation space whose two
     projections hit the pair's structure values; the assembled map must
-    also be fuzzy continuous. The empty relation is vacuously accepted.
+    also be fuzzy continuous, which is checked on the functor's subbasis
+    of the image topology. The empty relation is vacuously accepted.
     """
     _require_shared_props(m1, m2)
     witnesses = _prop_witnesses(rel, m1, m2)
@@ -198,13 +199,13 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
         return AmBisimReport(False, tuple(witnesses))
     rel_space = subspace_topology(rel, m1.space, m2.space, max_size)
     pi1, pi2 = rel.projections()
-    image_space = sig.functor.on_space(rel_space)
+    image_carrier, gens = image_subbasis(sig.functor, rel_space)
     image_pi1 = sig.functor.on_map(pi1, rel_space, m1.space)
     image_pi2 = sig.functor.on_map(pi2, rel_space, m2.space)
     candidates: list[list[str]] = []
     for b1, b2 in rel.sorted_pairs():
         t1, t2 = m1.sigma(b1), m2.sigma(b2)
-        options = [t for t in image_space.carrier
+        options = [t for t in image_carrier
                    if image_pi1(t) == t1 and image_pi2(t) == t2]
         if not options:
             return AmBisimReport(False, (BisimWitness(
@@ -215,8 +216,9 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
     pair_carrier = rel.pair_carrier()
 
     def continuous(choice: tuple[str, ...]) -> CarrierMap | None:
-        gamma = CarrierMap(pair_carrier, image_space.carrier, choice)
-        return gamma if is_continuous(gamma, rel_space, image_space) else None
+        gamma = CarrierMap(pair_carrier, image_carrier, choice)
+        return gamma if all(inverse_image(gamma, g) in rel_space.opens
+                            for g in gens) else None
 
     greedy = continuous(tuple(options[0] for options in candidates))
     if greedy is not None:

@@ -40,6 +40,7 @@ from .signature import (
     check_natural,
     fuzzy_powerset_functor,
     identity_functor,
+    image_subbasis,
     powerset_atom_name,
 )
 from .topology import FuzzySpace, generate_topology, is_continuous
@@ -108,9 +109,12 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
         if key in doc and not isinstance(doc[key], kind):
             shape = "list" if kind is list else "object"
             raise DocumentError(f"{key!r} must be a JSON {shape}")
+    den = doc["lattice"]
+    if not isinstance(den, int) or isinstance(den, bool):
+        raise DocumentError(f"bad lattice denominator: {den!r} is not an integer")
     try:
-        lattice = make_lattice(int(doc["lattice"]))
-    except (TypeError, ValueError, FgmlError) as exc:
+        lattice = make_lattice(den)
+    except (ValueError, FgmlError) as exc:
         raise DocumentError(f"bad lattice denominator: {exc}") from None
     if lattice.den > max_size:  # every fuzzy set holds one cut per grade above 0
         raise ResourceLimitError("grade cuts per fuzzy set", lattice.den, max_size)
@@ -144,7 +148,7 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
     sigma_doc = doc["sigma"]
     if set(sigma_doc) != set(carrier.elements):
         raise DocumentError("sigma must assign exactly the carrier elements")
-    image = signature.functor.on_space(space)
+    image_carrier = image_subbasis(signature.functor, space)[0]
     assignment = []
     for e in carrier:
         value = sigma_doc[e]
@@ -155,7 +159,7 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
         else:
             fs = _fuzzy_set_from_doc(value, carrier, lattice, f"sigma[{e!r}]")
             assignment.append(powerset_atom_name(fs))
-    sigma = CarrierMap(carrier, image.carrier, tuple(assignment))
+    sigma = CarrierMap(carrier, image_carrier, tuple(assignment))
 
     valuation = {}
     for name, obj in doc["valuation"].items():

@@ -47,7 +47,7 @@ from .fuzzyset import (
     fs_meet,
     inverse_image,
 )
-from .signature import Signature
+from .signature import Signature, image_subbasis
 from .topology import FuzzySpace, _close, _new_combos, _packing, is_continuous, is_topology
 
 
@@ -239,7 +239,14 @@ class ModelCheck:
 
 def validate_model(m: Model, sig: Signature) -> ModelCheck:
     """Topology axioms, openness of valuations, continuity of the
-    structure map into the functor image of the space."""
+    structure map into the functor image of the space.
+
+    Continuity is checked on the functor's subbasis of the image topology
+    (`image_subbasis`), once the opens are known to form a topology: an
+    inverse image keeps constants, meets and joins, so every image open
+    pulls back to an open iff every generator does. The witness names the
+    first generator whose pullback is not open; it is an image open.
+    """
     problems: list[str] = []
     topo = is_topology(m.space)
     if not topo:
@@ -249,12 +256,12 @@ def validate_model(m: Model, sig: Signature) -> ModelCheck:
             problems.append(f"valuation of {name!r} is not on the carrier")
         elif v not in m.space.opens:
             problems.append(f"valuation of {name!r} is not an open: {v}")
-    image = sig.functor.on_space(m.space)
-    if m.sigma.source != m.space.carrier or m.sigma.target != image.carrier:
+    image_carrier, gens = image_subbasis(sig.functor, m.space)
+    if m.sigma.source != m.space.carrier or m.sigma.target != image_carrier:
         problems.append("structure map does not go from the carrier to the "
                         "functor image carrier")
     elif not problems:
-        for o in image.sorted_opens():
+        for o in gens:
             if inverse_image(m.sigma, o) not in m.space.opens:
                 problems.append(
                     f"structure map not continuous: pullback of {o} is not open")
@@ -469,8 +476,7 @@ def quotient_model(m: Model, sig: Signature) -> QuotientResult:
                     failure=f"structure map not well-defined: states {rep!r} and "
                             f"{other!r} are modally equivalent but their structure "
                             "values differ in the quotient")
-    q_image = sig.functor.on_space(q_space)
-    q_sigma = CarrierMap(q_carrier, q_image.carrier,
+    q_sigma = CarrierMap(q_carrier, image_subbasis(sig.functor, q_space)[0],
                          tuple(sigma_values[rep] for rep in reps))
     valuation = {name: FuzzySet(q_carrier, m.space.lattice,
                                 tuple(v(rep) for rep in reps))

@@ -6,6 +6,19 @@ lattice-valued fuzzy subset of S. The diamond lifting is sup-min
 composition, box is its De Morgan dual; the topology on the image space
 is generated by the chosen liftings' images, so the built-in signatures
 are characteristic by construction.
+
+Both built-in functors also give a subbasis of the image topology
+without building it: the space's opens for the identity functor, the
+generating liftings applied to the opens for the powerset functor.
+`image_subbasis` reads it, falling back to all opens of `on_space` for
+a functor without one. A map f into T S is fuzzy continuous iff every
+subbasis member pulls back to an open, provided the source opens form
+a topology: inverse images keep the constants, meets and joins, so the
+pullbacks of the generated topology are the meets and joins of the
+pullbacks of the subbasis. This needs the functor's own subbasis, not a
+signature's liftings, so it is exact for every signature. Only
+`check_characteristic` builds T S among the library's checks; the
+(d+1)^n carrier of the powerset image is still enumerated.
 """
 
 from __future__ import annotations
@@ -39,11 +52,29 @@ from .topology import FuzzySpace, generate_topology, is_continuous
 
 @dataclass(frozen=True)
 class FunctorInstance:
-    """Concrete endofunctor: object part and arrow part."""
+    """Concrete endofunctor: object part, arrow part and, optionally, a
+    subbasis of the image topology.
+
+    `subbasis(S)` returns the carrier of T S and fuzzy sets on it that
+    generate the topology of `on_space(S)`. Continuity into T S is then
+    checked on those generators alone (exact, by the argument in the
+    module docstring); without it, callers of `image_subbasis` build T S.
+    """
 
     name: str
     on_space: Callable[[FuzzySpace], FuzzySpace]
     on_map: Callable[[CarrierMap, FuzzySpace, FuzzySpace], CarrierMap]
+    subbasis: Callable[[FuzzySpace], tuple[Carrier, tuple[FuzzySet, ...]]] | None = None
+
+
+def image_subbasis(functor: FunctorInstance, space: FuzzySpace
+                   ) -> tuple[Carrier, tuple[FuzzySet, ...]]:
+    """Carrier of T S and a subbasis of its topology: the functor's own,
+    or every open of `on_space(space)` for a functor without one."""
+    if functor.subbasis is not None:
+        return functor.subbasis(space)
+    image = functor.on_space(space)
+    return image.carrier, image.sorted_opens()
 
 
 @dataclass(frozen=True)
@@ -95,6 +126,7 @@ def identity_functor() -> tuple[FunctorInstance, Signature]:
         name="identity",
         on_space=lambda space: space,
         on_map=lambda f, source, target: f,
+        subbasis=lambda space: (space.carrier, space.sorted_opens()),
     )
     lifting = Lifting("id", 1, functor, lambda space, args: args[0])
     return functor, Signature(functor, (lifting,))
@@ -133,7 +165,8 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     dia(m)(v) = sup_s min(v(s), m(s)); box is box(m)(v) =
     inf_s max(1 - v(s), m(s)). The topology on the image is generated by
     the images of the requested modalities over all opens, which makes
-    the returned signature characteristic for the functor.
+    the returned signature characteristic for the functor; `subbasis`
+    returns those images without generating the topology.
     """
     mods = tuple(modalities)
     for m in mods:
@@ -143,16 +176,22 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
         raise UnknownModalityError("at least one generating modality is required")
 
     generating: list[Lifting] = []
+    subbasis_cache: dict[FuzzySpace, tuple[Carrier, tuple[FuzzySet, ...]]] = {}
     space_cache: dict[FuzzySpace, FuzzySpace] = {}
     map_cache: dict[tuple[CarrierMap, Carrier, Carrier], CarrierMap] = {}
 
+    def subbasis(space: FuzzySpace) -> tuple[Carrier, tuple[FuzzySet, ...]]:
+        if space not in subbasis_cache:
+            opens = space.sorted_opens()
+            subbasis_cache[space] = (
+                _powerset_atoms(space.carrier, lattice, max_size)[0],
+                tuple(l.apply(space, args) for l in generating
+                      for args in product(opens, repeat=l.arity)))
+        return subbasis_cache[space]
+
     def on_space(space: FuzzySpace) -> FuzzySpace:
         if space not in space_cache:
-            atoms = _powerset_atoms(space.carrier, lattice, max_size)[0]
-            gens = []
-            for l in generating:
-                for args in product(space.sorted_opens(), repeat=l.arity):
-                    gens.append(l.apply(space, args))
+            atoms, gens = subbasis(space)
             space_cache[space] = generate_topology(atoms, lattice, gens, max_size)
         return space_cache[space]
 
@@ -166,7 +205,8 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
             map_cache[key] = CarrierMap(src_atoms, tgt_atoms, assignment)
         return map_cache[key]
 
-    functor = FunctorInstance(name="fuzzy-powerset", on_space=on_space, on_map=on_map)
+    functor = FunctorInstance(name="fuzzy-powerset", on_space=on_space, on_map=on_map,
+                              subbasis=subbasis)
 
     # dia(mu)(nu) >= k/d iff cut k of nu meets cut k of mu;
     # box(mu)(nu) >= k/d iff cut d-k+1 of nu lies inside cut k of mu

@@ -8,6 +8,7 @@ node by node.
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 from fgml import (
@@ -196,6 +197,42 @@ def duplicate_state(model: Model, sig: Signature, state: str, copy: str) -> Mode
     sigma_sets[copy] = widen(decode(old_atoms[state]))
     valuation = {name: widen(v, copy_from=state) for name, v in model.valuation}
     return complete_powerset_model(new_carrier, lat, sigma_sets, valuation, sig)
+
+
+def dia_closed_document(d: int, n: int, seed: int) -> dict:
+    """Seeded fuzzy-powerset `dia` model document, closed by pullbacks.
+
+    Draws the structure map and two valuations at random, starts from the
+    topology the valuations generate, and adds the pullback of `dia` of
+    every open until all of them are open; there are finitely many fuzzy
+    sets, so this stops. The `dia` images of the opens generate the image
+    topology, so the structure map is then continuous. No image topology
+    is built.
+    """
+    from fgml.cli import LoadedModel, model_to_document
+
+    rng = random.Random(seed)
+    lat = make_lattice(d)
+    carrier = Carrier(tuple(f"s{i}" for i in range(n)))
+
+    def draw() -> FuzzySet:
+        return FuzzySet(carrier, lat, tuple(lat.grade(rng.randint(0, d)) for _ in carrier))
+
+    sigma_sets = {e: draw() for e in carrier}
+    valuation = {"p": draw(), "q": draw()}
+    functor, sig = fuzzy_powerset_functor(lat, ("dia",))
+    dia = sig.lifting("dia")
+    atoms = Carrier(tuple(powerset_atom_name(nu) for nu in all_fuzzy_sets(carrier, lat)))
+    sigma = CarrierMap(carrier, atoms,
+                       tuple(powerset_atom_name(sigma_sets[e]) for e in carrier))
+    space = generate_topology(carrier, lat, list(valuation.values()))
+    while missing := [p for o in space.sorted_opens()
+                      if (p := inverse_image(sigma, dia.apply(space, (o,))))
+                      not in space.opens]:
+        space = generate_topology(carrier, lat, list(space.opens) + missing)
+    model = Model.create(space, sigma, valuation)
+    return model_to_document(LoadedModel(model, sig, lat, "fuzzy-powerset", ("dia",),
+                                         {}, {}))
 
 
 def all_maps(source: Carrier, target: Carrier) -> list[CarrierMap]:

@@ -347,6 +347,15 @@ def test_lattice_denominator_over_guard_exits_2(tmp_path, capsys):
     assert "guard of 4096" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("den", [1.5, True, "2"])
+def test_lattice_denominator_must_be_a_json_integer(tmp_path, capsys, den):
+    # int() read 1.5 as a /1 lattice and true as 1
+    doc = {"lattice": den, "functor": "identity", "carrier": ["s"],
+           "opens": [{"s": "0/1"}, {"s": "1/1"}], "sigma": {"s": "s"}, "valuation": {}}
+    assert run_command(["validate", "-m", _write(tmp_path / "d.json", doc)]) == 2
+    assert "bad lattice denominator" in capsys.readouterr().err
+
+
 def test_bisim_am_with_punctuated_state_names(tmp_path, capsys):
     # the pairs ("a,b", "c") and ("a", "b,c") need distinct pair atoms
     def doc(states, relations):
