@@ -116,8 +116,8 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
         lattice = make_lattice(den)
     except (ValueError, FgmlError) as exc:
         raise DocumentError(f"bad lattice denominator: {exc}") from None
-    if lattice.den > max_size:  # every fuzzy set holds one cut per grade above 0
-        raise ResourceLimitError("grade cuts per fuzzy set", lattice.den, max_size)
+    if lattice.den > max_size:  # every state holds one bit per grade above 0
+        raise ResourceLimitError("grade bits per state", lattice.den, max_size)
     carrier_names = doc["carrier"]
     if not isinstance(carrier_names, list) \
             or not all(isinstance(e, str) and e for e in carrier_names):

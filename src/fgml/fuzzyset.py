@@ -1,22 +1,23 @@
 """Fuzzy sets over finite carriers, maps between carriers, crisp relations.
 
 A carrier is an ordered tuple of distinct atom names. A fuzzy set over the
-chain {0, 1/d, ..., 1} is stored as its d level cuts (the resolution
-identity, Zadeh 1971): cut k, for k = 1..d, is an int whose bit i is set
-iff atom i of the carrier has grade at least k/d, so the cuts are nested,
-cut 1 containing cut 2 and so on. The cuts determine the grades exactly;
-meet and join are cut-wise `&` and `|`, and images along maps and
-relations move bits. Grade objects are built only at the boundary: by
-the checked constructor, `.grades`, calls, `key()`, `as_dict()` and
-`str()`. Suprema over empty index sets are the lattice bottom, infima the
-top. Everything here is an immutable value.
+chain {0, 1/d, ..., 1} is stored as one int, `bits`, of n fields of d bits
+each, one field per atom with the first atom most significant; grade k/d
+is the field's low k bits, so bit j of a field is set iff the grade is
+above j/d. Meet and join are one `&` and `|`, `<=` is one `& ~`, an image
+along a map or relation moves one field per edge, and a point value is the
+bit length of one field. Because a field's value grows with its grade,
+the int order of `bits` is the numerator-tuple order of `key()`, so
+families sort on `bits` directly. Grade objects are built only at the
+boundary: by the checked constructor, `.grades`, calls, `key()`,
+`as_dict()` and `str()`. Suprema over empty index sets are the lattice
+bottom, infima the top. Everything here is an immutable value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .errors import CarrierMismatchError, LatticeMismatchError, ResourceLimitError
@@ -53,26 +54,24 @@ class Carrier:
         return len(self.elements)
 
 
-def _cuts_of(nums: Iterable[int], d: int) -> tuple[int, ...]:
-    """The d nested cuts of a sequence of numerators in 0..d."""
-    level = [0] * (d + 1)
-    for i, k in enumerate(nums):
-        level[k] |= 1 << i
-    cuts, acc = [0] * d, 0
-    for k in range(d, 0, -1):
-        acc |= level[k]
-        cuts[k - 1] = acc
-    return tuple(cuts)
+def _pack(nums: Iterable[int], d: int) -> int:
+    """The packed fields of a sequence of numerators in 0..d."""
+    bits = 0
+    for k in nums:
+        bits = bits << d | (1 << k) - 1
+    return bits
 
 
 class FuzzySet:
     """Total map carrier element -> grade, all grades from one lattice.
 
-    `FuzzySet(carrier, lattice, grades)` checks its input; `cuts` holds
-    the d nested level cuts, and the hash is taken once, over the cuts.
+    `FuzzySet(carrier, lattice, grades)` checks its input. `bits` holds one
+    d-bit field per element, the first element's field most significant
+    and grade k/d as the field's low k bits; the int order of `bits` is
+    the order of `key()`, and the hash is taken once, over `bits`.
     """
 
-    __slots__ = ("carrier", "lattice", "cuts", "_hash")
+    __slots__ = ("carrier", "lattice", "bits", "_hash")
 
     def __init__(self, carrier: Carrier, lattice: GradeLattice, grades: tuple[Grade, ...]):
         if len(grades) != len(carrier):
@@ -81,7 +80,7 @@ class FuzzySet:
             if g.den != lattice.den:
                 raise LatticeMismatchError(
                     f"grade {g} does not belong to the /{lattice.den} lattice")
-        _init(self, carrier, lattice, _cuts_of((g.num for g in grades), lattice.den))
+        _init(self, carrier, lattice, _pack((g.num for g in grades), lattice.den))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FuzzySet is immutable; cannot set {name!r}")
@@ -100,17 +99,17 @@ class FuzzySet:
 
     @classmethod
     def empty(cls, carrier: Carrier, lattice: GradeLattice) -> "FuzzySet":
-        return _from_cuts(carrier, lattice, (0,) * lattice.den)
+        return _from_bits(carrier, lattice, 0)
 
     @classmethod
     def full(cls, carrier: Carrier, lattice: GradeLattice) -> "FuzzySet":
-        return _from_cuts(carrier, lattice, ((1 << len(carrier)) - 1,) * lattice.den)
+        return _from_bits(carrier, lattice, (1 << len(carrier) * lattice.den) - 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FuzzySet):
             return NotImplemented
         return (self.carrier is other.carrier or self.carrier == other.carrier) \
-            and self.cuts == other.cuts \
+            and self.bits == other.bits \
             and (self.lattice is other.lattice or self.lattice == other.lattice)
 
     def __hash__(self) -> int:
@@ -118,13 +117,18 @@ class FuzzySet:
 
     def key(self) -> tuple[int, ...]:
         """Numerator tuple; canonical sort key for deterministic output."""
-        nums = [0] * len(self.carrier)
-        for k, cut in enumerate(self.cuts, 1):  # a higher cut overwrites a lower
-            while cut:
-                low = cut & -cut
-                nums[low.bit_length() - 1] = k
-                cut ^= low
-        return tuple(nums)
+        d, bits = self.lattice.den, self.bits
+        field = (1 << d) - 1
+        return tuple((bits >> shift & field).bit_length()
+                     for shift in range((len(self.carrier) - 1) * d, -1, -d))
+
+    @property
+    def cuts(self) -> tuple[int, ...]:
+        """The d level cuts: bit i of cut k is set iff element i has grade
+        at least k/d."""
+        nums = self.key()
+        return tuple(sum(1 << i for i, x in enumerate(nums) if x >= k)
+                     for k in range(1, self.lattice.den + 1))
 
     @property
     def grades(self) -> tuple[Grade, ...]:
@@ -132,8 +136,9 @@ class FuzzySet:
         return tuple(values[k] for k in self.key())
 
     def __call__(self, element: str) -> Grade:
-        i = self.carrier.index(element)
-        return self.lattice.values[sum(cut >> i & 1 for cut in self.cuts)]
+        d = self.lattice.den
+        shift = (len(self.carrier) - 1 - self.carrier.index(element)) * d
+        return self.lattice.values[(self.bits >> shift & (1 << d) - 1).bit_length()]
 
     def as_dict(self) -> dict[str, Grade]:
         return dict(zip(self.carrier.elements, self.grades))
@@ -146,26 +151,24 @@ class FuzzySet:
         return f"FuzzySet({self.carrier!r}, {self.lattice!r}, {self.grades!r})"
 
     def __reduce__(self):
-        return _from_cuts, (self.carrier, self.lattice, self.cuts)
+        return _from_bits, (self.carrier, self.lattice, self.bits)
 
 
 _set = object.__setattr__
 
 
-def _init(fs: FuzzySet, carrier: Carrier, lattice: GradeLattice,
-          cuts: tuple[int, ...]) -> None:
+def _init(fs: FuzzySet, carrier: Carrier, lattice: GradeLattice, bits: int) -> None:
     _set(fs, "carrier", carrier)
     _set(fs, "lattice", lattice)
-    _set(fs, "cuts", cuts)
-    _set(fs, "_hash", hash(cuts))
+    _set(fs, "bits", bits)
+    _set(fs, "_hash", hash(bits))
 
 
-def _from_cuts(carrier: Carrier, lattice: GradeLattice,
-               cuts: tuple[int, ...]) -> FuzzySet:
-    """Unchecked constructor: `cuts` must be lattice.den nested masks over
-    the carrier's atoms."""
+def _from_bits(carrier: Carrier, lattice: GradeLattice, bits: int) -> FuzzySet:
+    """Unchecked constructor: `bits` must hold one field of lattice.den
+    bits per carrier element, each field a run of low bits."""
     fs = object.__new__(FuzzySet)
-    _init(fs, carrier, lattice, cuts)
+    _init(fs, carrier, lattice, bits)
     return fs
 
 
@@ -177,38 +180,37 @@ def _same_carrier(a: FuzzySet, b: FuzzySet) -> None:
 
 
 def fs_leq(a: FuzzySet, b: FuzzySet) -> bool:
-    """Pointwise a <= b: every cut of a inside the matching cut of b."""
+    """Pointwise a <= b: every field of a inside the matching field of b."""
     _same_carrier(a, b)
-    return not any(x & ~y for x, y in zip(a.cuts, b.cuts))
+    return not a.bits & ~b.bits
 
 
 def fs_meet(a: FuzzySet, b: FuzzySet) -> FuzzySet:
     _same_carrier(a, b)
-    return _from_cuts(a.carrier, a.lattice, tuple(map(and_, a.cuts, b.cuts)))
+    return _from_bits(a.carrier, a.lattice, a.bits & b.bits)
 
 
 def fs_join(a: FuzzySet, b: FuzzySet) -> FuzzySet:
     _same_carrier(a, b)
-    return _from_cuts(a.carrier, a.lattice, tuple(map(or_, a.cuts, b.cuts)))
+    return _from_bits(a.carrier, a.lattice, a.bits | b.bits)
 
 
 def fs_complement(a: FuzzySet) -> FuzzySet:
-    """1 - a: cut k of the result is the complement of cut d-k+1 of a."""
-    full = (1 << len(a.carrier)) - 1
-    return _from_cuts(a.carrier, a.lattice, tuple(full ^ cut for cut in reversed(a.cuts)))
+    """1 - a: bit j of a field is set iff bit d-1-j of a's field is clear."""
+    d, n = a.lattice.den, len(a.carrier)
+    low = ((1 << n * d) - 1) // ((1 << d) - 1)  # the low bit of every field
+    mirrored = sum((a.bits >> d - 1 - j & low) << j for j in range(d))
+    return _from_bits(a.carrier, a.lattice, mirrored ^ (1 << n * d) - 1)
 
 
-def _along(cuts: tuple[int, ...], edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Sup-image of cuts along index edges (i, j): bit j of each output
-    cut is set iff some edge (i, j) has bit i set in the input cut."""
-    out = []
-    for cut in cuts:
-        mask = 0
-        for i, j in edges:
-            if cut >> i & 1:
-                mask |= 1 << j
-        out.append(mask)
-    return tuple(out)
+def _fields_along(bits: int, d: int, edges: Iterable[tuple[int, int]]) -> int:
+    """Sup-image of packed fields along edges (i, j) of field positions,
+    counted from the least significant: field j of the output is the join
+    of the input fields i over its edges, 0 without one."""
+    field, out = (1 << d) - 1, 0
+    for i, j in edges:
+        out |= (bits >> i * d & field) << j * d
+    return out
 
 
 @dataclass(frozen=True)
@@ -225,9 +227,11 @@ class CarrierMap:
         for t in self.assignment:
             if t not in self.target:
                 raise CarrierMismatchError(f"{t!r} is not in the target carrier")
-        # (source index, target index) per source element, for the images
+        # (source, target) field positions per source element, for the images
+        last_s, last_t = len(self.source) - 1, len(self.target) - 1
         object.__setattr__(self, "_edges", tuple(
-            (i, self.target.index(t)) for i, t in enumerate(self.assignment)))
+            (last_s - i, last_t - self.target.index(t))
+            for i, t in enumerate(self.assignment)))
 
     @classmethod
     def from_dict(cls, source: Carrier, target: Carrier,
@@ -253,15 +257,15 @@ def direct_image(f: CarrierMap, a: FuzzySet) -> FuzzySet:
     """f(a)(s) = sup of a over the f-preimage of s; empty preimage -> 0."""
     if a.carrier != f.source:
         raise CarrierMismatchError("fuzzy set is not on the map's source carrier")
-    return _from_cuts(f.target, a.lattice, _along(a.cuts, f._edges))
+    return _from_bits(f.target, a.lattice, _fields_along(a.bits, a.lattice.den, f._edges))
 
 
 def inverse_image(f: CarrierMap, b: FuzzySet) -> FuzzySet:
     """f^-1(b) = b after f."""
     if b.carrier != f.target:
         raise CarrierMismatchError("fuzzy set is not on the map's target carrier")
-    return _from_cuts(f.source, b.lattice,
-                      _along(b.cuts, [(j, i) for i, j in f._edges]))
+    return _from_bits(f.source, b.lattice, _fields_along(
+        b.bits, b.lattice.den, [(j, i) for i, j in f._edges]))
 
 
 _ESCAPE = str.maketrans({c: "\\" + c for c in "\\,()"})
@@ -279,9 +283,11 @@ class Relation:
         for l, r in self.pairs:
             if l not in self.left or r not in self.right:
                 raise CarrierMismatchError(f"pair ({l!r}, {r!r}) outside left x right")
-        # (left index, right index) per pair, for the images
+        # (left, right) field positions per pair, for the images
+        last_l, last_r = len(self.left) - 1, len(self.right) - 1
         object.__setattr__(self, "_edges", tuple(
-            (self.left.index(l), self.right.index(r)) for l, r in self.pairs))
+            (last_l - self.left.index(l), last_r - self.right.index(r))
+            for l, r in self.pairs))
 
     @classmethod
     def of(cls, left: Carrier, right: Carrier,
@@ -328,15 +334,15 @@ def relation_image(rel: Relation, a: FuzzySet) -> FuzzySet:
     """R[a](d') = sup { a(d) : d R d' }; no predecessor -> 0."""
     if a.carrier != rel.left:
         raise CarrierMismatchError("fuzzy set is not on the relation's left carrier")
-    return _from_cuts(rel.right, a.lattice, _along(a.cuts, rel._edges))
+    return _from_bits(rel.right, a.lattice, _fields_along(a.bits, a.lattice.den, rel._edges))
 
 
 def relation_preimage(rel: Relation, b: FuzzySet) -> FuzzySet:
     """R^-1[b](d) = sup { b(d') : d R d' }; no successor -> 0."""
     if b.carrier != rel.right:
         raise CarrierMismatchError("fuzzy set is not on the relation's right carrier")
-    return _from_cuts(rel.left, b.lattice,
-                      _along(b.cuts, [(j, i) for i, j in rel._edges]))
+    return _from_bits(rel.left, b.lattice, _fields_along(
+        b.bits, b.lattice.den, [(j, i) for i, j in rel._edges]))
 
 
 def all_fuzzy_sets(carrier: Carrier, lattice: GradeLattice,
@@ -347,5 +353,5 @@ def all_fuzzy_sets(carrier: Carrier, lattice: GradeLattice,
     if total > max_size:
         raise ResourceLimitError("fuzzy-set enumeration", total, max_size)
     d = lattice.den
-    return tuple(_from_cuts(carrier, lattice, _cuts_of(nums, d))
+    return tuple(_from_bits(carrier, lattice, _pack(nums, d))
                  for nums in product(range(d + 1), repeat=n))

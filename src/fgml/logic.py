@@ -14,22 +14,29 @@ the constant-0 fuzzy set.
 Two closures compute the definable opens: the least family holding
 constant-1 and the valuations, closed under meet, join and each lifting
 composed with the structure map. `definable_opens` and
-`enumerate_formulas` keep a formula per member, through `_close`.
+`enumerate_formulas` keep a formula per member, through `_formula_closure`,
+which runs round by round and semi-naively (Bancilhon and Ramakrishnan,
+1986): a round offers only the argument tuples that use a member added by
+the round before, in the order a naive round over all members would.
+Older tuples were offered before, so the members, their order and each
+one's formula (its first offer) are the naive ones.
+
 `modal_equivalence_classes`, and through it `quotient_model` and the
 `classes` and `quotient` commands, need only the partition of the states
-and close packed ints instead. That partition is exact: a pointwise meet
-or join of sets that agree at s and t agrees there too, so the family
-splits the states exactly as its generators do (constant-1, the
-valuations, every modal pullback). The lattice closure is still needed,
-as a lifting is applied to meets and joins of generators; but once the
-generators separate every pair of states no finer partition exists, and
-the closure stops.
+and close the sets' packed `bits` instead. That partition is exact: a
+pointwise meet or join of sets that agree at s and t agrees there too,
+so the family splits the states exactly as its generators do (constant-1,
+the valuations, every modal pullback). The lattice closure is still
+needed, as a lifting is applied to meets and joins of generators; but
+once the generators separate every pair of states no finer partition
+exists, and the closure stops.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, product, repeat
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -42,13 +49,14 @@ from .fuzzyset import (
     Carrier,
     CarrierMap,
     FuzzySet,
+    _from_bits,
     direct_image,
     fs_join,
     fs_meet,
     inverse_image,
 )
 from .signature import Signature, image_subbasis
-from .topology import FuzzySpace, _close, _new_combos, _packing, is_continuous, is_topology
+from .topology import FuzzySpace, is_continuous, is_topology
 
 
 class Formula:
@@ -134,28 +142,35 @@ class _Tokens:
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
+#: Deepest formula nesting the parser accepts; evaluation and printing
+#: recurse once or twice per level, so this keeps them within Python's
+#: default recursion limit.
+MAX_NESTING = 200
 
-def _parse(tokens: _Tokens) -> Formula:
+
+def _parse(tokens: _Tokens, depth: int = 0) -> Formula:
     line, col = tokens.where()
+    if depth > MAX_NESTING:
+        raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", line, col)
     tok = tokens.take()
     if tok == "top":
         return Top()
     if _IDENT.match(tok):
         return Prop(tok)
     if tok == "(":
-        left = _parse(tokens)
+        left = _parse(tokens, depth + 1)
         tokens.expect("&")
-        right = _parse(tokens)
+        right = _parse(tokens, depth + 1)
         tokens.expect(")")
         return And(left, right)
     if tok == "\\/":
         tokens.expect("[")
         items: list[Formula] = []
         if tokens.peek() != "]":
-            items.append(_parse(tokens))
+            items.append(_parse(tokens, depth + 1))
             while tokens.peek() == ",":
                 tokens.take()
-                items.append(_parse(tokens))
+                items.append(_parse(tokens, depth + 1))
         tokens.expect("]")
         return Or(tuple(items))
     if tok == "<":
@@ -165,10 +180,10 @@ def _parse(tokens: _Tokens) -> Formula:
             raise ParseError(f"modality name expected, got {name!r}", mline, mcol)
         tokens.expect(">")
         tokens.expect("(")
-        args = [_parse(tokens)]
+        args = [_parse(tokens, depth + 1)]
         while tokens.peek() == ",":
             tokens.take()
-            args.append(_parse(tokens))
+            args.append(_parse(tokens, depth + 1))
         tokens.expect(")")
         return Modal(name, tuple(args))
     raise ParseError(f"unexpected token {tok!r}", line, col)
@@ -295,27 +310,53 @@ def evaluate(m: Model, sig: Signature, formula: Formula) -> FuzzySet:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def _formula_operations(models: Sequence[Model], sig: Signature) -> list:
-    """Closure operations on formulas labelled by their evaluation vector
-    over the models: meet and join, then each lifting composed with the
-    structure maps, in that order of offer."""
+def _new_combos(items: list, old: int, arity: int, symmetric: bool, start: int = 0):
+    """Tuples from `product(items, repeat=arity)`, or if symmetric from
+    `combinations_with_replacement(items[start:], arity)`, in that order,
+    that use an item at index >= old; all of them when old == 0."""
+    if old == 0:
+        yield from (combinations_with_replacement(items[start:], arity) if symmetric
+                    else product(items, repeat=arity))
+    elif arity:
+        for i in range(start if arity > 1 else max(start, old), len(items)):
+            for tail in _new_combos(items, old if i < old else 0, arity - 1,
+                                    symmetric, i if symmetric else 0):
+                yield (items[i], *tail)
 
-    def lattice(a, b):
-        (va, fa), (vb, fb) = a, b
-        return ((tuple(map(fs_meet, va, vb)), And(fa, fb)),
-                (tuple(map(fs_join, va, vb)), Or((fa, fb))))
 
-    def modal(lifting):
-        def apply(*combo):
-            formula = Modal(lifting.name, tuple(f for _, f in combo))
-            key = tuple(
-                inverse_image(m.sigma,
-                              lifting.apply(m.space, tuple(v[i] for v, _ in combo)))
-                for i, m in enumerate(models))
-            return ((key, formula),)
-        return lifting.arity, False, apply
+def _formula_closure(models: Sequence[Model], sig: Signature, seeds: Sequence[Formula],
+                     rounds: int | None = None) -> dict[tuple[FuzzySet, ...], Formula]:
+    """Least family of evaluation vectors over the models that holds the
+    seeds' and is closed under meet, join and each lifting composed with
+    the structure maps, offered in that order; each member maps to its
+    first formula. At most `rounds` rounds run."""
+    found: dict[tuple[FuzzySet, ...], Formula] = {}
+    for formula in seeds:
+        found.setdefault(tuple(evaluate(m, sig, formula) for m in models), formula)
 
-    return [(2, True, lattice)] + [modal(lifting) for lifting in sig.liftings]
+    def offers(old: int):
+        for (va, fa), (vb, fb) in _new_combos(items, old, 2, True):
+            yield tuple(map(fs_meet, va, vb)), And(fa, fb)
+            yield tuple(map(fs_join, va, vb)), Or((fa, fb))
+        for lifting in sig.liftings:
+            for combo in _new_combos(items, old, lifting.arity, False):
+                yield (tuple(inverse_image(m.sigma, lifting.apply(
+                               m.space, tuple(v[i] for v, _ in combo)))
+                             for i, m in enumerate(models)),
+                       Modal(lifting.name, tuple(f for _, f in combo)))
+
+    items, old = list(found.items()), 0
+    for _ in repeat(None) if rounds is None else range(rounds):
+        fresh: dict[tuple[FuzzySet, ...], Formula] = {}
+        for vector, formula in offers(old):
+            if vector not in found:
+                fresh.setdefault(vector, formula)
+        if not fresh:
+            break
+        found.update(fresh)
+        old = len(items)
+        items += fresh.items()
+    return found
 
 
 def definable_opens(m: Model, sig: Signature) -> dict[FuzzySet, Formula]:
@@ -327,24 +368,21 @@ def definable_opens(m: Model, sig: Signature) -> dict[FuzzySet, Formula]:
     callers that want the formulas; `modal_equivalence_classes` closes
     the same family without them.
     """
-    found: dict[tuple[FuzzySet], Formula] = {(m.space.top_open,): Top()}
-    for name, v in m.valuation:
-        found.setdefault((v,), Prop(name))
-    _close(found, _formula_operations([m], sig))
+    found = _formula_closure([m], sig, [Top(), *map(Prop, m.props)])
     return {fs: formula for (fs,), formula in found.items()}
 
 
 def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...], ...]:
     """Partition of the carrier by agreement on every definable open.
 
-    Closes the family of `definable_opens` on packed ints, without
+    Closes the family of `definable_opens` on packed `bits`, without
     formulas (exact by the argument in the module docstring). A generator
     not yet in the family (a valuation, or the pullback of a lifting's
     value on family members) is swept into the meet basis with `&`, and
     each new basis member over the family with `|`; as in
     `generate_topology`, no fixpoint rounds are needed. Each step pulls
     back only the argument tuples that use a member added since the step
-    before. The partition is refined by each generator's cuts as it
+    before. The partition is refined by each generator's grades as it
     arrives, and the closure stops once every state is alone. With the
     signature's generating liftings every member is an open of the model,
     so the family is no larger than the opens the load guard admitted.
@@ -354,24 +392,23 @@ def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...]
     """
     space, carrier = m.space, m.space.carrier
     n = len(carrier)
-    pack, unpack = _packing(carrier, space.lattice)
-    top = pack(space.top_open)
+    top = space.top_open.bits
     family, basis, members = {top}, {top}, [top]  # members: family by arrival
-    blocks = [(1 << n) - 1] if n else []  # the partition, as state masks
+    labels, classes = (0,) * n, min(n, 1)  # states with equal labels share a class
 
     def generators():
         yield from (v for _, v in m.valuation)
-        sets: list[FuzzySet] = []  # members unpacked for the liftings
+        sets: list[FuzzySet] = []  # members as fuzzy sets, for the liftings
         while len(sets) < len(members):
             done = len(sets)
-            sets += map(unpack, members[done:])
+            sets += (_from_bits(carrier, space.lattice, p) for p in members[done:])
             for lifting in sig.liftings:
                 for args in _new_combos(sets, done, lifting.arity, False):
                     yield inverse_image(m.sigma, lifting.apply(space, args))
 
     gens = generators()
-    while len(blocks) < n and (g := next(gens, None)) is not None:
-        p = pack(g)
+    while classes < n and (g := next(gens, None)) is not None:
+        p = g.bits
         if p in family:
             continue
         fresh = {p & b for b in basis} - basis
@@ -380,10 +417,13 @@ def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...]
             new = ({c} | {c | x for x in family}) - family
             family |= new
             members += new
-        for cut in g.cuts:
-            blocks = [part for b in blocks for part in (b & cut, b & ~cut) if part]
-    return tuple(tuple(s for i, s in enumerate(carrier) if b >> i & 1)
-                 for b in sorted(blocks, key=lambda b: b & -b))
+        ids: dict[tuple[int, int], int] = {}
+        labels = tuple(ids.setdefault(pair, len(ids)) for pair in zip(labels, g.key()))
+        classes = len(ids)
+    blocks: dict[int, list[str]] = {}
+    for s, label in zip(carrier, labels):
+        blocks.setdefault(label, []).append(s)
+    return tuple(map(tuple, blocks.values()))
 
 
 @dataclass(frozen=True)
@@ -503,9 +543,5 @@ def enumerate_formulas(models: Sequence[Model], sig: Signature,
         if m.props != props:
             raise PreconditionError("models value different proposition sets")
 
-    reps: dict[tuple[FuzzySet, ...], Formula] = {}
-    for formula in [Top(), Or(())] + [Prop(p) for p in props]:
-        key = tuple(evaluate(m, sig, formula) for m in models)
-        reps.setdefault(key, formula)
-    _close(reps, _formula_operations(models, sig), rounds=depth)
-    return list(reps.values())
+    return list(_formula_closure(models, sig, [Top(), Or(()), *map(Prop, props)],
+                                 depth).values())

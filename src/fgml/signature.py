@@ -39,7 +39,8 @@ from .fuzzyset import (
     Carrier,
     CarrierMap,
     FuzzySet,
-    _from_cuts,
+    _from_bits,
+    _pack,
     all_fuzzy_sets,
     direct_image,
     fs_complement,
@@ -136,17 +137,16 @@ def identity_functor() -> tuple[FunctorInstance, Signature]:
 def _powerset_atoms(carrier: Carrier, lattice: GradeLattice, max_size: int
                     ) -> tuple[Carrier, tuple[FuzzySet, ...], tuple[tuple[int, ...], ...]]:
     """Carrier of all fuzzy subsets (as named atoms), the subsets themselves
-    in matching enumeration order, and the table `holds`: bit a of
-    holds[k][s] is set iff cut k+1 of subset a contains state s."""
+    in matching enumeration order, and three tables of packed fields over
+    the atoms: at[s] gives each atom nu the field of nu(s), co[s] that of
+    1 - nu(s), and const[k] the constant k/d."""
     subsets = all_fuzzy_sets(carrier, lattice, max_size)
     names = tuple(map(powerset_atom_name, subsets))
-    holds = [[0] * len(carrier) for _ in range(lattice.den)]
-    for a, nu in enumerate(subsets):
-        for row, cut in zip(holds, nu.cuts):
-            for s in range(len(carrier)):
-                if cut >> s & 1:
-                    row[s] |= 1 << a
-    return Carrier(names), subsets, tuple(map(tuple, holds))
+    d, keys = lattice.den, [nu.key() for nu in subsets]
+    at = tuple(_pack((key[s] for key in keys), d) for s in range(len(carrier)))
+    co = tuple(_pack((d - key[s] for key in keys), d) for s in range(len(carrier)))
+    low = _pack([1] * len(subsets), d)
+    return Carrier(names), subsets, (at, co, tuple(low * ((1 << k) - 1) for k in range(d + 1)))
 
 
 def powerset_atom_name(fs: FuzzySet) -> str:
@@ -208,32 +208,23 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     functor = FunctorInstance(name="fuzzy-powerset", on_space=on_space, on_map=on_map,
                               subbasis=subbasis)
 
-    # dia(mu)(nu) >= k/d iff cut k of nu meets cut k of mu;
-    # box(mu)(nu) >= k/d iff cut d-k+1 of nu lies inside cut k of mu
+    # per state s, min(nu(s), mu(s)) is at[s] & const[mu(s)] and
+    # max(1 - nu(s), mu(s)) is co[s] | const[mu(s)], for every atom nu at once
     def dia_raw(space: FuzzySpace, args: tuple[FuzzySet, ...]) -> FuzzySet:
         (mu,) = args
-        atoms, _, holds = _powerset_atoms(space.carrier, lattice, max_size)
-        cuts = []
-        for row, mu_k in zip(holds, mu.cuts):
-            mask = 0
-            for s, nus in enumerate(row):
-                if mu_k >> s & 1:
-                    mask |= nus
-            cuts.append(mask)
-        return _from_cuts(atoms, lattice, tuple(cuts))
+        atoms, _, (at, _, const) = _powerset_atoms(space.carrier, lattice, max_size)
+        bits = 0
+        for row, k in zip(at, mu.key()):
+            bits |= row & const[k]
+        return _from_bits(atoms, lattice, bits)
 
     def box_raw(space: FuzzySpace, args: tuple[FuzzySet, ...]) -> FuzzySet:
         (mu,) = args
-        atoms, _, holds = _powerset_atoms(space.carrier, lattice, max_size)
-        full = (1 << len(atoms)) - 1
-        cuts = []
-        for row, mu_k in zip(reversed(holds), mu.cuts):
-            mask = 0
-            for s, nus in enumerate(row):
-                if not mu_k >> s & 1:
-                    mask |= nus
-            cuts.append(full ^ mask)
-        return _from_cuts(atoms, lattice, tuple(cuts))
+        atoms, _, (_, co, const) = _powerset_atoms(space.carrier, lattice, max_size)
+        bits = const[-1]
+        for row, k in zip(co, mu.key()):
+            bits &= row | const[k]
+        return _from_bits(atoms, lattice, bits)
 
     raw = {"dia": dia_raw, "box": box_raw}
     liftings = tuple(Lifting(m, 1, functor, raw[m]) for m in mods)

@@ -1,28 +1,20 @@
-"""Finite fuzzy topological spaces, and the closure engine behind them.
+"""Finite fuzzy topological spaces.
 
 A space is a carrier together with an explicit finite family of fuzzy
 opens. Over a finite carrier and a finite grade chain every family of
 fuzzy sets is finite, so closure under arbitrary joins coincides with
 closure under binary joins.
 
-Generation and validation pack each set's cuts into one int, so that a
+Generation and validation work on each set's packed `bits`, so that a
 meet or a join is a single `&` or `|`. A family closed under such an
 idempotent, commutative, associative operation is its generators swept
 in turn over the growing family: no fixpoint rounds are needed.
-
-The provenance-keeping least fixpoints are computed by `_close`, round
-by round and semi-naively (Bancilhon and Ramakrishnan, 1986): a round
-offers only the argument tuples that use an element added by the round
-before, in the order a naive round over all elements would. Older tuples
-were offered before, so results, their order and each element's
-provenance (its first offer) are the naive ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product, repeat
-from operator import and_, or_
+from operator import and_, attrgetter, or_
 from typing import Iterable
 
 from .errors import CarrierMismatchError, LatticeMismatchError, ResourceLimitError
@@ -32,7 +24,7 @@ from .fuzzyset import (
     CarrierMap,
     FuzzySet,
     Relation,
-    _from_cuts,
+    _from_bits,
     all_fuzzy_sets,
     fs_join,
     fs_meet,
@@ -66,10 +58,7 @@ class FuzzySpace:
 
     def sorted_opens(self) -> tuple[FuzzySet, ...]:
         """Opens in canonical numerator-tuple order."""
-        return tuple(sorted(self.opens, key=lambda f: f.key()))
-
-    def is_open(self, f: FuzzySet) -> bool:
-        return f in self.opens
+        return tuple(sorted(self.opens, key=attrgetter("bits")))
 
 
 @dataclass(frozen=True)
@@ -83,15 +72,6 @@ class TopologyCheck:
         return self.ok
 
 
-def _packing(carrier: Carrier, lattice: GradeLattice):
-    """pack(s) puts cut k + 1 of s in bits k*n up to (k+1)*n of one int;
-    unpack inverts it."""
-    n, d = len(carrier), lattice.den
-    full = (1 << n) - 1
-    return (lambda s: sum(cut << k * n for k, cut in enumerate(s.cuts)),
-            lambda p: _from_cuts(carrier, lattice, tuple(p >> k * n & full for k in range(d))))
-
-
 def is_topology(space: FuzzySpace) -> TopologyCheck:
     """Constants present and binary meet/join closure; first violation reported."""
     opens = space.sorted_opens()
@@ -99,8 +79,7 @@ def is_topology(space: FuzzySpace) -> TopologyCheck:
         return TopologyCheck(False, "constant-0 fuzzy set missing")
     if space.top_open not in space.opens:
         return TopologyCheck(False, "constant-1 fuzzy set missing")
-    pack, _ = _packing(space.carrier, space.lattice)
-    packed = list(map(pack, opens))
+    packed = [o.bits for o in opens]
     family = set(packed)
     for i, p in enumerate(packed):  # meet and join commute
         if family.issuperset(map(p.__and__, packed[i:])) \
@@ -115,41 +94,6 @@ def is_topology(space: FuzzySpace) -> TopologyCheck:
     return TopologyCheck(True)
 
 
-def _new_combos(items: list, old: int, arity: int, symmetric: bool, start: int = 0):
-    """Tuples from `product(items, repeat=arity)`, or if symmetric from
-    `combinations_with_replacement(items[start:], arity)`, in that order,
-    that use an item at index >= old; all of them when old == 0."""
-    if old == 0:
-        yield from (combinations_with_replacement(items[start:], arity) if symmetric
-                    else product(items, repeat=arity))
-    elif arity:
-        for i in range(start if arity > 1 else max(start, old), len(items)):
-            for tail in _new_combos(items, old if i < old else 0, arity - 1,
-                                    symmetric, i if symmetric else 0):
-                yield (items[i], *tail)
-
-
-def _close(found: dict, operations: list, rounds: int | None = None) -> None:
-    """Extend `found` (element -> provenance) in place to the least dict
-    closed under the operations (arity, symmetric, fn): fn maps a tuple of
-    (element, provenance) items to the items it derives, and a symmetric
-    operation gets each multiset of arguments once. At most `rounds` rounds
-    run."""
-    items, old = list(found.items()), 0
-    for _ in repeat(None) if rounds is None else range(rounds):
-        fresh: dict = {}
-        for arity, symmetric, fn in operations:
-            for args in _new_combos(items, old, arity, symmetric):
-                for element, provenance in fn(*args):
-                    if element not in found and element not in fresh:
-                        fresh[element] = provenance
-        if not fresh:
-            break
-        found.update(fresh)
-        old = len(items)
-        items += fresh.items()
-
-
 def generate_topology(carrier: Carrier, lattice: GradeLattice,
                       subbasis: Iterable[FuzzySet],
                       max_size: int = DEFAULT_MAX_SIZE) -> FuzzySpace:
@@ -162,14 +106,13 @@ def generate_topology(carrier: Carrier, lattice: GradeLattice,
     max_size, and reports max(max_size, starting family) + 1; a sweep at
     most doubles the family, so it bounds the work as well.
     """
-    pack, unpack = _packing(carrier, lattice)
-    found = {pack(FuzzySet.empty(carrier, lattice)), pack(FuzzySet.full(carrier, lattice))}
+    found = {0, FuzzySet.full(carrier, lattice).bits}
     for s in subbasis:
         if s.carrier != carrier:
             raise CarrierMismatchError("subbasis member not on the given carrier")
         if s.lattice != lattice:
             raise LatticeMismatchError("subbasis member uses a foreign grade lattice")
-        found.add(pack(s))
+        found.add(s.bits)
 
     # meets first give a basis; meets of joins reduce to joins of basis meets
     start = len(found)
@@ -180,7 +123,8 @@ def generate_topology(carrier: Carrier, lattice: GradeLattice,
             if size < len(found) > max_size:
                 raise ResourceLimitError("topology generation", max(max_size, start) + 1,
                                          max_size)
-    return FuzzySpace(carrier, lattice, frozenset(map(unpack, found)))
+    return FuzzySpace(carrier, lattice,
+                      frozenset(_from_bits(carrier, lattice, p) for p in found))
 
 
 def discrete_space(carrier: Carrier, lattice: GradeLattice,
@@ -230,7 +174,5 @@ def opens_frame(space: FuzzySpace):
     from .frames import FiniteFrame
 
     opens = space.sorted_opens()
-    pack, _ = _packing(space.carrier, space.lattice)
-    packed = list(zip(opens, map(pack, opens)))
-    leq = frozenset((a, b) for a, p in packed for b, q in packed if p & ~q == 0)
+    leq = frozenset((a, b) for a in opens for b in opens if a.bits & ~b.bits == 0)
     return FiniteFrame(opens, leq, bottom=space.bottom_open, top=space.top_open)

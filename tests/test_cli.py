@@ -15,6 +15,7 @@ from fgml.cli import (
     run_command,
 )
 from fgml.errors import DocumentError
+from fgml.logic import MAX_NESTING, parse_formula
 
 from modelgen import FIXTURES, duplicate_state, m1_model
 
@@ -290,6 +291,29 @@ def test_cli_unknown_subcommand(capsys):
 def test_cli_parse_error_exit_2(capsys):
     assert run_command(["eval", "-m", M1, "-f", "(p &"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("opening, closing", [("<id>(", ")"), ("(p & ", ")"),
+                                              ("\\/[", "]")])
+def test_deeply_nested_formula_exits_2_with_one_error_line(tmp_path, capsys,
+                                                           opening, closing):
+    path = _write(tmp_path / "p.json", {
+        "lattice": 1, "functor": "identity", "carrier": ["s"], "generate_from": [],
+        "sigma": {"s": "s"}, "valuation": {"p": {"s": "1/1"}}})
+    deep = opening * 3000 + "p" + closing * 3000
+    assert run_command(["eval", "-m", path, "-f", deep]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: formula nested deeper than") and err.count("\n") == 1
+    # the deepest accepted formula evaluates and prints, as text and as JSON
+    limit = opening * MAX_NESTING + "p" + closing * MAX_NESTING
+    assert run_command(["eval", "-m", path, "-f", limit]) == 0
+    assert capsys.readouterr().out == "s: 1/1\n"
+    assert run_command(["--json", "eval", "-m", path, "-f", limit]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert parse_formula(payload["formula"]) == parse_formula(limit)
+    over = opening + limit + closing
+    assert run_command(["eval", "-m", path, "-f", over]) == 2
+    capsys.readouterr()
 
 
 def test_cli_valid_command_after_parse_failure(capsys):

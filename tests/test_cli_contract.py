@@ -1,7 +1,8 @@
 """The CLI exit-code contract on random documents.
 
-`validate` and `eval` must exit 0, 1 or 2 on any document, with no
-exception escaping `run_command`, and a document that validates must
+`validate`, `eval`, `classes`, `quotient`, `bisim greatest` (a document
+against itself) and `duality` must exit 0, 1 or 2 on any document, with
+no exception escaping `run_command`, and a document that validates must
 reach a fixpoint under load, save, load.
 """
 
@@ -14,6 +15,10 @@ from fgml.cli import load_document, model_to_document, run_command
 
 FORMULAS = ("top", "p", "(p & q)", "\\/[p, <dia>(top)]", "<dia>(p)", "<box>(p)",
             "<id>(p)", "<dia>(", "zz")
+#: Openers of nested formulas, with their closers; a few thousand levels
+#: must exit 2, not overflow the stack.
+NESTINGS = (("<dia>(", ")"), ("<box>(", ")"), ("<id>(", ")"), ("(p & ", ")"),
+            ("\\/[", "]"))
 
 
 def _corruptions(st, d, states):
@@ -82,13 +87,19 @@ def test_property_validate_and_eval_keep_the_exit_code_contract(tmp_path, capsys
     path = tmp_path / "model.json"
     codes = set()
 
+    nested = st.builds(lambda pair, depth: pair[0] * depth + "p" + pair[1] * depth,
+                       st.sampled_from(NESTINGS), st.sampled_from([150, 3000]))
+
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
-    @hypothesis.given(documents(), st.sampled_from(FORMULAS))
+    @hypothesis.given(documents(), st.sampled_from(FORMULAS) | nested)
     def check(doc, formula):
         path.write_text(json.dumps(doc))
         code = run_command(["validate", "-m", str(path)])
         assert code in (0, 1, 2)
         assert run_command(["eval", "-m", str(path), "-f", formula]) in (0, 1, 2)
+        for argv in (["classes", "--depth", "0"], ["classes", "--depth", "2"],
+                     ["quotient"], ["bisim", "greatest", "-n", str(path)], ["duality"]):
+            assert run_command([*argv, "-m", str(path)]) in (0, 1, 2)
         capsys.readouterr()
         codes.add(code)
         if code == 0:

@@ -209,6 +209,15 @@ def test_generate_topology_matches_naive(zoo):
             naive_generate_topology(carrier, lattice, gens)
 
 
+def test_sorted_opens_is_the_key_order(zoo):
+    # sorted_opens sorts on the packed bits; the numerator tuples must agree
+    for m, _ in zoo:
+        assert m.space.sorted_opens() == tuple(sorted(m.space.opens, key=FuzzySet.key))
+    for carrier, lattice, gens in _generations(zoo):
+        space = generate_topology(carrier, lattice, gens)
+        assert space.sorted_opens() == tuple(sorted(space.opens, key=FuzzySet.key))
+
+
 def test_is_topology_matches_naive(zoo):
     # Each generated topology, and the family left by dropping one of its
     # non-constant opens (every one, or about 20 spread over a large family).

@@ -1,8 +1,8 @@
-"""The level-cut kernel against grade-by-grade reference operations.
+"""The packed-field kernel against grade-by-grade reference operations.
 
 The ref_* functions are the reference: they work on tuples of Grade
 objects, one per atom, as fgml did before fuzzy sets were stored as
-nested cut bitmasks. Every kernel result must have exactly the grades
+bitmasks. Every kernel result must have exactly the grades
 the reference computes, and the same key() and str(). The round-trip
 tests pin the boundary itself: grades given to the checked constructor
 come back unchanged from .grades, key() and calls.
@@ -241,11 +241,17 @@ def test_property_cuts_hash_and_round_trip():
         carrier = Carrier(tuple(f"s{i}" for i in range(len(xs))))
         a = FuzzySet(carrier, lattice, tuple(Grade(k, d) for k in xs))
         b = FuzzySet(carrier, lattice, tuple(Grade(k, d) for k in ys))
-        full = (1 << len(xs)) - 1
+        full, n = (1 << len(xs)) - 1, len(xs)
         for s in (a, b, fs_meet(a, b), fs_join(a, b), fs_complement(a)):
             assert len(s.cuts) == d
             assert all(cut & ~full == 0 for cut in s.cuts)
             assert all(lo & ~hi == 0 for hi, lo in zip(s.cuts, s.cuts[1:]))
+            # one d-bit field per atom, the first most significant, grade
+            # k/d as the field's k low bits, nothing at or above bit n*d
+            assert s.bits >> n * d == 0
+            assert [s.bits >> (n - 1 - i) * d & (1 << d) - 1 for i in range(n)] == \
+                [(1 << k) - 1 for k in s.key()]
+        assert a.bits == sum(((1 << k) - 1) << (n - 1 - i) * d for i, k in enumerate(xs))
         assert a.key() == tuple(xs) and [g.num for g in a.grades] == xs
         assert [a(e).num for e in carrier] == xs
         assert FuzzySet(carrier, lattice, a.grades) == a
@@ -256,5 +262,30 @@ def test_property_cuts_hash_and_round_trip():
         assert (a == b) == (xs == ys)
         if a == b:
             assert hash(a) == hash(b)
+
+    check()
+
+
+def test_property_bits_order_is_the_key_order():
+    # sorted_opens sorts on `bits`: its int order must be the order of key()
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def families(draw):
+        d = draw(st.integers(1, 6))
+        n = draw(st.integers(0, 9))
+        nums = st.lists(st.integers(0, d), min_size=n, max_size=n)
+        return d, n, draw(st.lists(nums, max_size=12))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(families())
+    def check(case):
+        d, n, family = case
+        lattice = make_lattice(d)
+        carrier = Carrier(tuple(f"s{i}" for i in range(n)))
+        sets = [FuzzySet(carrier, lattice, tuple(Grade(k, d) for k in xs)) for xs in family]
+        assert sorted(sets, key=lambda f: f.bits) == sorted(sets, key=FuzzySet.key)
+        assert [f.key() for f in sorted(sets, key=FuzzySet.key)] == sorted(map(tuple, family))
 
     check()
