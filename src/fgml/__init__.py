@@ -71,6 +71,7 @@ from .signature import (
     dual_lifting,
     fuzzy_powerset_functor,
     identity_functor,
+    image_elements,
     image_subbasis,
 )
 from .topology import (

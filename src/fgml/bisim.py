@@ -4,7 +4,8 @@ The greatest Sigma-bisimulation is computed by refinement from the
 prop-agreeing relation: deleting a pair can only enlarge the coherent
 set, so surviving pairs are re-tested against a strictly stronger
 condition each sweep and the loop terminates in at most |B1|x|B2|
-iterations.
+iterations. Both Sigma checks compare the numerators of the lifting
+values' pullbacks to the states, and build `Grade`s only for witnesses.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .fuzzyset import (
 )
 from .grades import Grade
 from .logic import Model
-from .signature import Signature, image_subbasis
+from .signature import Signature, image_elements, image_subbasis
 from .topology import FuzzySpace, subspace_topology
 
 
@@ -120,7 +121,8 @@ def _prop_witnesses(rel: Relation, m1: Model, m2: Model) -> list[BisimWitness]:
 
 def _lifting_tables(rel: Relation, m1: Model, m2: Model, sig: Signature,
                     max_tuples: int = DEFAULT_MAX_SIZE):
-    """For each lifting and coherent tuple, the two applied fuzzy sets."""
+    """For each lifting and coherent tuple, the numerators of its two
+    pullbacks along sigma1 and sigma2, one per state."""
     coherent = coherent_pairs(rel, m1.space, m2.space)
     tables = []
     for lifting in sig.liftings:
@@ -130,9 +132,8 @@ def _lifting_tables(rel: Relation, m1: Model, m2: Model, sig: Signature,
         for combo in product(coherent, repeat=lifting.arity):
             mus = tuple(mu for mu, _ in combo)
             etas = tuple(eta for _, eta in combo)
-            tables.append((lifting, mus, etas,
-                           lifting.apply(m1.space, mus),
-                           lifting.apply(m2.space, etas)))
+            tables.append((lifting, mus, etas, m1.lift(lifting, mus).key(),
+                           m2.lift(lifting, etas).key()))
     return tables
 
 
@@ -142,15 +143,15 @@ def is_sigma_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
     _require_shared_props(m1, m2)
     witnesses = _prop_witnesses(rel, m1, m2)
     tables = _lifting_tables(rel, m1, m2, sig, max_tuples)
+    grades1, grades2 = m1.space.lattice.values, m2.space.lattice.values
     for b1, b2 in rel.sorted_pairs():
-        t1, t2 = m1.sigma(b1), m2.sigma(b2)
-        for lifting, mus, etas, left_fs, right_fs in tables:
-            g1, g2 = left_fs(t1), right_fs(t2)
-            if g1 != g2:
+        i1, i2 = m1.space.carrier.index(b1), m2.space.carrier.index(b2)
+        for lifting, mus, etas, left, right in tables:
+            if left[i1] != right[i2]:
                 witnesses.append(BisimWitness(
                     (b1, b2), lifting=lifting.name,
                     left_opens=mus, right_opens=etas,
-                    left_grade=g1, right_grade=g2))
+                    left_grade=grades1[left[i1]], right_grade=grades2[right[i2]]))
     return BisimReport(not witnesses, tuple(witnesses))
 
 
@@ -164,20 +165,16 @@ def greatest_sigma_bisimulation(m1: Model, m2: Model, sig: Signature,
     and the fixpoint is itself one, so it is the greatest.
     """
     _require_shared_props(m1, m2)
-    pairs = set()
-    for b1 in m1.space.carrier:
-        for b2 in m2.space.carrier:
-            if all(m1.prop(p)(b1) == m2.prop(p)(b2) for p in m1.props):
-                pairs.add((b1, b2))
+    states1, states2 = m1.space.carrier.elements, m2.space.carrier.elements
+    props = [(v.key(), m2.prop(name).key()) for name, v in m1.valuation]
+    pairs = {(i1, i2) for i1 in range(len(states1)) for i2 in range(len(states2))
+             if all(left[i1] == right[i2] for left, right in props)}
     while True:
-        rel = Relation.of(m1.space.carrier, m2.space.carrier, pairs)
+        rel = Relation.of(m1.space.carrier, m2.space.carrier,
+                          ((states1[i1], states2[i2]) for i1, i2 in pairs))
         tables = _lifting_tables(rel, m1, m2, sig, max_tuples)
-        survivors = set()
-        for b1, b2 in pairs:
-            t1, t2 = m1.sigma(b1), m2.sigma(b2)
-            if all(left_fs(t1) == right_fs(t2)
-                   for _, _, _, left_fs, right_fs in tables):
-                survivors.add((b1, b2))
+        survivors = {(i1, i2) for i1, i2 in pairs
+                     if all(left[i1] == right[i2] for *_, left, right in tables)}
         if survivors == pairs:
             return rel
         pairs = survivors
@@ -188,10 +185,11 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
     """Search for a mediating structure map on the relation.
 
     The relation carries the subspace topology. Per pair, candidates are
-    the atoms of the functor image of the relation space whose two
-    projections hit the pair's structure values; the assembled map must
-    also be fuzzy continuous, which is checked on the functor's subbasis
-    of the image topology. The empty relation is vacuously accepted.
+    the values of the functor image of the relation space, enumerated
+    once under the guard, whose two projections are the pair's structure
+    values; the assembled map must also be fuzzy continuous, which is
+    checked on the functor's subbasis of the image topology. The empty
+    relation is vacuously accepted.
     """
     _require_shared_props(m1, m2)
     witnesses = _prop_witnesses(rel, m1, m2)
@@ -199,14 +197,15 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
         return AmBisimReport(False, tuple(witnesses))
     rel_space = subspace_topology(rel, m1.space, m2.space, max_size)
     pi1, pi2 = rel.projections()
-    image_carrier, gens = image_subbasis(sig.functor, rel_space)
     image_pi1 = sig.functor.on_map(pi1, rel_space, m1.space)
     image_pi2 = sig.functor.on_map(pi2, rel_space, m2.space)
-    candidates: list[list[str]] = []
+    image = image_elements(sig.functor, rel_space)
+    by_sides: dict[tuple, list] = {}
+    for t in image:
+        by_sides.setdefault((image_pi1(t), image_pi2(t)), []).append(t)
+    candidates = []
     for b1, b2 in rel.sorted_pairs():
-        t1, t2 = m1.sigma(b1), m2.sigma(b2)
-        options = [t for t in image_carrier
-                   if image_pi1(t) == t1 and image_pi2(t) == t2]
+        options = by_sides.get((m1.sigma(b1), m2.sigma(b2)))
         if not options:
             return AmBisimReport(False, (BisimWitness(
                 (b1, b2),
@@ -214,9 +213,10 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
         candidates.append(options)
 
     pair_carrier = rel.pair_carrier()
+    gens = image_subbasis(sig.functor, rel_space, image)
 
-    def continuous(choice: tuple[str, ...]) -> CarrierMap | None:
-        gamma = CarrierMap(pair_carrier, image_carrier, choice)
+    def continuous(choice: tuple) -> CarrierMap | None:
+        gamma = CarrierMap(pair_carrier, image, choice)
         return gamma if all(inverse_image(gamma, g) in rel_space.opens
                             for g in gens) else None
 

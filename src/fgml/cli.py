@@ -40,8 +40,6 @@ from .signature import (
     check_natural,
     fuzzy_powerset_functor,
     identity_functor,
-    image_subbasis,
-    powerset_atom_name,
 )
 from .topology import FuzzySpace, generate_topology, is_continuous
 
@@ -148,18 +146,15 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
     sigma_doc = doc["sigma"]
     if set(sigma_doc) != set(carrier.elements):
         raise DocumentError("sigma must assign exactly the carrier elements")
-    image_carrier = image_subbasis(signature.functor, space)[0]
-    assignment = []
-    for e in carrier:
-        value = sigma_doc[e]
-        if doc["functor"] == "identity":
-            if not isinstance(value, str) or value not in carrier:
+    if doc["functor"] == "identity":  # T S is S: sigma goes into the states
+        for e in carrier:
+            if not isinstance(value := sigma_doc[e], str) or value not in carrier:
                 raise DocumentError(f"sigma[{e!r}] names unknown state {value!r}")
-            assignment.append(value)
-        else:
-            fs = _fuzzy_set_from_doc(value, carrier, lattice, f"sigma[{e!r}]")
-            assignment.append(powerset_atom_name(fs))
-    sigma = CarrierMap(carrier, image_carrier, tuple(assignment))
+        sigma = CarrierMap(carrier, carrier, tuple(sigma_doc[e] for e in carrier))
+    else:  # into the fuzzy sets sigma takes
+        sigma = CarrierMap.onto(carrier, [
+            _fuzzy_set_from_doc(sigma_doc[e], carrier, lattice, f"sigma[{e!r}]")
+            for e in carrier])
 
     valuation = {}
     for name, obj in doc["valuation"].items():
@@ -208,15 +203,8 @@ def model_to_document(lm: LoadedModel) -> dict:
     """Canonical document: opens sorted by grade key, names sorted."""
     model, lattice = lm.model, lm.lattice
     carrier = model.space.carrier
-    sigma_doc = {}
-    for e in carrier:
-        atom = model.sigma(e)
-        if lm.functor_name == "identity":
-            sigma_doc[e] = atom
-        else:
-            grades = () if atom == "{}" else tuple(
-                lattice.parse(part) for part in atom.split(","))
-            sigma_doc[e] = _fuzzy_set_to_doc(FuzzySet(carrier, lattice, grades))
+    sigma_doc = {e: _fuzzy_set_to_doc(v) if isinstance(v, FuzzySet) else v
+                 for e, v in zip(carrier, model.sigma.assignment)}
     doc = {
         "lattice": lattice.den,
         "functor": lm.functor_name,

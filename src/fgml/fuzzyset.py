@@ -1,6 +1,7 @@
 """Fuzzy sets over finite carriers, maps between carriers, crisp relations.
 
-A carrier is an ordered tuple of distinct atom names. A fuzzy set over the
+A carrier is an ordered tuple of distinct hashable atoms: state names, or
+the elements of a functor image such as fuzzy sets. A fuzzy set over the
 chain {0, 1/d, ..., 1} is stored as one int, `bits`, of n fields of d bits
 each, one field per atom with the first atom most significant; grade k/d
 is the field's low k bits, so bit j of a field is set iff the grade is
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import CarrierMismatchError, LatticeMismatchError, ResourceLimitError
 from .grades import Grade, GradeLattice
@@ -29,22 +30,22 @@ DEFAULT_MAX_SIZE = 4096
 
 @dataclass(frozen=True)
 class Carrier:
-    """Ordered finite set of atom names. May be empty for degenerate tests."""
+    """Ordered finite set of hashable atoms. May be empty for degenerate tests."""
 
-    elements: tuple[str, ...]
+    elements: tuple[Hashable, ...]
 
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
             raise ValueError(f"duplicate carrier elements in {self.elements}")
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
 
-    def index(self, element: str) -> int:
+    def index(self, element: Hashable) -> int:
         try:
             return self._index[element]
         except KeyError:
             raise CarrierMismatchError(f"{element!r} is not a carrier element") from None
 
-    def __contains__(self, element: str) -> bool:
+    def __contains__(self, element: Hashable) -> bool:
         return element in self._index
 
     def __iter__(self):
@@ -135,12 +136,12 @@ class FuzzySet:
         values = self.lattice.values
         return tuple(values[k] for k in self.key())
 
-    def __call__(self, element: str) -> Grade:
+    def __call__(self, element: Hashable) -> Grade:
         d = self.lattice.den
         shift = (len(self.carrier) - 1 - self.carrier.index(element)) * d
         return self.lattice.values[(self.bits >> shift & (1 << d) - 1).bit_length()]
 
-    def as_dict(self) -> dict[str, Grade]:
+    def as_dict(self) -> dict[Hashable, Grade]:
         return dict(zip(self.carrier.elements, self.grades))
 
     def __str__(self) -> str:
@@ -219,7 +220,7 @@ class CarrierMap:
 
     source: Carrier
     target: Carrier
-    assignment: tuple[str, ...]
+    assignment: tuple[Hashable, ...]
 
     def __post_init__(self):
         if len(self.assignment) != len(self.source):
@@ -242,7 +243,12 @@ class CarrierMap:
     def identity(cls, carrier: Carrier) -> "CarrierMap":
         return cls(carrier, carrier, carrier.elements)
 
-    def __call__(self, element: str) -> str:
+    @classmethod
+    def onto(cls, source: Carrier, assignment: Sequence[Hashable]) -> "CarrierMap":
+        """Element i to assignment[i], onto the distinct values in order."""
+        return cls(source, Carrier(tuple(dict.fromkeys(assignment))), tuple(assignment))
+
+    def __call__(self, element: Hashable) -> Hashable:
         return self.assignment[self.source.index(element)]
 
     def compose(self, inner: "CarrierMap") -> "CarrierMap":

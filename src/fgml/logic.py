@@ -41,6 +41,8 @@ from typing import Mapping, Sequence
 
 from .errors import (
     ArityMismatchError,
+    CarrierMismatchError,
+    LatticeMismatchError,
     ParseError,
     PreconditionError,
     UnboundPropositionError,
@@ -55,7 +57,7 @@ from .fuzzyset import (
     fs_meet,
     inverse_image,
 )
-from .signature import Signature, image_subbasis
+from .signature import Lifting, Signature, image_subbasis
 from .topology import FuzzySpace, is_continuous, is_topology
 
 
@@ -221,7 +223,8 @@ def parse_formula(text: str, sig: Signature | None = None) -> Formula:
 
 @dataclass(frozen=True)
 class Model:
-    """Space, coalgebra structure map into the functor image, valuation."""
+    """Space, coalgebra structure map into the functor image, valuation.
+    `sigma`'s target holds elements of T S: the states, or the values it takes."""
 
     space: FuzzySpace
     sigma: CarrierMap
@@ -242,6 +245,10 @@ class Model:
                 return v
         raise UnboundPropositionError(f"no valuation for proposition {name!r}")
 
+    def lift(self, lifting: Lifting, args: Sequence[FuzzySet]) -> FuzzySet:
+        """sigma^-1(lambda(args)), the lifting read at sigma's values only."""
+        return inverse_image(self.sigma, lifting.apply(self.space, args, self.sigma.target))
+
 
 @dataclass(frozen=True)
 class ModelCheck:
@@ -253,14 +260,15 @@ class ModelCheck:
 
 
 def validate_model(m: Model, sig: Signature) -> ModelCheck:
-    """Topology axioms, openness of valuations, continuity of the
-    structure map into the functor image of the space.
+    """Topology axioms, openness of valuations, structure values in the
+    functor image and continuity of the structure map into it.
 
     Continuity is checked on the functor's subbasis of the image topology
-    (`image_subbasis`), once the opens are known to form a topology: an
-    inverse image keeps constants, meets and joins, so every image open
-    pulls back to an open iff every generator does. The witness names the
-    first generator whose pullback is not open; it is an image open.
+    read at sigma's values (`image_subbasis`), once the opens are known
+    to form a topology: an inverse image keeps constants, meets and
+    joins, so every image open pulls back to an open iff every generator
+    does. The witness names the first generator whose pullback is not
+    open; it is an image open read at sigma's values.
     """
     problems: list[str] = []
     topo = is_topology(m.space)
@@ -271,11 +279,15 @@ def validate_model(m: Model, sig: Signature) -> ModelCheck:
             problems.append(f"valuation of {name!r} is not on the carrier")
         elif v not in m.space.opens:
             problems.append(f"valuation of {name!r} is not an open: {v}")
-    image_carrier, gens = image_subbasis(sig.functor, m.space)
-    if m.sigma.source != m.space.carrier or m.sigma.target != image_carrier:
-        problems.append("structure map does not go from the carrier to the "
-                        "functor image carrier")
-    elif not problems:
+    gens = ()
+    if m.sigma.source != m.space.carrier:
+        problems.append("structure map is not defined on the carrier")
+    else:
+        try:
+            gens = image_subbasis(sig.functor, m.space, m.sigma.target)
+        except (CarrierMismatchError, LatticeMismatchError) as exc:
+            problems.append(f"structure map leaves the functor image: {exc}")
+    if not problems:
         for o in gens:
             if inverse_image(m.sigma, o) not in m.space.opens:
                 problems.append(
@@ -304,9 +316,7 @@ def evaluate(m: Model, sig: Signature, formula: Formula) -> FuzzySet:
             raise ArityMismatchError(
                 f"<{formula.modality}> takes {lifting.arity} arguments, "
                 f"got {len(formula.args)}")
-        args = tuple(evaluate(m, sig, a) for a in formula.args)
-        lifted = lifting.apply(m.space, args)
-        return inverse_image(m.sigma, lifted)
+        return m.lift(lifting, tuple(evaluate(m, sig, a) for a in formula.args))
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -340,8 +350,7 @@ def _formula_closure(models: Sequence[Model], sig: Signature, seeds: Sequence[Fo
             yield tuple(map(fs_join, va, vb)), Or((fa, fb))
         for lifting in sig.liftings:
             for combo in _new_combos(items, old, lifting.arity, False):
-                yield (tuple(inverse_image(m.sigma, lifting.apply(
-                               m.space, tuple(v[i] for v, _ in combo)))
+                yield (tuple(m.lift(lifting, tuple(v[i] for v, _ in combo))
                              for i, m in enumerate(models)),
                        Modal(lifting.name, tuple(f for _, f in combo)))
 
@@ -404,7 +413,7 @@ def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...]
             sets += (_from_bits(carrier, space.lattice, p) for p in members[done:])
             for lifting in sig.liftings:
                 for args in _new_combos(sets, done, lifting.arity, False):
-                    yield inverse_image(m.sigma, lifting.apply(space, args))
+                    yield m.lift(lifting, args)
 
     gens = generators()
     while classes < n and (g := next(gens, None)) is not None:
@@ -505,7 +514,7 @@ def quotient_model(m: Model, sig: Signature) -> QuotientResult:
     q_space = FuzzySpace(q_carrier, m.space.lattice, opens)
 
     image_map = sig.functor.on_map(q, m.space, q_space)
-    sigma_values: dict[str, str] = {}
+    sigma_values = {}
     for cls in classes:
         rep = cls[0]
         sigma_values[rep] = image_map(m.sigma(rep))
@@ -516,8 +525,7 @@ def quotient_model(m: Model, sig: Signature) -> QuotientResult:
                     failure=f"structure map not well-defined: states {rep!r} and "
                             f"{other!r} are modally equivalent but their structure "
                             "values differ in the quotient")
-    q_sigma = CarrierMap(q_carrier, image_subbasis(sig.functor, q_space)[0],
-                         tuple(sigma_values[rep] for rep in reps))
+    q_sigma = CarrierMap.onto(q_carrier, [sigma_values[rep] for rep in reps])
     valuation = {name: FuzzySet(q_carrier, m.space.lattice,
                                 tuple(v(rep) for rep in reps))
                  for name, v in m.valuation}

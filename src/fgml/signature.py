@@ -1,32 +1,32 @@
 """Endofunctor instances on finite fuzzy spaces and their modal liftings.
 
 Two built-in functors: the identity functor with its identity lifting,
-and a fuzzy powerset functor whose carrier at S enumerates every
-lattice-valued fuzzy subset of S. The diamond lifting is sup-min
-composition, box is its De Morgan dual; the topology on the image space
-is generated by the chosen liftings' images, so the built-in signatures
-are characteristic by construction.
+and a fuzzy powerset functor. An element of T S is a value: a state for
+the identity functor, a `FuzzySet` on S for the powerset. A lifting is
+evaluated at a given carrier of values, so a structure map sigma needs
+it only at the at most n values sigma takes. The diamond lifting is
+sup-min composition, box is its De Morgan dual; the topology on the
+image space is generated by the chosen liftings' images, so the
+built-in signatures are characteristic by construction.
 
-Both built-in functors also give a subbasis of the image topology
-without building it: the space's opens for the identity functor, the
-generating liftings applied to the opens for the powerset functor.
-`image_subbasis` reads it, falling back to all opens of `on_space` for
-a functor without one. A map f into T S is fuzzy continuous iff every
-subbasis member pulls back to an open, provided the source opens form
-a topology: inverse images keep the constants, meets and joins, so the
-pullbacks of the generated topology are the meets and joins of the
-pullbacks of the subbasis. This needs the functor's own subbasis, not a
-signature's liftings, so it is exact for every signature. Only
-`check_characteristic` builds T S among the library's checks; the
-(d+1)^n carrier of the powerset image is still enumerated.
+A subbasis of the image topology, read at any carrier of values, comes
+without building the image: the opens for the identity functor, the
+generating liftings applied to the opens for the powerset functor, the
+opens of `on_space` for a functor without one. A map f into T S is fuzzy
+continuous iff every subbasis member pulls back to an open, provided
+the source opens form a topology: inverse images keep the constants,
+meets and joins, and f factors through the values it takes. This is
+exact for every signature. Only `sig check` and the mediating-map
+search of `bisim am` enumerate the (d+1)^n carrier of the powerset
+image, under the size guard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -53,34 +53,47 @@ from .topology import FuzzySpace, generate_topology, is_continuous
 
 @dataclass(frozen=True)
 class FunctorInstance:
-    """Concrete endofunctor: object part, arrow part and, optionally, a
-    subbasis of the image topology.
+    """Concrete endofunctor: `on_space(S)` is T S with its topology, its
+    carrier holding every value; `on_map(f, S, S')` is T f on single values.
 
-    `subbasis(S)` returns the carrier of T S and fuzzy sets on it that
-    generate the topology of `on_space(S)`. Continuity into T S is then
-    checked on those generators alone (exact, by the argument in the
-    module docstring); without it, callers of `image_subbasis` build T S.
+    Optionally, `elements(S)` is the carrier of T S without its topology,
+    and `subbasis(S, at)` gives fuzzy sets on the carrier `at` of values
+    that generate the topology of `on_space(S)` read at `at`, raising
+    `CarrierMismatchError` for a value outside T S. Without them,
+    `image_elements` and `image_subbasis` read `on_space`.
     """
 
     name: str
     on_space: Callable[[FuzzySpace], FuzzySpace]
-    on_map: Callable[[CarrierMap, FuzzySpace, FuzzySpace], CarrierMap]
-    subbasis: Callable[[FuzzySpace], tuple[Carrier, tuple[FuzzySet, ...]]] | None = None
+    on_map: Callable[[CarrierMap, FuzzySpace, FuzzySpace], Callable[[Hashable], Hashable]]
+    subbasis: Callable[[FuzzySpace, Carrier], tuple[FuzzySet, ...]] | None = None
+    elements: Callable[[FuzzySpace], Carrier] | None = None
 
 
-def image_subbasis(functor: FunctorInstance, space: FuzzySpace
-                   ) -> tuple[Carrier, tuple[FuzzySet, ...]]:
-    """Carrier of T S and a subbasis of its topology: the functor's own,
-    or every open of `on_space(space)` for a functor without one."""
+def image_elements(functor: FunctorInstance, space: FuzzySpace) -> Carrier:
+    """Every value of T S: the functor's own carrier, or that of `on_space`."""
+    return functor.elements(space) if functor.elements else functor.on_space(space).carrier
+
+
+def _restrict(fs: FuzzySet, at: Carrier) -> FuzzySet:
+    """fs read at the elements of `at`, which must lie in its carrier."""
+    if at is fs.carrier or at == fs.carrier:  # an identity model's sigma goes into S
+        return fs
+    return inverse_image(CarrierMap(at, fs.carrier, at.elements), fs)
+
+
+def image_subbasis(functor: FunctorInstance, space: FuzzySpace, at: Carrier
+                   ) -> tuple[FuzzySet, ...]:
+    """A subbasis of T S's topology read at the values in `at`: the
+    functor's own, or every open of `on_space(space)`."""
     if functor.subbasis is not None:
-        return functor.subbasis(space)
-    image = functor.on_space(space)
-    return image.carrier, image.sorted_opens()
+        return functor.subbasis(space, at)
+    return tuple(_restrict(o, at) for o in functor.on_space(space).sorted_opens())
 
 
 @dataclass(frozen=True)
 class Lifting:
-    """n-ary modal lifting: opens on S to a fuzzy set on the image of S.
+    """n-ary modal lifting: opens on S to a fuzzy set on values of T S.
 
     Outputs are opens of the image space whenever the lifting belongs to
     the generating signature; derived duals may fall outside the image
@@ -90,9 +103,12 @@ class Lifting:
     name: str
     arity: int
     functor: FunctorInstance
-    _raw: Callable[[FuzzySpace, tuple[FuzzySet, ...]], FuzzySet]
+    _raw: Callable[[FuzzySpace, tuple[FuzzySet, ...], Carrier], FuzzySet]
 
-    def apply(self, space: FuzzySpace, args: Sequence[FuzzySet]) -> FuzzySet:
+    def apply(self, space: FuzzySpace, args: Sequence[FuzzySet],
+              at: Carrier | None = None) -> FuzzySet:
+        """The lifting's values at each element of `at`, a carrier of
+        values of T S; all of T S when omitted."""
         args = tuple(args)
         if len(args) != self.arity:
             raise ArityMismatchError(
@@ -100,7 +116,9 @@ class Lifting:
         for a in args:
             if a.carrier != space.carrier:
                 raise CarrierMismatchError("lifting argument not on the space's carrier")
-        return self._raw(space, args)
+        if at is None:
+            at = image_elements(self.functor, space)
+        return self._raw(space, args, at)
 
 
 @dataclass(frozen=True)
@@ -122,36 +140,12 @@ class Signature:
 
 
 def identity_functor() -> tuple[FunctorInstance, Signature]:
-    """T S = S and T f = f, with the identity lifting named "id"."""
-    functor = FunctorInstance(
-        name="identity",
-        on_space=lambda space: space,
-        on_map=lambda f, source, target: f,
-        subbasis=lambda space: (space.carrier, space.sorted_opens()),
-    )
-    lifting = Lifting("id", 1, functor, lambda space, args: args[0])
+    """T S = S and T f = f, with the identity lifting named "id"; the
+    image subbasis is the opens, read at the given states."""
+    functor = FunctorInstance(name="identity", on_space=lambda space: space,
+                              on_map=lambda f, source, target: f)
+    lifting = Lifting("id", 1, functor, lambda space, args, at: _restrict(args[0], at))
     return functor, Signature(functor, (lifting,))
-
-
-@lru_cache(maxsize=None)
-def _powerset_atoms(carrier: Carrier, lattice: GradeLattice, max_size: int
-                    ) -> tuple[Carrier, tuple[FuzzySet, ...], tuple[tuple[int, ...], ...]]:
-    """Carrier of all fuzzy subsets (as named atoms), the subsets themselves
-    in matching enumeration order, and three tables of packed fields over
-    the atoms: at[s] gives each atom nu the field of nu(s), co[s] that of
-    1 - nu(s), and const[k] the constant k/d."""
-    subsets = all_fuzzy_sets(carrier, lattice, max_size)
-    names = tuple(map(powerset_atom_name, subsets))
-    d, keys = lattice.den, [nu.key() for nu in subsets]
-    at = tuple(_pack((key[s] for key in keys), d) for s in range(len(carrier)))
-    co = tuple(_pack((d - key[s] for key in keys), d) for s in range(len(carrier)))
-    low = _pack([1] * len(subsets), d)
-    return Carrier(names), subsets, (at, co, tuple(low * ((1 << k) - 1) for k in range(d + 1)))
-
-
-def powerset_atom_name(fs: FuzzySet) -> str:
-    """Canonical atom name of a fuzzy subset inside the powerset carrier."""
-    return ",".join(f"{k}/{fs.lattice.den}" for k in fs.key()) or "{}"
 
 
 def fuzzy_powerset_functor(lattice: GradeLattice,
@@ -160,13 +154,14 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
                            ) -> tuple[FunctorInstance, Signature]:
     """Fuzzy powerset functor with the requested generating signature.
 
-    The image of a space S has one atom per lattice-valued fuzzy subset
-    of S; the arrow part sends a subset to its direct image. Diamond is
-    dia(m)(v) = sup_s min(v(s), m(s)); box is box(m)(v) =
-    inf_s max(1 - v(s), m(s)). The topology on the image is generated by
-    the images of the requested modalities over all opens, which makes
-    the returned signature characteristic for the functor; `subbasis`
-    returns those images without generating the topology.
+    T S holds every lattice-valued fuzzy subset of S, enumerated only by
+    `elements` and `on_space`; the arrow part sends a subset to its
+    direct image. Diamond is dia(m)(v) = sup_s min(v(s), m(s)); box is
+    box(m)(v) = inf_s max(1 - v(s), m(s)), computed as 1 - dia(1 - m)(v).
+    The topology on the image is generated by the images of the
+    requested modalities over all opens, which makes the returned
+    signature characteristic for the functor; `subbasis` returns those
+    images at the given values without generating the topology.
     """
     mods = tuple(modalities)
     for m in mods:
@@ -175,68 +170,62 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     if not mods:
         raise UnknownModalityError("at least one generating modality is required")
 
-    generating: list[Lifting] = []
-    subbasis_cache: dict[FuzzySpace, tuple[Carrier, tuple[FuzzySet, ...]]] = {}
     space_cache: dict[FuzzySpace, FuzzySpace] = {}
-    map_cache: dict[tuple[CarrierMap, Carrier, Carrier], CarrierMap] = {}
+    image_cache: dict[FuzzySpace, Carrier] = {}
+    # per carrier of values lifted at, by identity (and kept alive here): one
+    # row per state s packing nu(s) for every value nu, each grade k/d as often
+    rows_cache: dict[int, tuple[Carrier, list[int], list[int]]] = {}
 
-    def subbasis(space: FuzzySpace) -> tuple[Carrier, tuple[FuzzySet, ...]]:
-        if space not in subbasis_cache:
-            opens = space.sorted_opens()
-            subbasis_cache[space] = (
-                _powerset_atoms(space.carrier, lattice, max_size)[0],
-                tuple(l.apply(space, args) for l in generating
-                      for args in product(opens, repeat=l.arity)))
-        return subbasis_cache[space]
+    def elements(space: FuzzySpace) -> Carrier:
+        if space not in image_cache:
+            image_cache[space] = Carrier(all_fuzzy_sets(space.carrier, lattice, max_size))
+        return image_cache[space]
+
+    def subbasis(space: FuzzySpace, at: Carrier) -> tuple[FuzzySet, ...]:
+        for nu in at:
+            if not (isinstance(nu, FuzzySet) and (nu.carrier, nu.lattice) == (space.carrier, lattice)):
+                raise CarrierMismatchError(f"{nu} is not a fuzzy set on the space")
+        opens = space.sorted_opens()  # every modality is unary
+        return tuple(raw[m](space, (o,), at) for m in mods for o in opens)
 
     def on_space(space: FuzzySpace) -> FuzzySpace:
         if space not in space_cache:
-            atoms, gens = subbasis(space)
-            space_cache[space] = generate_topology(atoms, lattice, gens, max_size)
+            at = elements(space)
+            space_cache[space] = generate_topology(at, lattice, subbasis(space, at),
+                                                   max_size)
         return space_cache[space]
 
-    def on_map(f: CarrierMap, source: FuzzySpace, target: FuzzySpace) -> CarrierMap:
-        key = (f, source.carrier, target.carrier)
-        if key not in map_cache:
-            src_atoms, src_subsets, _ = _powerset_atoms(source.carrier, lattice, max_size)
-            tgt_atoms = _powerset_atoms(target.carrier, lattice, max_size)[0]
-            assignment = tuple(powerset_atom_name(direct_image(f, nu))
-                               for nu in src_subsets)
-            map_cache[key] = CarrierMap(src_atoms, tgt_atoms, assignment)
-        return map_cache[key]
+    functor = FunctorInstance(
+        name="fuzzy-powerset", on_space=on_space,
+        on_map=lambda f, source, target: partial(direct_image, f),
+        subbasis=subbasis, elements=elements)
 
-    functor = FunctorInstance(name="fuzzy-powerset", on_space=on_space, on_map=on_map,
-                              subbasis=subbasis)
-
-    # per state s, min(nu(s), mu(s)) is at[s] & const[mu(s)] and
-    # max(1 - nu(s), mu(s)) is co[s] | const[mu(s)], for every atom nu at once
-    def dia_raw(space: FuzzySpace, args: tuple[FuzzySet, ...]) -> FuzzySet:
+    # min(nu(s), mu(s)) is rows[s] & consts[mu(s)] for all values nu at once
+    def dia_raw(space: FuzzySpace, args: tuple[FuzzySet, ...], at: Carrier) -> FuzzySet:
         (mu,) = args
-        atoms, _, (at, _, const) = _powerset_atoms(space.carrier, lattice, max_size)
+        if id(at) not in rows_cache:
+            d, keys = lattice.den, [nu.key() for nu in at]
+            low = _pack([1] * len(at), d)
+            rows_cache[id(at)] = (at, [_pack((key[s] for key in keys), d)
+                                       for s in range(len(space.carrier))],
+                                  [low * ((1 << k) - 1) for k in range(d + 1)])
+        _, rows, consts = rows_cache[id(at)]
         bits = 0
-        for row, k in zip(at, mu.key()):
-            bits |= row & const[k]
-        return _from_bits(atoms, lattice, bits)
+        for row, k in zip(rows, mu.key()):
+            bits |= row & consts[k]
+        return _from_bits(at, lattice, bits)
 
-    def box_raw(space: FuzzySpace, args: tuple[FuzzySet, ...]) -> FuzzySet:
-        (mu,) = args
-        atoms, _, (_, co, const) = _powerset_atoms(space.carrier, lattice, max_size)
-        bits = const[-1]
-        for row, k in zip(co, mu.key()):
-            bits &= row | const[k]
-        return _from_bits(atoms, lattice, bits)
-
-    raw = {"dia": dia_raw, "box": box_raw}
+    raw = {"dia": dia_raw, "box": lambda space, args, at: fs_complement(
+        dia_raw(space, tuple(map(fs_complement, args)), at))}
     liftings = tuple(Lifting(m, 1, functor, raw[m]) for m in mods)
-    generating.extend(liftings)
     return functor, Signature(functor, liftings)
 
 
 def dual_lifting(l: Lifting) -> Lifting:
     """Pointwise complement of the lifting applied to complemented arguments."""
 
-    def raw(space: FuzzySpace, args: tuple[FuzzySet, ...]) -> FuzzySet:
-        return fs_complement(l.apply(space, tuple(fs_complement(a) for a in args)))
+    def raw(space: FuzzySpace, args: tuple[FuzzySet, ...], at: Carrier) -> FuzzySet:
+        return fs_complement(l.apply(space, tuple(fs_complement(a) for a in args), at))
 
     return Lifting(f"dual_{l.name}", l.arity, l.functor, raw)
 
@@ -251,28 +240,34 @@ class LiftingCheck:
 
 
 def check_monotone(l: Lifting, space: FuzzySpace) -> LiftingCheck:
-    """Pointwise order preservation over every comparable open tuple."""
-    opens = space.sorted_opens()
-    for lo in product(opens, repeat=l.arity):
-        for hi in product(opens, repeat=l.arity):
-            if all(fs_leq(a, b) for a, b in zip(lo, hi)):
-                if not fs_leq(l.apply(space, lo), l.apply(space, hi)):
-                    return LiftingCheck(
-                        False,
-                        f"{l.name} not monotone on "
-                        f"{tuple(map(str, lo))} <= {tuple(map(str, hi))}")
+    """Pointwise order preservation over every comparable open tuple; the
+    lifting is applied once per tuple, at all of T S."""
+    at = image_elements(l.functor, space)
+    table = [(args, l.apply(space, args, at))
+             for args in product(space.sorted_opens(), repeat=l.arity)]
+    for lo, lo_value in table:
+        for hi, hi_value in table:
+            if all(fs_leq(a, b) for a, b in zip(lo, hi)) \
+                    and not fs_leq(lo_value, hi_value):
+                return LiftingCheck(
+                    False,
+                    f"{l.name} not monotone on "
+                    f"{tuple(map(str, lo))} <= {tuple(map(str, hi))}")
     return LiftingCheck(True)
 
 
 def check_natural(l: Lifting, f: CarrierMap, source: FuzzySpace,
                   target: FuzzySpace) -> LiftingCheck:
-    """Naturality square for one continuous map, on every open tuple."""
+    """Naturality square for one continuous map, on every open tuple, at
+    all of T S."""
     if not is_continuous(f, source, target):
         raise DiscontinuousMapError("check_natural requires a fuzzy continuous map")
-    image_map = l.functor.on_map(f, source, target)
+    at = image_elements(l.functor, source)
+    image_map = CarrierMap(at, image_elements(l.functor, target),
+                           tuple(map(l.functor.on_map(f, source, target), at)))
     for args in product(target.sorted_opens(), repeat=l.arity):
-        lhs = l.apply(source, tuple(inverse_image(f, a) for a in args))
-        rhs = inverse_image(image_map, l.apply(target, args))
+        lhs = l.apply(source, tuple(inverse_image(f, a) for a in args), at)
+        rhs = inverse_image(image_map, l.apply(target, args, image_map.target))
         if lhs != rhs:
             return LiftingCheck(
                 False,
@@ -284,10 +279,8 @@ def check_characteristic(sig: Signature, space: FuzzySpace,
                          max_size: int = DEFAULT_MAX_SIZE) -> bool:
     """The liftings' images over opens generate exactly the image topology."""
     image_space = sig.functor.on_space(space)
-    gens = []
-    for l in sig.liftings:
-        for args in product(space.sorted_opens(), repeat=l.arity):
-            gens.append(l.apply(space, args))
+    gens = [l.apply(space, args, image_space.carrier) for l in sig.liftings
+            for args in product(space.sorted_opens(), repeat=l.arity)]
     regenerated = generate_topology(image_space.carrier, space.lattice,
                                     gens, max_size)
     return regenerated.opens == image_space.opens

@@ -26,12 +26,12 @@ from fgml import (
     fuzzy_powerset_functor,
     generate_topology,
     identity_functor,
+    image_elements,
     inverse_image,
     make_lattice,
     validate_model,
 )
 from fgml.fuzzyset import all_fuzzy_sets
-from fgml.signature import powerset_atom_name
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
@@ -44,13 +44,10 @@ def m1_model() -> tuple[Model, Signature]:
     vp = FuzzySet(c, lat, (g(2), g(1)))
     dia_p = FuzzySet(c, lat, (g(1), g(1)))
     space = generate_topology(c, lat, [vp, dia_p])
-    functor, sig = fuzzy_powerset_functor(lat, ("dia",))
-    image = functor.on_space(space)
+    _, sig = fuzzy_powerset_functor(lat, ("dia",))
     sx = FuzzySet(c, lat, (g(0), g(2)))
     sy = FuzzySet(c, lat, (g(1), g(0)))
-    sigma = CarrierMap(c, image.carrier,
-                       (powerset_atom_name(sx), powerset_atom_name(sy)))
-    return Model.create(space, sigma, {"p": vp}), sig
+    return Model.create(space, CarrierMap.onto(c, (sx, sy)), {"p": vp}), sig
 
 
 def complete_powerset_model(carrier: Carrier, lat, sigma_sets, valuation,
@@ -59,19 +56,22 @@ def complete_powerset_model(carrier: Carrier, lat, sigma_sets, valuation,
 
     Starts from the valuation images (plus extras), then adds structure
     map pullbacks of image opens until the structure map is continuous;
-    the family of fuzzy sets is finite, so the loop terminates.
+    the family of fuzzy sets is finite, so the loop terminates. The
+    completion takes the eager path: it builds the image topology and
+    sends each state into its whole carrier. The model's structure map
+    goes onto the values it takes.
     """
     functor = sig.functor
+    assignment = tuple(sigma_sets[e] for e in carrier)
     gens = list(valuation.values()) + list(extra_opens)
     space = generate_topology(carrier, lat, gens)
     while True:
         image = functor.on_space(space)
-        sigma = CarrierMap(carrier, image.carrier,
-                           tuple(powerset_atom_name(sigma_sets[e]) for e in carrier))
+        sigma = CarrierMap(carrier, image.carrier, assignment)
         missing = [inverse_image(sigma, o) for o in image.sorted_opens()
                    if inverse_image(sigma, o) not in space.opens]
         if not missing:
-            model = Model.create(space, sigma, valuation)
+            model = Model.create(space, CarrierMap.onto(carrier, assignment), valuation)
             check = validate_model(model, sig)
             assert check.ok, check.problems
             return model
@@ -185,16 +185,8 @@ def duplicate_state(model: Model, sig: Signature, state: str, copy: str) -> Mode
         extra = fs(copy_from) if copy_from else lat.bottom
         return FuzzySet(new_carrier, lat, fs.grades + (extra,))
 
-    functor = sig.functor
-    old_atoms = {e: model.sigma(e) for e in old}
-
-    def decode(atom: str) -> FuzzySet:
-        grades = () if atom == "{}" else tuple(
-            lat.parse(part) for part in atom.split(","))
-        return FuzzySet(old, lat, grades)
-
-    sigma_sets = {e: widen(decode(old_atoms[e])) for e in old}
-    sigma_sets[copy] = widen(decode(old_atoms[state]))
+    sigma_sets = {e: widen(model.sigma(e)) for e in old}
+    sigma_sets[copy] = widen(model.sigma(state))
     valuation = {name: widen(v, copy_from=state) for name, v in model.valuation}
     return complete_powerset_model(new_carrier, lat, sigma_sets, valuation, sig)
 
@@ -220,19 +212,49 @@ def dia_closed_document(d: int, n: int, seed: int) -> dict:
 
     sigma_sets = {e: draw() for e in carrier}
     valuation = {"p": draw(), "q": draw()}
-    functor, sig = fuzzy_powerset_functor(lat, ("dia",))
+    _, sig = fuzzy_powerset_functor(lat, ("dia",))
     dia = sig.lifting("dia")
-    atoms = Carrier(tuple(powerset_atom_name(nu) for nu in all_fuzzy_sets(carrier, lat)))
-    sigma = CarrierMap(carrier, atoms,
-                       tuple(powerset_atom_name(sigma_sets[e]) for e in carrier))
+    sigma = CarrierMap.onto(carrier, [sigma_sets[e] for e in carrier])
     space = generate_topology(carrier, lat, list(valuation.values()))
     while missing := [p for o in space.sorted_opens()
-                      if (p := inverse_image(sigma, dia.apply(space, (o,))))
+                      if (p := inverse_image(sigma, dia.apply(space, (o,), sigma.target)))
                       not in space.opens]:
         space = generate_topology(carrier, lat, list(space.opens) + missing)
     model = Model.create(space, sigma, valuation)
     return model_to_document(LoadedModel(model, sig, lat, "fuzzy-powerset", ("dia",),
                                          {}, {}))
+
+
+def singleton_document(d: int, n: int, seed: int) -> dict:
+    """Seeded `dia`/`box` powerset document whose structure map sends each
+    state s to its crisp singleton {s}.
+
+    At {s}, both dia(mu) and box(mu) are mu(s), so each modality is the
+    identity on formulas and every topology makes the structure map
+    continuous. Two seeded valuations p and q generate the opens, and
+    the relation "diag" is the diagonal.
+    """
+    rng = random.Random(seed)
+    states = [f"s{i}" for i in range(n)]
+
+    def draw() -> dict:
+        return {s: f"{rng.randint(0, d)}/{d}" for s in states}
+
+    p, q = draw(), draw()
+    return {"lattice": d, "functor": "fuzzy-powerset", "modalities": ["dia", "box"],
+            "carrier": states, "generate_from": [p, q],
+            "sigma": {s: {t: f"{d if t == s else 0}/{d}" for t in states} for s in states},
+            "valuation": {"p": p, "q": q},
+            "relations": {"diag": [[s, s] for s in states]}}
+
+
+def eager_model(m: Model, sig: Signature) -> Model:
+    """The eager path: the model with its structure map taken into the
+    whole carrier of T S, so that every lifting is applied over all of
+    T S and pulled back from there."""
+    image = image_elements(sig.functor, m.space)
+    return Model(m.space, CarrierMap(m.space.carrier, image, m.sigma.assignment),
+                 m.valuation)
 
 
 def all_maps(source: Carrier, target: Carrier) -> list[CarrierMap]:

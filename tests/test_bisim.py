@@ -264,7 +264,7 @@ def test_am_suite_requires_monotone():
     from fgml.fuzzyset import fs_complement
 
     antitone = Lifting("neg", 1, functor,
-                       lambda space, args: fs_complement(args[0]))
+                       lambda space, args, at: fs_complement(args[0]))
     sig = Signature(functor, (antitone,))
     carrier = Carrier(("a",))
     vp = FuzzySet.constant(carrier, D2, D2.grade(2))

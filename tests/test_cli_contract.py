@@ -1,9 +1,11 @@
 """The CLI exit-code contract on random documents.
 
-`validate`, `eval`, `classes`, `quotient`, `bisim greatest` (a document
-against itself) and `duality` must exit 0, 1 or 2 on any document, with
-no exception escaping `run_command`, and a document that validates must
-reach a fixpoint under load, save, load.
+`validate`, `eval`, `classes`, `quotient`, `bisim greatest`, `bisim check`
+and `bisim am` (a document against itself, on a drawn relation: the
+diagonal, random pairs, or a pair naming an unknown state), `sig check`
+and `duality` must exit 0, 1 or 2 on any document, with no exception
+escaping `run_command`, and a document that validates must reach a
+fixpoint under load, save, load.
 """
 
 import json
@@ -75,6 +77,14 @@ def test_property_validate_and_eval_keep_the_exit_code_contract(tmp_path, capsys
         else:
             doc["sigma"] = {s: draw(targets) for s in states}
         doc["valuation"] = dict(zip(("p", "q"), draw(st.lists(sets, max_size=2))))
+        relation = draw(st.sampled_from(["diagonal", "random", "unknown"]))
+        if relation == "diagonal":
+            doc["relations"] = {"r": [[s, s] for s in states]}
+        elif relation == "random":
+            pair = st.lists(st.sampled_from(states), min_size=2, max_size=2)
+            doc["relations"] = {"r": draw(st.lists(pair, max_size=4))}
+        else:
+            doc["relations"] = {"r": [[states[0], "nobody"]]}
         corruption = draw(_corruptions(st, d, states))
         if corruption is not None:
             key, value = corruption
@@ -85,7 +95,7 @@ def test_property_validate_and_eval_keep_the_exit_code_contract(tmp_path, capsys
         return doc
 
     path = tmp_path / "model.json"
-    codes = set()
+    codes, verdicts = set(), set()
 
     nested = st.builds(lambda pair, depth: pair[0] * depth + "p" + pair[1] * depth,
                        st.sampled_from(NESTINGS), st.sampled_from([150, 3000]))
@@ -98,8 +108,16 @@ def test_property_validate_and_eval_keep_the_exit_code_contract(tmp_path, capsys
         assert code in (0, 1, 2)
         assert run_command(["eval", "-m", str(path), "-f", formula]) in (0, 1, 2)
         for argv in (["classes", "--depth", "0"], ["classes", "--depth", "2"],
-                     ["quotient"], ["bisim", "greatest", "-n", str(path)], ["duality"]):
-            assert run_command([*argv, "-m", str(path)]) in (0, 1, 2)
+                     ["quotient"], ["bisim", "greatest", "-n", str(path)],
+                     ["bisim", "check", "-n", str(path), "-r", "r"],
+                     ["bisim", "am", "-n", str(path), "-r", "r"],
+                     # sig check walks every continuous self-map, open and
+                     # value of T S before a guard trips: a guard of 64 keeps
+                     # it short (a drawn d=3, n=4 document takes 15 s at 4096)
+                     ["--max-size", "64", "sig", "check"], ["duality"]):
+            verdict = run_command([*argv, "-m", str(path)])
+            assert verdict in (0, 1, 2)
+            verdicts.add((" ".join(w for w in argv if w.isalpha()), verdict))
         capsys.readouterr()
         codes.add(code)
         if code == 0:
@@ -110,3 +128,6 @@ def test_property_validate_and_eval_keep_the_exit_code_contract(tmp_path, capsys
 
     check()
     assert codes == {0, 2}
+    # the bisimulation checks reach both verdicts, sig check a pass
+    assert {("bisim check r", 0), ("bisim check r", 1), ("bisim am r", 0),
+            ("bisim am r", 1), ("sig check", 0)} <= verdicts

@@ -36,7 +36,6 @@ from fgml import (
     fuzzy_powerset_functor,
     generate_topology,
     identity_functor,
-    inverse_image,
     is_topology,
     make_lattice,
     modal_equivalence_classes,
@@ -104,7 +103,7 @@ def naive_definable_opens(m, sig):
             for combo in product(items, repeat=lifting.arity):
                 args = tuple(fs for fs, _ in combo)
                 formulas = tuple(p for _, p in combo)
-                image = inverse_image(m.sigma, lifting.apply(m.space, args))
+                image = m.lift(lifting, args)
                 offer(image, Modal(lifting.name, formulas))
         if not fresh:
             return found
@@ -132,9 +131,7 @@ def naive_enumerate_formulas(models, sig, depth):
             for combo in product(current, repeat=lifting.arity):
                 formula = Modal(lifting.name, tuple(f for _, f in combo))
                 key = tuple(
-                    inverse_image(m.sigma,
-                                  lifting.apply(m.space,
-                                                tuple(v[i] for v, _ in combo)))
+                    m.lift(lifting, tuple(v[i] for v, _ in combo))
                     for i, m in enumerate(models))
                 offer(key, formula)
         if not fresh:
@@ -343,13 +340,14 @@ def _signatures(sig, binary=False):
     yield Signature(sig.functor, ())
     yield Signature(sig.functor, sig.liftings + tuple(map(dual_lifting, sig.liftings)))
     neg = Lifting("neg", 1, sig.functor,
-                  lambda space, args: fs_complement(first.apply(space, args)))
+                  lambda space, args, at: fs_complement(first.apply(space, args, at)))
     yield Signature(sig.functor, (neg,))
     if binary:
         yield Signature(sig.functor, (Lifting(
             "but", 2, sig.functor,
-            lambda space, args: fs_meet(first.apply(space, args[:1]),
-                                        fs_complement(first.apply(space, args[1:])))),))
+            lambda space, args, at: fs_meet(
+                first.apply(space, args[:1], at),
+                fs_complement(first.apply(space, args[1:], at)))),))
 
 
 def test_classes_match_definable_opens(zoo):

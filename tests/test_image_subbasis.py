@@ -1,10 +1,10 @@
 """Continuity into the functor image, checked on the functor's subbasis.
 
-`validate_model`, `is_am_bisimulation`, the document loader and
-`quotient_model` read the image carrier and a subbasis of the image
-topology through `image_subbasis`, without building T S. The eager check
-kept here as the oracle builds T S with `on_space` and pulls back every
-one of its opens.
+`validate_model`, `is_am_bisimulation` and the document loader read a
+subbasis of the image topology, restricted to the structure values at
+hand, through `image_subbasis`, without building T S. The eager check
+kept here as the oracle builds T S with `on_space`, sends each state to
+its value in that whole carrier and pulls back every one of its opens.
 """
 
 import dataclasses
@@ -18,6 +18,7 @@ from fgml import (
     Carrier,
     CarrierMap,
     FuzzySet,
+    FunctorInstance,
     FuzzySpace,
     Model,
     Relation,
@@ -34,7 +35,6 @@ from fgml import (
 )
 from fgml.cli import load_model, run_command
 from fgml.errors import ResourceLimitError
-from fgml.signature import powerset_atom_name
 
 from modelgen import FIXTURES, dia_closed_document, identity_zoo, powerset_zoo
 
@@ -45,23 +45,33 @@ DIA_D2N5 = f"{FIXTURES}/dia_d2n5.json"
 _WITNESS = re.compile(r"structure map not continuous: pullback of (.*) is not open\Z")
 
 
+def restrict(o: FuzzySet, at: Carrier) -> FuzzySet:
+    """An image open read at the values in `at`."""
+    return inverse_image(CarrierMap(at, o.carrier, at.elements), o)
+
+
 def eager_discontinuities(m: Model, sig: Signature):
-    """The image opens of `on_space` whose pullback along sigma is not open."""
+    """The image opens of `on_space` whose pullback along sigma, taken
+    into the whole image carrier, is not open."""
     image = sig.functor.on_space(m.space)
+    sigma = CarrierMap(m.space.carrier, image.carrier, m.sigma.assignment)
     return image, [o for o in image.sorted_opens()
-                   if inverse_image(m.sigma, o) not in m.space.opens]
+                   if inverse_image(sigma, o) not in m.space.opens]
 
 
-def perturbations(m: Model):
-    """The model itself, then sigma changed at one state to each other value."""
+def perturbations(m: Model, sig: Signature):
+    """The model itself, then sigma changed at one state to each other
+    element of T S; an identity model's sigma keeps the states as its
+    target, a powerset model's goes onto the values it takes."""
     yield m
-    target = m.sigma.target
-    for i, s in enumerate(m.space.carrier):
-        for t in target:
+    carrier = m.space.carrier
+    for i, s in enumerate(carrier):
+        for t in sig.functor.on_space(m.space).carrier:
             if t != m.sigma(s):
                 assignment = m.sigma.assignment[:i] + (t,) + m.sigma.assignment[i + 1:]
-                yield Model(m.space, CarrierMap(m.space.carrier, target, assignment),
-                            m.valuation)
+                sigma = CarrierMap(carrier, carrier, assignment) \
+                    if sig.functor.name == "identity" else CarrierMap.onto(carrier, assignment)
+                yield Model(m.space, sigma, m.valuation)
 
 
 def _zoos():
@@ -74,19 +84,24 @@ def test_validate_matches_eager_continuity_oracle():
     cases = negatives = 0
     for model, sig in _zoos():
         bare = Signature(sig.functor, ())  # continuity needs no lifting of the signature
-        for m in perturbations(model):
+        # as a tracer rebuilds it: the `on_space` fallback, read at sigma's values
+        rebuilt = Signature(FunctorInstance(sig.functor.name, sig.functor.on_space,
+                                            sig.functor.on_map), sig.liftings)
+        for m in perturbations(model, sig):
             image, failures = eager_discontinuities(m, sig)
             check = validate_model(m, sig)
             assert check.ok == (not failures)
             assert validate_model(m, bare) == check
+            assert validate_model(m, rebuilt).ok == check.ok
             cases += 1
             if check.ok:
                 continue
             negatives += 1
             (problem,) = check.problems
             witness = _WITNESS.match(problem).group(1)
-            named = [o for o in image.opens if str(o) == witness]
-            assert len(named) == 1 and named[0] in failures
+            # the witness is a failing image open read at sigma's values
+            named = [o for o in failures if str(restrict(o, m.sigma.target)) == witness]
+            assert named
             if sig.functor.name == "identity":  # the same open as the eager walk
                 assert named[0] == failures[0]
     assert cases == 1175 and 0 < negatives < cases
@@ -94,9 +109,12 @@ def test_validate_matches_eager_continuity_oracle():
 
 def test_functor_without_subbasis_falls_back_to_on_space():
     model, sig = powerset_zoo(2)[-1]
-    eager = dataclasses.replace(sig.functor, subbasis=None)
+    eager = dataclasses.replace(sig.functor, subbasis=None, elements=None)
     image = eager.on_space(model.space)
-    assert image_subbasis(eager, model.space) == (image.carrier, image.sorted_opens())
+    at = model.sigma.target
+    assert image_subbasis(eager, model.space, at) == \
+        tuple(restrict(o, at) for o in image.sorted_opens())
+    assert image_subbasis(eager, model.space, image.carrier) == image.sorted_opens()
 
 
 def _relations(m: Model):
@@ -109,7 +127,7 @@ def _relations(m: Model):
 def test_am_mediating_maps_are_continuous_into_the_eager_image():
     accepted = refused = 0
     for m, sig in powerset_zoo(2, dens=(1, 2)) + identity_zoo(3, dens=(1,)):
-        eager = dataclasses.replace(sig.functor, subbasis=None)
+        eager = FunctorInstance(sig.functor.name, sig.functor.on_space, sig.functor.on_map)
         eager_sig = Signature(eager, sig.liftings)
         for rel in _relations(m):
             report = is_am_bisimulation(rel, m, m, sig)
@@ -136,9 +154,7 @@ def test_am_refuses_when_no_choice_is_continuous():
 
     def model(opens, sigma_sets):
         space = FuzzySpace(carrier, lat, frozenset(crisp(*o) for o in opens))
-        atoms = image_subbasis(sig.functor, space)[0]
-        sigma = CarrierMap(carrier, atoms,
-                           tuple(powerset_atom_name(crisp(*v)) for v in sigma_sets))
+        sigma = CarrierMap.onto(carrier, [crisp(*v) for v in sigma_sets])
         m = Model.create(space, sigma, {"p": crisp(1, 1, 1)})
         assert validate_model(m, sig)
         return m
@@ -150,7 +166,7 @@ def test_am_refuses_when_no_choice_is_continuous():
                                          ("s2", "s0"), ("s2", "s2")])
     report = is_am_bisimulation(rel, m1, m2, sig)
     assert not report.verdict and "none assemble" in report.witnesses[0].note
-    eager = dataclasses.replace(sig.functor, subbasis=None)
+    eager = dataclasses.replace(sig.functor, subbasis=None, elements=None)
     assert is_am_bisimulation(rel, m1, m2, Signature(eager, sig.liftings)) == report
 
 

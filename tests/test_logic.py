@@ -165,7 +165,7 @@ def test_box_worked_value():
 
     dia = sig.lifting("dia")
     dual_route = fs_complement(inverse_image(
-        model.sigma, dia.apply(model.space, (fs_complement(vp),))))
+        model.sigma, dia.apply(model.space, (fs_complement(vp),), model.sigma.target)))
     assert dual_route == result
 
 

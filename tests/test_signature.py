@@ -18,7 +18,7 @@ from fgml import (
 )
 from fgml.errors import DiscontinuousMapError, ResourceLimitError, UnknownModalityError
 from fgml.fuzzyset import all_fuzzy_sets
-from fgml.signature import Lifting, Signature, powerset_atom_name
+from fgml.signature import Lifting, Signature
 from fgml.topology import discrete_space, indiscrete_space
 
 D1 = make_lattice(1)
@@ -60,12 +60,11 @@ def test_powerset_carrier_boolean_point():
     functor, sig = fuzzy_powerset_functor(D1, ("dia",))
     space = discrete_space(single, D1)
     image = functor.on_space(space)
-    assert image.carrier.elements == ("0/1", "1/1")
-    dia = sig.lifting("dia")
-    top = FuzzySet.full(single, D1)
-    lifted = dia.apply(space, (top,))
-    assert lifted("1/1") == D1.top
-    assert lifted("0/1") == D1.bottom
+    bottom, top = FuzzySet.empty(single, D1), FuzzySet.full(single, D1)
+    assert image.carrier.elements == (bottom, top)
+    lifted = sig.lifting("dia").apply(space, (top,))
+    assert lifted(top) == D1.top
+    assert lifted(bottom) == D1.bottom
 
 
 def test_dia_of_bottom_is_bottom():
@@ -80,8 +79,9 @@ def test_dia_sup_min_worked_value():
     space = generate_topology(XY, D2, [fs(XY, D2, 2, 1)])
     mu = fs(XY, D2, 2, 1)
     lifted = sig.lifting("dia").apply(space, (mu,))
-    nu_atom = powerset_atom_name(fs(XY, D2, 0, 2))
-    assert str(lifted(nu_atom)) == "1/2"
+    assert str(lifted(fs(XY, D2, 0, 2))) == "1/2"
+    at = Carrier((fs(XY, D2, 0, 2), fs(XY, D2, 2, 0)))
+    assert str(sig.lifting("dia").apply(space, (mu,), at)) == "{{x:0/2, y:2/2}:1/2, {x:2/2, y:0/2}:2/2}"
 
 
 def test_dual_of_dia_is_box_pointwise():
@@ -122,7 +122,7 @@ def test_antitone_lifting_reported():
     functor, sig = identity_functor()
     from fgml.fuzzyset import fs_complement
 
-    antitone = Lifting("neg", 1, functor, lambda space, args: fs_complement(args[0]))
+    antitone = Lifting("neg", 1, functor, lambda space, args, at: fs_complement(args[0]))
     space = discrete_space(XY, D2)
     check = check_monotone(antitone, space)
     assert not check.ok
@@ -179,8 +179,8 @@ def test_broken_lifting_fails_naturality():
     # the sup over states replaced by reading one fixed slot
     functor, sig = fuzzy_powerset_functor(D2, ("dia",))
 
-    def broken(space, args):
-        good = sig.lifting("dia").apply(space, args)
+    def broken(space, args, at):
+        good = sig.lifting("dia").apply(space, args, at)
         first = args[0](space.carrier.elements[0])
         return FuzzySet.constant(good.carrier, D2, first)
 
@@ -241,17 +241,18 @@ class FunctorWithTopology:
 def test_functor_laws_on_map():
     functor, _ = fuzzy_powerset_functor(D2, ("dia",))
     spaces = spaces_xy()[:3]
+    values = all_fuzzy_sets(XY, D2)
     for space in spaces:
         image_id = functor.on_map(CarrierMap.identity(XY), space, space)
-        assert image_id.assignment == image_id.source.elements
+        assert all(image_id(nu) == nu for nu in values)
     for s1, s2, s3 in product(spaces, repeat=3):
         for a1 in product(XY.elements, repeat=2):
             f = CarrierMap(XY, XY, a1)
             for a2 in product(XY.elements, repeat=2):
                 g = CarrierMap(XY, XY, a2)
                 lhs = functor.on_map(g.compose(f), s1, s3)
-                rhs = functor.on_map(g, s2, s3).compose(functor.on_map(f, s1, s2))
-                assert lhs.assignment == rhs.assignment
+                image_f, image_g = functor.on_map(f, s1, s2), functor.on_map(g, s2, s3)
+                assert all(lhs(nu) == image_g(image_f(nu)) for nu in values)
 
 
 def test_on_map_preserves_continuity():
@@ -264,8 +265,11 @@ def test_on_map_preserves_continuity():
                 if not is_continuous(f, source, target):
                     continue
                 image_f = functor.on_map(f, source, target)
-                assert is_continuous(image_f, functor.on_space(source),
-                                     functor.on_space(target))
+                image_s, image_t = functor.on_space(source), functor.on_space(target)
+                assert is_continuous(
+                    CarrierMap(image_s.carrier, image_t.carrier,
+                               tuple(map(image_f, image_s.carrier))),
+                    image_s, image_t)
 
 
 def test_resource_guard():
