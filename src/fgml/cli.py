@@ -22,7 +22,7 @@ from itertools import product
 from .bisim import greatest_sigma_bisimulation, is_am_bisimulation, is_sigma_bisimulation
 from .errors import DocumentError, FgmlError, ResourceLimitError, UnknownModalityError
 from .frames import duality_check
-from .fuzzyset import DEFAULT_MAX_SIZE, Carrier, CarrierMap, FuzzySet, Relation
+from .fuzzyset import DEFAULT_MAX_SIZE, Carrier, CarrierMap, FuzzySet, Relation, _from_bits, _pack
 from .grades import GradeLattice, make_lattice
 from .logic import (
     Model,
@@ -69,11 +69,13 @@ def _fuzzy_set_from_doc(obj, carrier: Carrier, lattice: GradeLattice,
     missing = [e for e in carrier if e not in obj]
     if missing:
         raise DocumentError(f"{what} is missing elements {missing}")
+    table = lattice.numerators  # any other form goes through parse and its errors
     try:
-        grades = tuple(lattice.parse(obj[e]) for e in carrier)
+        nums = [table[g] if isinstance(g := obj[e], str) and g in table
+                else lattice.parse(g).num for e in carrier]
     except (ValueError, FgmlError) as exc:
         raise DocumentError(f"{what}: {exc}") from None
-    return FuzzySet(carrier, lattice, grades)
+    return _from_bits(carrier, lattice, _pack(nums, lattice.den))
 
 
 def _fuzzy_set_to_doc(fs: FuzzySet) -> dict:
@@ -335,6 +337,8 @@ def _cmd_sig(args) -> int:
     n = len(space.carrier)
     if n ** n > args.max_size:
         raise ResourceLimitError("self-map enumeration", n ** n, args.max_size)
+    # first, so that a guard it trips refuses before the slower checks run
+    characteristic = check_characteristic(sig, space, args.max_size)
     lines = []
     ok = True
     for lifting in sig.liftings:
@@ -355,7 +359,6 @@ def _cmd_sig(args) -> int:
     lines.append(f"natural: {'PASS' if natural_ok else 'FAIL'} "
                  "(all continuous self-maps)")
     ok = ok and natural_ok
-    characteristic = check_characteristic(sig, space, args.max_size)
     lines.append(f"characteristic: {'PASS' if characteristic else 'FAIL'}")
     ok = ok and characteristic
     _emit(args, {"ok": ok, "lines": lines}, lines)

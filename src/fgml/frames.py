@@ -9,7 +9,10 @@ mask operations. Points are frame homomorphisms into a grade chain, read
 off the multichains of join-irreducible elements (Birkhoff's
 representation of finite distributive lattices), so sobriety and
 spatiality verdicts are always relative to the chosen lattice and
-reported as such.
+reported as such. A point space's carrier holds each point as its tuple
+of numerators in element order, and its opens are exactly the
+evaluation opens h -> h(a), which points keep closed under meets and
+joins.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
 )
 from .fuzzyset import DEFAULT_MAX_SIZE, Carrier, CarrierMap, FuzzySet, direct_image, inverse_image
 from .grades import Grade, GradeLattice
-from .topology import FuzzySpace, generate_topology, is_continuous, opens_frame
+from .topology import FuzzySpace, is_continuous, opens_frame
 
 
 @dataclass(frozen=True)
@@ -221,30 +224,26 @@ def points(frame: FiniteFrame, lattice: GradeLattice,
     return tuple(FramePoint(frame, tuple(vals[k] for k in nums)) for nums in found)
 
 
-def named_points(frame: FiniteFrame, lattice: GradeLattice,
-                 max_size: int = DEFAULT_MAX_SIZE
-                 ) -> tuple[tuple[str, FramePoint], ...]:
-    """Points with their canonical carrier-atom names."""
-    return tuple((f"pt({','.join(str(g) for g in p.values)})", p)
-                 for p in points(frame, lattice, max_size))
-
-
 def _point_space(frame: FiniteFrame, lattice: GradeLattice, max_size: int):
-    """The named points, the evaluation open h -> h(a) of each element a,
-    and the topology those opens generate on the points."""
-    named = named_points(frame, lattice, max_size)
-    carrier = Carrier(tuple(name for name, _ in named))
-    evaluation = {a: FuzzySet(carrier, lattice, tuple(p(a) for _, p in named))
-                  for a in frame.elements}
-    return named, evaluation, generate_topology(carrier, lattice, evaluation.values(),
-                                                max_size)
+    """The evaluation open h -> h(a) of each element a, on the carrier of
+    points held as their numerator tuples in element order, and the space
+    of those opens. Points keep h(a & b) = min, h(a | b) = max, h(bottom) = 0
+    and h(top) = 1, so the evaluation opens are closed under meets and
+    joins and hold both constants: they are the topology they generate
+    (Johnstone, "Stone Spaces", 1982, II.1)."""
+    carrier = Carrier(tuple(tuple(g.num for g in p.values)
+                            for p in points(frame, lattice, max_size)))
+    vals = lattice.values
+    evaluation = {a: FuzzySet(carrier, lattice, tuple(vals[h[i]] for h in carrier))
+                  for i, a in enumerate(frame.elements)}
+    return evaluation, FuzzySpace(carrier, lattice, frozenset(evaluation.values()))
 
 
 def point_topology(frame: FiniteFrame, lattice: GradeLattice,
                    max_size: int = DEFAULT_MAX_SIZE) -> FuzzySpace:
     """Space of points with the topology generated by evaluation opens:
-    one generator per frame element a, valued h -> h(a)."""
-    return _point_space(frame, lattice, max_size)[2]
+    one open per frame element a, valued h -> h(a)."""
+    return _point_space(frame, lattice, max_size)[1]
 
 
 def pt_on_morphism(f: Mapping[Hashable, Hashable], source: FiniteFrame,
@@ -254,16 +253,10 @@ def pt_on_morphism(f: Mapping[Hashable, Hashable], source: FiniteFrame,
     as a map from the points of the target to the points of the source."""
     if not is_frame_hom(f, source, target):
         raise PreconditionError("pt_on_morphism requires a frame homomorphism")
-    src_named = named_points(source, lattice, max_size)
-    tgt_named = named_points(target, lattice, max_size)
-    src_by_values = {p.values: name for name, p in src_named}
-    assignment = []
-    for _, h in tgt_named:
-        composite = tuple(h(f[a]) for a in source.elements)
-        assignment.append(src_by_values[composite])
-    return CarrierMap(Carrier(tuple(n for n, _ in tgt_named)),
-                      Carrier(tuple(n for n, _ in src_named)),
-                      tuple(assignment))
+    src, tgt = (point_topology(frame, lattice, max_size).carrier
+                for frame in (source, target))
+    at = [target._index[f[a]] for a in source.elements]
+    return CarrierMap(tgt, src, tuple(tuple(h[i] for i in at) for h in tgt))
 
 
 def _bijective(eta: CarrierMap) -> bool:
@@ -279,10 +272,9 @@ def state_point_map(space: FuzzySpace, max_size: int = DEFAULT_MAX_SIZE
     if pairs > max_size:  # before opens_frame compares every pair of opens
         raise ResourceLimitError("point enumeration", pairs, max_size)
     frame = opens_frame(space)
-    named, evaluation, point_space = _point_space(frame, space.lattice, max_size)
-    by_values = {p.values: name for name, p in named}
-    eta = CarrierMap(space.carrier, point_space.carrier, tuple(
-        by_values[tuple(o(s) for o in frame.elements)] for s in space.carrier))
+    evaluation, point_space = _point_space(frame, space.lattice, max_size)
+    eta = CarrierMap(space.carrier, point_space.carrier,
+                     tuple(zip(*(o.key() for o in frame.elements))))
     return eta, point_space, frame, evaluation
 
 

@@ -1,18 +1,19 @@
 """Fuzzy sets over finite carriers, maps between carriers, crisp relations.
 
-A carrier is an ordered tuple of distinct hashable atoms: state names, or
-the elements of a functor image such as fuzzy sets. A fuzzy set over the
-chain {0, 1/d, ..., 1} is stored as one int, `bits`, of n fields of d bits
-each, one field per atom with the first atom most significant; grade k/d
-is the field's low k bits, so bit j of a field is set iff the grade is
-above j/d. Meet and join are one `&` and `|`, `<=` is one `& ~`, an image
-along a map or relation moves one field per edge, and a point value is the
-bit length of one field. Because a field's value grows with its grade,
-the int order of `bits` is the numerator-tuple order of `key()`, so
-families sort on `bits` directly. Grade objects are built only at the
-boundary: by the checked constructor, `.grades`, calls, `key()`,
-`as_dict()` and `str()`. Suprema over empty index sets are the lattice
-bottom, infima the top. Everything here is an immutable value.
+A carrier is an ordered tuple of distinct hashable atoms, each the value
+it stands for: a state name, an element of a functor image such as a fuzzy
+set, a relation's (l, r) pair, or a frame point's numerator tuple. A fuzzy
+set over the chain {0, 1/d, ..., 1} is stored as one int, `bits`, of n
+fields of d bits each, one field per atom with the first atom most
+significant; grade k/d is the field's low k bits, so bit j of a field is
+set iff the grade is above j/d. Meet and join are one `&` and `|`, `<=` is
+one `& ~`, an image along a map or relation moves one field per edge, and
+a point value is the bit length of one field. Because a field's value
+grows with its grade, the int order of `bits` is the numerator-tuple order
+of `key()`, so families sort on `bits` directly. Grade objects are built
+only at the boundary: by the checked constructor, `.grades`, calls,
+`key()`, `as_dict()` and `str()`. Suprema over empty index sets are the
+lattice bottom, infima the top. Everything here is an immutable value.
 """
 
 from __future__ import annotations
@@ -122,14 +123,6 @@ class FuzzySet:
         field = (1 << d) - 1
         return tuple((bits >> shift & field).bit_length()
                      for shift in range((len(self.carrier) - 1) * d, -1, -d))
-
-    @property
-    def cuts(self) -> tuple[int, ...]:
-        """The d level cuts: bit i of cut k is set iff element i has grade
-        at least k/d."""
-        nums = self.key()
-        return tuple(sum(1 << i for i, x in enumerate(nums) if x >= k)
-                     for k in range(1, self.lattice.den + 1))
 
     @property
     def grades(self) -> tuple[Grade, ...]:
@@ -274,16 +267,13 @@ def inverse_image(f: CarrierMap, b: FuzzySet) -> FuzzySet:
         b.bits, b.lattice.den, [(j, i) for i, j in f._edges]))
 
 
-_ESCAPE = str.maketrans({c: "\\" + c for c in "\\,()"})
-
-
 @dataclass(frozen=True)
 class Relation:
-    """Crisp subset of left x right, held as name pairs."""
+    """Crisp subset of left x right, held as (l, r) pairs of atoms."""
 
     left: Carrier
     right: Carrier
-    pairs: frozenset[tuple[str, str]]
+    pairs: frozenset[tuple[Hashable, Hashable]]
 
     def __post_init__(self):
         for l, r in self.pairs:
@@ -297,7 +287,7 @@ class Relation:
 
     @classmethod
     def of(cls, left: Carrier, right: Carrier,
-           pairs: Iterable[tuple[str, str]]) -> "Relation":
+           pairs: Iterable[tuple[Hashable, Hashable]]) -> "Relation":
         return cls(left, right, frozenset(pairs))
 
     @classmethod
@@ -309,27 +299,23 @@ class Relation:
         return cls(f.source, f.target,
                    frozenset((e, f(e)) for e in f.source))
 
-    def sorted_pairs(self) -> tuple[tuple[str, str], ...]:
+    def sorted_pairs(self) -> tuple[tuple[Hashable, Hashable], ...]:
         """Pairs in left-major carrier order; the canonical enumeration."""
         order_l = {e: i for i, e in enumerate(self.left.elements)}
         order_r = {e: i for i, e in enumerate(self.right.elements)}
         return tuple(sorted(self.pairs, key=lambda p: (order_l[p[0]], order_r[p[1]])))
 
     def pair_carrier(self) -> Carrier:
-        """The relation's pairs as a carrier of '(l,r)' atoms; a backslash
-        escapes each '\\', ',', '(' and ')' inside a name, so distinct
-        pairs get distinct atoms."""
-        return Carrier(tuple(f"({l.translate(_ESCAPE)},{r.translate(_ESCAPE)})"
-                             for l, r in self.sorted_pairs()))
+        """The relation's pairs as a carrier whose atoms are the (l, r)
+        pairs themselves, in canonical order."""
+        return Carrier(self.sorted_pairs())
 
     def projections(self) -> tuple[CarrierMap, CarrierMap]:
-        pairs = self.sorted_pairs()
         pc = self.pair_carrier()
-        pi1 = CarrierMap(pc, self.left, tuple(l for l, _ in pairs))
-        pi2 = CarrierMap(pc, self.right, tuple(r for _, r in pairs))
-        return pi1, pi2
+        return (CarrierMap(pc, self.left, tuple(l for l, _ in pc)),
+                CarrierMap(pc, self.right, tuple(r for _, r in pc)))
 
-    def __contains__(self, pair: tuple[str, str]) -> bool:
+    def __contains__(self, pair: tuple[Hashable, Hashable]) -> bool:
         return pair in self.pairs
 
     def __len__(self) -> int:

@@ -63,6 +63,11 @@ class GradeLattice:
     def values(self) -> tuple[Grade, ...]:
         return tuple(Grade(k, self.den) for k in range(self.den + 1))
 
+    @cached_property
+    def numerators(self) -> dict[str, int]:
+        """The numerator k of each canonical grade string "k/d"."""
+        return {str(g): g.num for g in self.values}
+
     @property
     def bottom(self) -> Grade:
         return Grade(0, self.den)

@@ -5,7 +5,10 @@ import pytest
 
 from fgml import (
     Carrier,
+    CarrierMap,
     FuzzySet,
+    FuzzySpace,
+    Model,
     Relation,
     coherent_pairs,
     greatest_sigma_bisimulation,
@@ -204,7 +207,48 @@ def test_am_identity_relation_identity_functor():
     gamma = report.mediating
     # the mediating map mirrors the structure map on the diagonal
     for a in carrier:
-        assert gamma(f"({a},{a})") == f"({model.sigma(a)},{model.sigma(a)})"
+        assert gamma((a, a)) == (model.sigma(a), model.sigma(a))
+
+
+SEPARATOR_NAMES = ("x,y", "(x", "y)", "\\")  # what a "(l,r)" name would have to escape
+
+
+def renamed(model, names):
+    """The model with its i-th state called names[i]."""
+    lat, old = model.space.lattice, model.space.carrier
+    carrier = Carrier(names[:len(old)])
+
+    def move(v):
+        return FuzzySet(carrier, lat, v.grades)
+
+    if model.sigma.target == old:  # identity functor: sigma goes into the states
+        to = dict(zip(old, carrier))
+        sigma = CarrierMap(carrier, carrier, tuple(to[t] for t in model.sigma.assignment))
+    else:
+        sigma = CarrierMap.onto(carrier, [move(v) for v in model.sigma.assignment])
+    return Model.create(FuzzySpace(carrier, lat, frozenset(map(move, model.space.opens))),
+                        sigma, {name: move(v) for name, v in model.valuation})
+
+
+def test_separator_names_keep_coherent_pairs_and_am_verdicts():
+    rng = random.Random(11)
+    verdicts = set()
+    for model, sig in identity_zoo(3) + powerset_zoo(3):
+        n = len(model.space.carrier)
+        other = renamed(model, SEPARATOR_NAMES)
+        for picks in ([(i, i) for i in range(n)],
+                      rng.sample(list(product(range(n), repeat=2)), min(3, n * n))):
+            rel, twin = (Relation.of(m.space.carrier, m.space.carrier,
+                                     [(m.space.carrier.elements[i], m.space.carrier.elements[j])
+                                      for i, j in picks]) for m in (model, other))
+            assert twin.pair_carrier().elements == tuple(
+                (SEPARATOR_NAMES[i], SEPARATOR_NAMES[j]) for i, j in sorted(picks))
+            assert [(a.key(), b.key()) for a, b in coherent_pairs(twin, other.space, other.space)] \
+                == [(a.key(), b.key()) for a, b in coherent_pairs(rel, model.space, model.space)]
+            verdict = is_am_bisimulation(rel, model, model, sig).verdict
+            assert is_am_bisimulation(twin, other, other, sig).verdict == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_am_diagonal_on_m1():

@@ -9,12 +9,15 @@ import pytest
 
 from fgml.cli import (
     LoadedModel,
+    _fuzzy_set_from_doc,
     load_document,
     load_model,
     model_to_document,
     run_command,
 )
-from fgml.errors import DocumentError
+from fgml.errors import DocumentError, FgmlError
+from fgml.fuzzyset import Carrier, FuzzySet
+from fgml.grades import make_lattice
 from fgml.logic import MAX_NESTING, parse_formula
 
 from modelgen import FIXTURES, duplicate_state, m1_model
@@ -263,6 +266,65 @@ def test_cli_sig_check_guards_the_self_maps(tmp_path, capsys):
     assert run_command(["--max-size", "3124", "sig", "check", "-m", str(path)]) == 2
     assert "needs 3125 entries" in capsys.readouterr().err
     assert run_command(["sig", "check", "-m", str(path)]) == 0
+
+
+def test_cli_sig_check_refuses_before_the_lifting_checks(tmp_path, capsys, monkeypatch):
+    # every fuzzy set on 4 states is open at d=3, so the topology on the
+    # 4^4 values of T S outgrows the default guard of 4096 opens
+    def refuse(*args):
+        raise AssertionError("a lifting check ran before the guard")
+
+    monkeypatch.setattr("fgml.cli.check_monotone", refuse)
+    monkeypatch.setattr("fgml.cli.check_natural", refuse)
+    states = ["a", "b", "c", "d"]
+    doc = {"lattice": 3, "functor": "fuzzy-powerset", "modalities": ["dia", "box"],
+           "carrier": states,
+           "opens": [{s: f"{k}/3" for s, k in zip(states, nums)}
+                     for nums in product(range(4), repeat=4)],
+           "sigma": {s: {t: "1/3" if s == t else "0/3" for t in states} for s in states},
+           "valuation": {}}
+    path = tmp_path / "discrete_d3n4.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["sig", "check", "-m", str(path)]) == 2
+    assert "topology generation needs 4097 entries" in capsys.readouterr().err
+
+
+def _parsed_fuzzy_set(obj, carrier, lattice, what):
+    """The loader as it was before the grade table: every grade through parse."""
+    try:
+        grades = tuple(lattice.parse(obj[e]) for e in carrier)
+    except (ValueError, FgmlError) as exc:
+        raise DocumentError(f"{what}: {exc}") from None
+    return FuzzySet(carrier, lattice, grades)
+
+
+def _outcome(read, obj, carrier, lattice):
+    try:
+        return read(obj, carrier, lattice, "open #0")
+    except DocumentError as exc:
+        return str(exc)
+
+
+GRADE_FORMS = ["0/2", "1/2", "2/2", "01/2", " 1/2", "1/ 2", "+1/2", "3/2", "-1/2", "1/3",
+               "1/2/2", "1/", "/2", "", "x", "1_0/2", 1, 0.5, None, True, [1], {"1": 2}]
+
+
+def test_grade_table_reads_every_form_as_parse_does():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    carrier, lattice = Carrier(("s", "t")), make_lattice(2)
+
+    def check(first, second):
+        obj = {"s": first, "t": second}
+        assert _outcome(_fuzzy_set_from_doc, obj, carrier, lattice) == \
+            _outcome(_parsed_fuzzy_set, obj, carrier, lattice)
+
+    for form in GRADE_FORMS:
+        check("1/2", form)
+        check(form, "x")
+    forms = st.one_of(st.sampled_from(GRADE_FORMS), st.text("012/ +-x", max_size=5))
+    hypothesis.settings(max_examples=300, deadline=None, derandomize=True)(
+        hypothesis.given(forms, forms)(check))()
 
 
 def test_cli_json_output(capsys):

@@ -220,6 +220,18 @@ def test_points_match_brute_force(name, d):
         [p.values for p in brute_points(frame, lattice)]
 
 
+@pytest.mark.parametrize("name,d", [(name, d) for name in FRAMES for d in DENS])
+def test_point_space_is_its_evaluation_opens(name, d):
+    # points, checked against brute_points above, reach every frame here
+    frame, lattice = FRAMES[name], make_lattice(d)
+    space = point_topology(frame, lattice, LIMIT)
+    found = points(frame, lattice, LIMIT)
+    assert space.carrier.elements == tuple(tuple(g.num for g in p.values) for p in found)
+    evaluation = [FuzzySet(space.carrier, lattice, tuple(p(a) for p in found))
+                  for a in frame.elements]
+    assert space.opens == generate_topology(space.carrier, lattice, evaluation, LIMIT).opens
+
+
 def test_spatial_matches_oracle():
     checked = 0
     for name, d in CASES:

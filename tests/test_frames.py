@@ -15,7 +15,7 @@ from fgml import (
     pt_on_morphism,
 )
 from fgml.errors import MalformedFrameError, NotSoberError, PreconditionError
-from fgml.frames import FiniteFrame, named_points
+from fgml.frames import FiniteFrame
 from fgml.topology import discrete_space, indiscrete_space
 
 D1 = make_lattice(1)
@@ -125,7 +125,7 @@ def test_pt_on_morphism_collapses():
     embed = {"bot": "bot", "top": "top"}
     m = pt_on_morphism(embed, CHAIN2, CHAIN3, D2)
     assert len(m.source) == 3
-    assert len(set(m.assignment)) == 1
+    assert m.assignment == ((0, 2),) * 3
 
 
 def test_pt_on_morphism_rejects_non_hom():
@@ -179,9 +179,10 @@ def test_duality_rejects_non_sober():
         duality_check(indiscrete_space(Carrier(("x", "y")), D2))
 
 
-def test_named_points_deterministic():
-    names = [n for n, _ in named_points(CHAIN3, D2)]
-    assert names == sorted(names)
+def test_point_carrier_is_sorted_numerator_tuples():
+    atoms = point_topology(CHAIN3, D2).carrier.elements
+    assert atoms == tuple(sorted(atoms)) == ((0, 0, 2), (0, 1, 2), (0, 2, 2))
+    assert atoms == tuple(tuple(g.num for g in p.values) for p in points(CHAIN3, D2))
 
 
 def test_opens_frame_is_frame_across_zoo():

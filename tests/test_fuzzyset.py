@@ -128,10 +128,21 @@ def test_relation_pairs_validated():
 
 def test_pair_carrier_deterministic():
     r = Relation.of(XY, UV, [("y", "u"), ("x", "v"), ("x", "u")])
-    assert r.pair_carrier().elements == ("(x,u)", "(x,v)", "(y,u)")
+    assert r.pair_carrier().elements == (("x", "u"), ("x", "v"), ("y", "u"))
     pi1, pi2 = r.projections()
     assert pi1.assignment == ("x", "x", "y")
     assert pi2.assignment == ("u", "v", "u")
+
+
+def test_pair_atoms_keep_names_with_separators_apart():
+    # written "(l,r)" without escapes, the first two pairs would both be "(x,y,z)"
+    left, right = Carrier(("x", "x,y", "(a", "\\")), Carrier(("y,z", "z", "b)", "\\"))
+    pairs = [("x,y", "z"), ("x", "y,z"), ("(a", "b)"), ("\\", "\\"), ("(a", "\\")]
+    r = Relation.of(left, right, pairs)
+    atoms = r.pair_carrier().elements
+    assert len(atoms) == len(pairs) and set(atoms) == set(pairs)
+    pi1, pi2 = r.projections()
+    assert [(pi1(p), pi2(p)) for p in atoms] == list(atoms)
 
 
 @pytest.mark.parametrize("enumerate_grades", [
