@@ -80,7 +80,6 @@ from .topology import (
     is_continuous,
     is_t0,
     is_topology,
-    opens_frame,
     subspace_topology,
 )
 

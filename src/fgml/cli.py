@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -367,7 +368,7 @@ def _cmd_sig(args) -> int:
 
 def _cmd_duality(args) -> int:
     lm = load_model(args.model, args.max_size)
-    report = duality_check(lm.model.space, args.max_size)
+    report = duality_check(lm.model.space)
     _emit(args, {"passed": report.passed,
                  "items": [[name, ok] for name, ok in report.items]},
           str(report).split("\n"))
@@ -447,7 +448,13 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; exit's own flush must not fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

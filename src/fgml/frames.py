@@ -9,10 +9,12 @@ mask operations. Points are frame homomorphisms into a grade chain, read
 off the multichains of join-irreducible elements (Birkhoff's
 representation of finite distributive lattices), so sobriety and
 spatiality verdicts are always relative to the chosen lattice and
-reported as such. A point space's carrier holds each point as its tuple
-of numerators in element order, and its opens are exactly the
-evaluation opens h -> h(a), which points keep closed under meets and
-joins.
+reported as such. A space's opens frame is never built as a table: its
+join-irreducibles are the space's distinct primes (see `topology`), so
+sobriety counts their multichains. A point space's carrier holds each
+point as its tuple of numerators in element order, and its opens are
+exactly the evaluation opens h -> h(a), which points keep closed under
+meets and joins.
 """
 
 from __future__ import annotations
@@ -20,17 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Mapping
 
-from .errors import (
-    MalformedFrameError,
-    NotSoberError,
-    PreconditionError,
-    ResourceLimitError,
-)
+from .errors import MalformedFrameError, NotSoberError, PreconditionError, ResourceLimitError
 from .fuzzyset import DEFAULT_MAX_SIZE, Carrier, CarrierMap, FuzzySet, direct_image, inverse_image
 from .grades import Grade, GradeLattice
-from .topology import FuzzySpace, is_continuous, opens_frame
+from .topology import FuzzySpace, _primes, is_continuous, is_t0, is_topology
 
 
 @dataclass(frozen=True)
@@ -224,18 +221,17 @@ def points(frame: FiniteFrame, lattice: GradeLattice,
     return tuple(FramePoint(frame, tuple(vals[k] for k in nums)) for nums in found)
 
 
-def _point_space(frame: FiniteFrame, lattice: GradeLattice, max_size: int):
+def _point_space(elements: tuple[Hashable, ...], nums: Iterable[tuple[int, ...]],
+                 lattice: GradeLattice):
     """The evaluation open h -> h(a) of each element a, on the carrier of
     points held as their numerator tuples in element order, and the space
     of those opens. Points keep h(a & b) = min, h(a | b) = max, h(bottom) = 0
     and h(top) = 1, so the evaluation opens are closed under meets and
     joins and hold both constants: they are the topology they generate
     (Johnstone, "Stone Spaces", 1982, II.1)."""
-    carrier = Carrier(tuple(tuple(g.num for g in p.values)
-                            for p in points(frame, lattice, max_size)))
-    vals = lattice.values
+    carrier, vals = Carrier(tuple(nums)), lattice.values
     evaluation = {a: FuzzySet(carrier, lattice, tuple(vals[h[i]] for h in carrier))
-                  for i, a in enumerate(frame.elements)}
+                  for i, a in enumerate(elements)}
     return evaluation, FuzzySpace(carrier, lattice, frozenset(evaluation.values()))
 
 
@@ -243,7 +239,8 @@ def point_topology(frame: FiniteFrame, lattice: GradeLattice,
                    max_size: int = DEFAULT_MAX_SIZE) -> FuzzySpace:
     """Space of points with the topology generated by evaluation opens:
     one open per frame element a, valued h -> h(a)."""
-    return _point_space(frame, lattice, max_size)[1]
+    nums = (tuple(g.num for g in p.values) for p in points(frame, lattice, max_size))
+    return _point_space(frame.elements, nums, lattice)[1]
 
 
 def pt_on_morphism(f: Mapping[Hashable, Hashable], source: FiniteFrame,
@@ -259,28 +256,29 @@ def pt_on_morphism(f: Mapping[Hashable, Hashable], source: FiniteFrame,
     return CarrierMap(tgt, src, tuple(tuple(h[i] for i in at) for h in tgt))
 
 
-def _bijective(eta: CarrierMap) -> bool:
-    return len(set(eta.assignment)) == len(eta.source) == len(eta.target)
+def is_sober(space: FuzzySpace) -> bool:
+    """True iff the state-to-point map s -> (open g -> g(s)) into the points
+    of the opens frame is bijective (lattice-relative).
 
-
-def state_point_map(space: FuzzySpace, max_size: int = DEFAULT_MAX_SIZE
-                    ) -> tuple[CarrierMap, FuzzySpace, FiniteFrame, dict[FuzzySet, FuzzySet]]:
-    """The canonical map s -> (open g -> g(s)) into the points of the
-    opens frame, plus the point space, the opens frame, and each open's
-    evaluation open h -> h(g) in the point space."""
-    pairs = len(space.opens) ** 2
-    if pairs > max_size:  # before opens_frame compares every pair of opens
-        raise ResourceLimitError("point enumeration", pairs, max_size)
-    frame = opens_frame(space)
-    evaluation, point_space = _point_space(frame, space.lattice, max_size)
-    eta = CarrierMap(space.carrier, point_space.carrier,
-                     tuple(zip(*(o.key() for o in frame.elements))))
-    return eta, point_space, frame, evaluation
-
-
-def is_sober(space: FuzzySpace, max_size: int = DEFAULT_MAX_SIZE) -> bool:
-    """True iff the state-to-point map is bijective (lattice-relative)."""
-    return _bijective(state_point_map(space, max_size)[0])
+    Precondition: the opens are a topology; otherwise PreconditionError.
+    The join-irreducible opens are the distinct primes of `topology`, so
+    the points are their multichains j_1 <= ... <= j_d, and state s is the
+    point j(s,1) <= ... <= j(s,d). Sober iff these n chains are distinct
+    (T0) and there are n multichains, counted one length at a time.
+    """
+    check = is_topology(space)
+    if not check:
+        raise PreconditionError(f"sobriety requires a topology: {check.violation}")
+    n = len(space.carrier)
+    irreducible = set(_primes((o.bits for o in space.opens), n * space.lattice.den))
+    if len(irreducible) > n or not is_t0(space):  # each j <= ... <= j is a point
+        return False
+    ending = dict.fromkeys(irreducible, 1)  # multichains of length 1 ending at j
+    for _ in range(space.lattice.den - 1):
+        if sum(ending.values()) > n:
+            return False
+        ending = {j: sum(c for i, c in ending.items() if not i & ~j) for j in irreducible}
+    return sum(ending.values()) == n
 
 
 def is_spatial(frame: FiniteFrame, lattice: GradeLattice,
@@ -312,17 +310,21 @@ class DualityReport:
                          for name, ok in self.items)
 
 
-def duality_check(space: FuzzySpace, max_size: int = DEFAULT_MAX_SIZE) -> DualityReport:
+def duality_check(space: FuzzySpace) -> DualityReport:
     """Verify the state-to-point map is a fuzzy homeomorphism.
 
     Checks, one line each: bijectivity, fuzzy continuity, openness of
     direct images, and that each open's direct image is exactly the
     evaluation open of that open in the point space. A space that is
-    not sober raises NotSoberError.
+    not sober raises NotSoberError. On a sober space the points are the
+    states' numerator tuples over the opens, sorted.
     """
-    eta, point_space, _, evaluation = state_point_map(space, max_size)
-    if not _bijective(eta):
+    if not is_sober(space):
         raise NotSoberError("duality_check requires a sober space")
+    opens = space.sorted_opens()
+    states = tuple(zip(*(o.key() for o in opens)))
+    evaluation, point_space = _point_space(opens, sorted(states), space.lattice)
+    eta = CarrierMap(space.carrier, point_space.carrier, states)
     return DualityReport((
         ("eta bijective", True),  # the NotSoberError check above
         ("eta fuzzy continuous", is_continuous(eta, space, point_space)),

@@ -11,8 +11,8 @@ The grade to which a state satisfies a formula is the value of the
 formula's evaluation at that state; disjunction over the empty list is
 the constant-0 fuzzy set.
 
-Two closures compute the definable opens: the least family holding
-constant-1 and the valuations, closed under meet, join and each lifting
+Two closures compute the definable opens: the least family holding both
+constants and the valuations, closed under meet, join and each lifting
 composed with the structure map. `definable_opens` and
 `enumerate_formulas` keep a formula per member, through `_formula_closure`,
 which runs round by round and semi-naively (Bancilhon and Ramakrishnan,
@@ -25,10 +25,10 @@ one's formula (its first offer) are the naive ones.
 `classes` and `quotient` commands, need only the partition of the states
 and close the sets' packed `bits` instead. That partition is exact: a
 pointwise meet or join of sets that agree at s and t agrees there too,
-so the family splits the states exactly as its generators do (constant-1,
-the valuations, every modal pullback). The lattice closure is still
-needed, as a lifting is applied to meets and joins of generators; but
-once the generators separate every pair of states no finer partition
+so the family splits the states exactly as its generators do (the
+constants, the valuations, every modal pullback). The lattice closure is
+still needed, as a lifting is applied to meets and joins of generators;
+but once the generators separate every pair of states no finer partition
 exists, and the closure stops.
 """
 
@@ -369,15 +369,15 @@ def _formula_closure(models: Sequence[Model], sig: Signature, seeds: Sequence[Fo
 
 
 def definable_opens(m: Model, sig: Signature) -> dict[FuzzySet, Formula]:
-    """Least family containing constant-1 and the valuations, closed under
-    meet, join and each lifting composed with the structure map.
+    """Least family containing both constants and the valuations, closed
+    under meet, join and each lifting composed with the structure map.
 
     Every member keeps the first formula that produced it, so each
     definable open can be re-checked by direct evaluation. This is for
     callers that want the formulas; `modal_equivalence_classes` closes
     the same family without them.
     """
-    found = _formula_closure([m], sig, [Top(), *map(Prop, m.props)])
+    found = _formula_closure([m], sig, [Top(), Or(()), *map(Prop, m.props)])
     return {fs: formula for (fs,), formula in found.items()}
 
 
@@ -385,13 +385,14 @@ def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...]
     """Partition of the carrier by agreement on every definable open.
 
     Closes the family of `definable_opens` on packed `bits`, without
-    formulas (exact by the argument in the module docstring). A generator
-    not yet in the family (a valuation, or the pullback of a lifting's
-    value on family members) is swept into the meet basis with `&`, and
-    each new basis member over the family with `|`; as in
-    `generate_topology`, no fixpoint rounds are needed. Each step pulls
-    back only the argument tuples that use a member added since the step
-    before. The partition is refined by each generator's grades as it
+    formulas (exact by the argument in the module docstring), from both
+    constants. A generator not yet in the family (a valuation, or the
+    pullback of a lifting's value on family members) is swept into the
+    meet basis with `&`, and each new basis member over the family with
+    `|`. Meet and join are idempotent, commutative and associative, so
+    one sweep of each new member closes the family and no fixpoint
+    rounds are needed. Each step pulls back only the argument tuples
+    that use a member added since the step before. The partition is refined by each generator's grades as it
     arrives, and the closure stops once every state is alone. With the
     signature's generating liftings every member is an open of the model,
     so the family is no larger than the opens the load guard admitted.
@@ -402,7 +403,7 @@ def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...]
     space, carrier = m.space, m.space.carrier
     n = len(carrier)
     top = space.top_open.bits
-    family, basis, members = {top}, {top}, [top]  # members: family by arrival
+    family, basis, members = {top, 0}, {top, 0}, [top, 0]  # members: family by arrival
     labels, classes = (0,) * n, min(n, 1)  # states with equal labels share a class
 
     def generators():

@@ -5,16 +5,22 @@ opens. Over a finite carrier and a finite grade chain every family of
 fuzzy sets is finite, so closure under arbitrary joins coincides with
 closure under binary joins.
 
-Generation and validation work on each set's packed `bits`, so that a
-meet or a join is a single `&` or `|`. A family closed under such an
-idempotent, commutative, associative operation is its generators swept
-in turn over the growing family: no fixpoint rounds are needed.
+Generation and validation work on each set's packed `bits`, where bit
+(n-1-i)*d + k-1 is set iff the grade at state i is at least k/d. The
+prime j_b of a bit b is the meet of the constant 1 and the members with
+bit b set. In the topology a family generates, j_b is the smallest open
+holding bit b, every open is the join of the primes of its bits, and the
+distinct primes are exactly the join-irreducible opens: the fuzzy-point
+form of minimal neighbourhoods (Pu and Liu, "Fuzzy topology I", 1980)
+and of Birkhoff's representation. So the generated topology is the joins
+of at most n*d primes, swept in one prime at a time, and a family holding
+both constants is a topology iff that closure is no larger than it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import and_, attrgetter, or_
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import CarrierMismatchError, LatticeMismatchError, ResourceLimitError
@@ -26,8 +32,6 @@ from .fuzzyset import (
     Relation,
     _from_bits,
     all_fuzzy_sets,
-    fs_join,
-    fs_meet,
     inverse_image,
 )
 from .grades import GradeLattice
@@ -72,26 +76,51 @@ class TopologyCheck:
         return self.ok
 
 
+def _primes(family: Iterable[int], width: int) -> list[int]:
+    """The prime j_b of each bit b below `width`, indexed by b: the meet of
+    the constant 1 and the packed members with bit b set."""
+    primes = [(1 << width) - 1] * width
+    for p in family:
+        rest = p
+        while rest:
+            b = rest.bit_length() - 1
+            primes[b] &= p
+            rest ^= 1 << b
+    return primes
+
+
+def _closure(family: Iterable[int], width: int, limit: int) -> set[int] | None:
+    """The packed topology the family generates, as the joins of its
+    primes swept in one prime at a time; None once it holds more than
+    `limit` members. A sweep at most doubles the family."""
+    found = {0}
+    for j in set(_primes(family, width)):
+        found.update([j | x for x in found])
+        if len(found) > limit:
+            return None
+    return found
+
+
 def is_topology(space: FuzzySpace) -> TopologyCheck:
-    """Constants present and binary meet/join closure; first violation reported."""
-    opens = space.sorted_opens()
-    if space.bottom_open not in space.opens:
+    """Constants present and binary meet/join closure; first violation reported.
+
+    A family holding both constants is a topology iff the topology it
+    generates is no larger. Only a negative verdict walks the rows of
+    meets and joins in canonical order, for the first failing pair.
+    """
+    width = len(space.carrier) * space.lattice.den
+    family = {o.bits for o in space.opens}
+    if 0 not in family:
         return TopologyCheck(False, "constant-0 fuzzy set missing")
-    if space.top_open not in space.opens:
+    if (1 << width) - 1 not in family:
         return TopologyCheck(False, "constant-1 fuzzy set missing")
-    packed = [o.bits for o in opens]
-    family = set(packed)
-    for i, p in enumerate(packed):  # meet and join commute
-        if family.issuperset(map(p.__and__, packed[i:])) \
-                and family.issuperset(map(p.__or__, packed[i:])):
-            continue
-        a = opens[i]  # the failing row, walked again for its first witness
-        for b in opens[i:]:
-            if fs_meet(a, b) not in space.opens:
-                return TopologyCheck(False, f"meet of {a} and {b} not open")
-            if fs_join(a, b) not in space.opens:
-                return TopologyCheck(False, f"join of {a} and {b} not open")
-    return TopologyCheck(True)
+    if _closure(family, width, len(family)) is not None:
+        return TopologyCheck(True)
+    packed = sorted(family)
+    kind, a, b = next((kind, a, b) for i, a in enumerate(packed) for b in packed[i:]
+                      for kind, c in (("meet", a & b), ("join", a | b)) if c not in family)
+    a, b = (_from_bits(space.carrier, space.lattice, p) for p in (a, b))
+    return TopologyCheck(False, f"{kind} of {a} and {b} not open")
 
 
 def generate_topology(carrier: Carrier, lattice: GradeLattice,
@@ -99,32 +128,26 @@ def generate_topology(carrier: Carrier, lattice: GradeLattice,
                       max_size: int = DEFAULT_MAX_SIZE) -> FuzzySpace:
     """Smallest fuzzy topology containing the subbasis.
 
-    Adds the two constants, then closes under binary meets (yielding a
-    basis) and binary joins. The family of all fuzzy sets here is finite,
-    so closure under binary joins realizes closure under arbitrary joins.
-    The guard trips when a sweep adds an open and the family passes
-    max_size, and reports max(max_size, starting family) + 1; a sweep at
-    most doubles the family, so it bounds the work as well.
+    Adds the two constants and closes under binary meets and joins, as
+    the joins of the primes. The family of all fuzzy sets here is
+    finite, so closure under binary joins realizes closure under
+    arbitrary joins. The guard trips once the family passes
+    max(max_size, starting family) and reports that bound + 1.
     """
-    found = {0, FuzzySet.full(carrier, lattice).bits}
+    width = len(carrier) * lattice.den
+    found = {0, (1 << width) - 1}
     for s in subbasis:
         if s.carrier != carrier:
             raise CarrierMismatchError("subbasis member not on the given carrier")
         if s.lattice != lattice:
             raise LatticeMismatchError("subbasis member uses a foreign grade lattice")
         found.add(s.bits)
-
-    # meets first give a basis; meets of joins reduce to joins of basis meets
-    start = len(found)
-    for op in (and_, or_):
-        for g in list(found):
-            size = len(found)
-            found.update([op(g, x) for x in found])
-            if size < len(found) > max_size:
-                raise ResourceLimitError("topology generation", max(max_size, start) + 1,
-                                         max_size)
+    limit = max(max_size, len(found))
+    closed = _closure(found, width, limit)
+    if closed is None:
+        raise ResourceLimitError("topology generation", limit + 1, max_size)
     return FuzzySpace(carrier, lattice,
-                      frozenset(_from_bits(carrier, lattice, p) for p in found))
+                      frozenset(_from_bits(carrier, lattice, p) for p in closed))
 
 
 def discrete_space(carrier: Carrier, lattice: GradeLattice,
@@ -142,12 +165,11 @@ def indiscrete_space(carrier: Carrier, lattice: GradeLattice) -> FuzzySpace:
 
 
 def is_t0(space: FuzzySpace) -> bool:
-    """Some open separates the grades of every pair of distinct points."""
-    for i, x in enumerate(space.carrier.elements):
-        for y in space.carrier.elements[i + 1:]:
-            if all(o(x) == o(y) for o in space.opens):
-                return False
-    return True
+    """Some open separates the grades of every pair of distinct states:
+    the n states' chains of primes j(s,1), ..., j(s,d) are distinct."""
+    d, n = space.lattice.den, len(space.carrier)
+    primes = _primes((o.bits for o in space.opens), n * d)
+    return len({tuple(primes[k:k + d]) for k in range(0, n * d, d)}) == n
 
 
 def is_continuous(f: CarrierMap, source: FuzzySpace, target: FuzzySpace) -> bool:
@@ -168,11 +190,3 @@ def subspace_topology(rel: Relation, left: FuzzySpace, right: FuzzySpace,
     gens += [inverse_image(pi2, o) for o in right.sorted_opens()]
     return generate_topology(rel.pair_carrier(), left.lattice, gens, max_size)
 
-
-def opens_frame(space: FuzzySpace):
-    """The opens ordered pointwise, as a finite frame."""
-    from .frames import FiniteFrame
-
-    opens = space.sorted_opens()
-    leq = frozenset((a, b) for a in opens for b in opens if a.bits & ~b.bits == 0)
-    return FiniteFrame(opens, leq, bottom=space.bottom_open, top=space.top_open)

@@ -31,7 +31,9 @@ from fgml import (
     make_lattice,
     validate_model,
 )
+from fgml.frames import FiniteFrame
 from fgml.fuzzyset import all_fuzzy_sets
+from fgml.topology import FuzzySpace
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
@@ -287,6 +289,24 @@ def oracle_topology(carrier: Carrier, lat, subbasis) -> frozenset[FuzzySet]:
         if want <= family and closed(family):
             meet_all &= family
     return frozenset(meet_all)
+
+
+def opens_frame(space: FuzzySpace) -> FiniteFrame:
+    """The opens ordered pointwise, as a finite frame: the |opens|^2 order
+    table that sobriety and duality were read off before the primes."""
+    opens = space.sorted_opens()
+    leq = frozenset((a, b) for a in opens for b in opens if a.bits & ~b.bits == 0)
+    return FiniteFrame(opens, leq, bottom=space.bottom_open, top=space.top_open)
+
+
+def oracle_is_t0(space: FuzzySpace) -> bool:
+    """Some open separates the grades of every pair of distinct states,
+    by the pairwise scan."""
+    for i, x in enumerate(space.carrier.elements):
+        for y in space.carrier.elements[i + 1:]:
+            if all(o(x) == o(y) for o in space.opens):
+                return False
+    return True
 
 
 def oracle_formulas(models, sig: Signature, depth: int) -> list:

@@ -98,6 +98,32 @@ def test_coherent_pairs_is_filtered_enumeration():
                 for eta in space2.sorted_opens() if is_coherent(r, mu, eta))
 
 
+def test_property_coherent_pairs_match_is_coherent():
+    # random relations between zoo spaces on one lattice: the hash join on
+    # pullbacks against is_coherent over opens x opens
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    zoo = [m.space for m, _ in powerset_zoo(3) + identity_zoo(5, dens=(1, 2, 3))]
+    couples = [(s1, s2) for s1, s2 in product(zoo, repeat=2) if s1.lattice == s2.lattice]
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(couples), st.data())
+    def check(spaces, data):
+        space1, space2 = spaces
+        full = list(product(space1.carrier, space2.carrier))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)))
+        r = Relation.of(space1.carrier, space2.carrier,
+                        [p for p, k in zip(full, keep) if k])
+        got = coherent_pairs(r, space1, space2)
+        assert got == tuple((mu, eta) for mu in space1.sorted_opens()
+                            for eta in space2.sorted_opens() if is_coherent(r, mu, eta))
+        sizes.add(len(got) > 2)  # more than the two pairs of constants
+
+    sizes = set()
+    check()
+    assert sizes == {True, False}
+
+
 def test_coherence_lemma_identity_and_random():
     space = generate_topology(XY, D2, [fs(XY, 2, 1), fs(XY, 1, 2)])
     assert coherence_lemma_check(Relation.diagonal(XY), space, space)

@@ -84,7 +84,7 @@ def naive_is_topology(space):
 
 
 def naive_definable_opens(m, sig):
-    found = {m.space.top_open: Top()}
+    found = {m.space.top_open: Top(), m.space.bottom_open: Or(())}
     for name, v in m.valuation:
         found.setdefault(v, Prop(name))
     while True:

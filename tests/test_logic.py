@@ -201,8 +201,8 @@ def test_definable_opens_no_props():
     space = discrete_space(carrier, D2)
     model = Model.create(space, CarrierMap.identity(carrier), {})
     found = definable_opens(model, sig)
-    # id lifting keeps everything fixed, so only the top constant appears
-    assert set(found) == {space.top_open}
+    # id lifting keeps everything fixed, so only the two constants appear
+    assert set(found) == {space.top_open, space.bottom_open}
 
 
 def test_definable_opens_single_prop_no_modalities():
@@ -213,7 +213,7 @@ def test_definable_opens_single_prop_no_modalities():
     model = complete_identity_model(carrier, D2, ("x", "y"), {"p": vp},
                                     Signature(functor, ()))
     found = definable_opens(model, sig)
-    assert set(found) == {model.space.top_open, vp}
+    assert set(found) == {model.space.top_open, model.space.bottom_open, vp}
 
 
 def test_definable_opens_m1_contains_dia_p():

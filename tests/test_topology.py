@@ -13,13 +13,12 @@ from fgml import (
     is_t0,
     is_topology,
     make_lattice,
-    opens_frame,
     subspace_topology,
 )
 from fgml.fuzzyset import all_fuzzy_sets
 from fgml.topology import discrete_space, indiscrete_space
 
-from modelgen import oracle_topology
+from modelgen import identity_zoo, opens_frame, oracle_is_t0, oracle_topology, powerset_zoo
 
 LAT = make_lattice(2)
 XY = Carrier(("x", "y"))
@@ -79,6 +78,13 @@ def test_t0_examples():
     assert is_t0(discrete_space(XY, LAT))
     assert not is_t0(indiscrete_space(XY, LAT))
     assert is_t0(generate_topology(XY, LAT, [fs(XY, 2, 1)]))
+
+
+def test_t0_matches_the_pairwise_scan_across_zoo():
+    spaces = [m.space for m, _ in powerset_zoo(3) + identity_zoo(5, dens=(1, 2, 3))]
+    verdicts = [is_t0(space) for space in spaces]
+    assert verdicts == [oracle_is_t0(space) for space in spaces]
+    assert True in verdicts and False in verdicts
 
 
 def test_continuity_identity_and_indiscrete_target():
