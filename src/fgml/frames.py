@@ -27,7 +27,7 @@ from typing import Hashable, Iterable, Mapping
 from .errors import MalformedFrameError, NotSoberError, PreconditionError, ResourceLimitError
 from .fuzzyset import DEFAULT_MAX_SIZE, Carrier, CarrierMap, FuzzySet, direct_image, inverse_image
 from .grades import Grade, GradeLattice
-from .topology import FuzzySpace, _primes, is_continuous, is_t0, is_topology
+from .topology import FuzzySpace, _primes, _t0, is_continuous, is_topology
 
 
 @dataclass(frozen=True)
@@ -269,12 +269,13 @@ def is_sober(space: FuzzySpace) -> bool:
     check = is_topology(space)
     if not check:
         raise PreconditionError(f"sobriety requires a topology: {check.violation}")
-    n = len(space.carrier)
-    irreducible = set(_primes((o.bits for o in space.opens), n * space.lattice.den))
-    if len(irreducible) > n or not is_t0(space):  # each j <= ... <= j is a point
+    n, d = len(space.carrier), space.lattice.den
+    primes = _primes((o.bits for o in space.opens), n * d)
+    irreducible = set(primes)
+    if len(irreducible) > n or not _t0(primes, d):  # each j <= ... <= j is a point
         return False
     ending = dict.fromkeys(irreducible, 1)  # multichains of length 1 ending at j
-    for _ in range(space.lattice.den - 1):
+    for _ in range(d - 1):
         if sum(ending.values()) > n:
             return False
         ending = {j: sum(c for i, c in ending.items() if not i & ~j) for j in irreducible}

@@ -23,13 +23,16 @@ one's formula (its first offer) are the naive ones.
 
 `modal_equivalence_classes`, and through it `quotient_model` and the
 `classes` and `quotient` commands, need only the partition of the states
-and close the sets' packed `bits` instead. That partition is exact: a
-pointwise meet or join of sets that agree at s and t agrees there too,
-so the family splits the states exactly as its generators do (the
-constants, the valuations, every modal pullback). The lattice closure is
-still needed, as a lifting is applied to meets and joins of generators;
-but once the generators separate every pair of states no finer partition
-exists, and the closure stops.
+and close the sets' packed `bits` instead. The family is a fuzzy
+topology, the one its generators generate (the constants, the
+valuations, every modal pullback), so it is closed by the prime closure
+that generates and checks every topology (`topology._closure`). That
+partition is exact: a pointwise meet or join of sets that agree at s and
+t agrees there too, so the family splits the states exactly as its
+generators do. The lattice closure is still needed, as a lifting is
+applied to meets and joins of generators; but once the generators
+separate every pair of states no finer partition exists, and the
+closure stops.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .fuzzyset import (
     inverse_image,
 )
 from .signature import Lifting, Signature, image_subbasis
-from .topology import FuzzySpace, is_continuous, is_topology
+from .topology import FuzzySpace, _closure, is_continuous, is_topology
 
 
 class Formula:
@@ -334,6 +337,12 @@ def _new_combos(items: list, old: int, arity: int, symmetric: bool, start: int =
                 yield (items[i], *tail)
 
 
+def _seeds(props: Sequence[str]) -> list[Formula]:
+    """The formulas every closure starts from: both constants and the
+    propositions."""
+    return [Top(), Or(()), *map(Prop, props)]
+
+
 def _formula_closure(models: Sequence[Model], sig: Signature, seeds: Sequence[Formula],
                      rounds: int | None = None) -> dict[tuple[FuzzySet, ...], Formula]:
     """Least family of evaluation vectors over the models that holds the
@@ -377,7 +386,7 @@ def definable_opens(m: Model, sig: Signature) -> dict[FuzzySet, Formula]:
     callers that want the formulas; `modal_equivalence_classes` closes
     the same family without them.
     """
-    found = _formula_closure([m], sig, [Top(), Or(()), *map(Prop, m.props)])
+    found = _formula_closure([m], sig, _seeds(m.props))
     return {fs: formula for (fs,), formula in found.items()}
 
 
@@ -385,14 +394,13 @@ def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...]
     """Partition of the carrier by agreement on every definable open.
 
     Closes the family of `definable_opens` on packed `bits`, without
-    formulas (exact by the argument in the module docstring), from both
-    constants. A generator not yet in the family (a valuation, or the
-    pullback of a lifting's value on family members) is swept into the
-    meet basis with `&`, and each new basis member over the family with
-    `|`. Meet and join are idempotent, commutative and associative, so
-    one sweep of each new member closes the family and no fixpoint
-    rounds are needed. Each step pulls back only the argument tuples
-    that use a member added since the step before. The partition is refined by each generator's grades as it
+    formulas (exact by the argument in the module docstring). The family
+    is the topology its generators generate: both constants, the
+    valuations and the pullbacks of a lifting's value on family members.
+    Each round lifts only the argument tuples that use a member the round
+    before added, and a round that brought a generator from outside the
+    family closes the generators found so far with `topology._closure`.
+    The partition is refined by each such generator's grades as it
     arrives, and the closure stops once every state is alone. With the
     signature's generating liftings every member is an open of the model,
     so the family is no larger than the opens the load guard admitted.
@@ -400,33 +408,29 @@ def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...]
     Classes are ordered by first member in carrier order; members keep
     carrier order too.
     """
-    space, carrier = m.space, m.space.carrier
+    space, carrier, lattice = m.space, m.space.carrier, m.space.lattice
     n = len(carrier)
-    top = space.top_open.bits
-    family, basis, members = {top, 0}, {top, 0}, [top, 0]  # members: family by arrival
     labels, classes = (0,) * n, min(n, 1)  # states with equal labels share a class
 
     def generators():
-        yield from (v for _, v in m.valuation)
-        sets: list[FuzzySet] = []  # members as fuzzy sets, for the liftings
-        while len(sets) < len(members):
+        subbasis, family, sets = {0, space.top_open.bits}, set(), []
+        batch = (v for _, v in m.valuation)
+        while True:
+            for g in batch:
+                if g.bits not in family and g.bits not in subbasis:
+                    subbasis.add(g.bits)
+                    yield g
+            if subbasis <= family:
+                return
+            # no family of fuzzy sets is larger than the (d+1)^n of them
+            family, old = _closure(subbasis, n * lattice.den, len(lattice) ** n), family
             done = len(sets)
-            sets += (_from_bits(carrier, space.lattice, p) for p in members[done:])
-            for lifting in sig.liftings:
-                for args in _new_combos(sets, done, lifting.arity, False):
-                    yield m.lift(lifting, args)
+            sets += (_from_bits(carrier, lattice, p) for p in family - old)
+            batch = (m.lift(lifting, args) for lifting in sig.liftings
+                     for args in _new_combos(sets, done, lifting.arity, False))
 
     gens = generators()
     while classes < n and (g := next(gens, None)) is not None:
-        p = g.bits
-        if p in family:
-            continue
-        fresh = {p & b for b in basis} - basis
-        basis |= fresh
-        for c in fresh:
-            new = ({c} | {c | x for x in family}) - family
-            family |= new
-            members += new
         ids: dict[tuple[int, int], int] = {}
         labels = tuple(ids.setdefault(pair, len(ids)) for pair in zip(labels, g.key()))
         classes = len(ids)
@@ -552,5 +556,4 @@ def enumerate_formulas(models: Sequence[Model], sig: Signature,
         if m.props != props:
             raise PreconditionError("models value different proposition sets")
 
-    return list(_formula_closure(models, sig, [Top(), Or(()), *map(Prop, props)],
-                                 depth).values())
+    return list(_formula_closure(models, sig, _seeds(props), depth).values())

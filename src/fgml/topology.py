@@ -164,12 +164,16 @@ def indiscrete_space(carrier: Carrier, lattice: GradeLattice) -> FuzzySpace:
                                  FuzzySet.full(carrier, lattice)}))
 
 
+def _t0(primes: list[int], d: int) -> bool:
+    """The states' chains of primes j(s,1), ..., j(s,d) are distinct."""
+    return len({tuple(primes[k:k + d]) for k in range(0, len(primes), d)}) * d == len(primes)
+
+
 def is_t0(space: FuzzySpace) -> bool:
     """Some open separates the grades of every pair of distinct states:
     the n states' chains of primes j(s,1), ..., j(s,d) are distinct."""
-    d, n = space.lattice.den, len(space.carrier)
-    primes = _primes((o.bits for o in space.opens), n * d)
-    return len({tuple(primes[k:k + d]) for k in range(0, n * d, d)}) == n
+    d = space.lattice.den
+    return _t0(_primes((o.bits for o in space.opens), len(space.carrier) * d), d)
 
 
 def is_continuous(f: CarrierMap, source: FuzzySpace, target: FuzzySpace) -> bool:

@@ -1,9 +1,9 @@
 """Shared test machinery: deterministic model zoo and independent oracles.
 
 The oracles here deliberately avoid the library's closure algorithms:
-topology generation is checked against intersection of all closed
-families, and modal equivalence against raw formula syntax evaluated
-node by node.
+topology generation is checked against the intersection of all closed
+families, reached by naive rounds of pairwise meets and joins, and
+modal equivalence against raw formula syntax evaluated node by node.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from fgml import (
     Signature,
     Top,
     evaluate,
+    fs_join,
+    fs_meet,
     fuzzy_powerset_functor,
     generate_topology,
     identity_functor,
@@ -32,7 +34,6 @@ from fgml import (
     validate_model,
 )
 from fgml.frames import FiniteFrame
-from fgml.fuzzyset import all_fuzzy_sets
 from fgml.topology import FuzzySpace
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
@@ -250,6 +251,40 @@ def singleton_document(d: int, n: int, seed: int) -> dict:
             "relations": {"diag": [[s, s] for s in states]}}
 
 
+def pullback_closed_document(d: int, n: int, seed: int, duplicate: bool = False) -> dict:
+    """Seeded identity-functor document on states s0, ..., s{n-1}: three
+    random propositions p, q and r, and a random structure map sigma.
+
+    The opens are generated from the propositions and all their pullbacks
+    along sigma, sigma^2, ...; a pullback keeps meets and joins, so that
+    topology is closed under pullback and sigma is continuous. With
+    `duplicate`, a state s{n} copies the last state's grades and sigma
+    value, so the two are modally equivalent by construction.
+    """
+    rng = random.Random(seed)
+    states = [f"s{i}" for i in range(n)]
+    sigma = {s: rng.choice(states) for s in states}
+    props = {name: {s: rng.randint(0, d) for s in states} for name in "pqr"}
+    if duplicate:
+        sigma[f"s{n}"] = sigma[states[-1]]
+        for nums in props.values():
+            nums[f"s{n}"] = nums[states[-1]]
+        states.append(f"s{n}")
+    after = [states.index(sigma[s]) for s in states]
+    gens, frontier = set(), {tuple(nums[s] for s in states) for nums in props.values()}
+    while frontier := frontier - gens:
+        gens |= frontier
+        frontier = {tuple(g[i] for i in after) for g in frontier}
+
+    def grades(nums) -> dict:
+        return {s: f"{k}/{d}" for s, k in zip(states, nums)}
+
+    return {"lattice": d, "functor": "identity", "carrier": states,
+            "generate_from": [grades(g) for g in sorted(gens)], "sigma": sigma,
+            "valuation": {name: grades(nums[s] for s in states)
+                          for name, nums in props.items()}}
+
+
 def eager_model(m: Model, sig: Signature) -> Model:
     """The eager path: the model with its structure map taken into the
     whole carrier of T S, so that every lifting is applied over all of
@@ -267,28 +302,15 @@ def all_maps(source: Carrier, target: Carrier) -> list[CarrierMap]:
 
 def oracle_topology(carrier: Carrier, lat, subbasis) -> frozenset[FuzzySet]:
     """Intersection of every fuzzy-set family that is a topology and
-    contains the subbasis. Independent of generate_topology."""
-    universe = all_fuzzy_sets(carrier, lat)
-    bot = FuzzySet.empty(carrier, lat)
-    top = FuzzySet.full(carrier, lat)
-    want = set(subbasis)
-
-    def closed(family: frozenset[FuzzySet]) -> bool:
-        if bot not in family or top not in family:
-            return False
-        from fgml import fs_join, fs_meet
-
-        return all(fs_meet(a, b) in family and fs_join(a, b) in family
-                   for a in family for b in family)
-
-    meet_all = set(universe)
-    n = len(universe)
-    assert n <= 16, "oracle only runs at tiny scale"
-    for mask in range(1 << n):
-        family = frozenset(universe[i] for i in range(n) if mask >> i & 1)
-        if want <= family and closed(family):
-            meet_all &= family
-    return frozenset(meet_all)
+    contains the subbasis: the constants and the subbasis, with pairwise
+    meets and joins added in rounds until none is new. Every such family
+    holds each round, and the last round is one of them. Independent of
+    generate_topology."""
+    family = {FuzzySet.empty(carrier, lat), FuzzySet.full(carrier, lat), *subbasis}
+    while new := {op(a, b) for a in family for b in family
+                  for op in (fs_meet, fs_join)} - family:
+        family |= new
+    return frozenset(family)
 
 
 def opens_frame(space: FuzzySpace) -> FiniteFrame:

@@ -130,6 +130,18 @@ def test_cli_classes_with_oracle(capsys):
     assert out.splitlines()[:2] == ["x", "y"]
 
 
+def test_cli_classes_refuses_a_negative_depth(capsys, monkeypatch):
+    assert run_command(["classes", "-m", M1, "--depth", "-1"]) == 2
+    assert "argument --depth: must not be negative: -1" in capsys.readouterr().err
+
+    def refuse(*args):
+        raise AssertionError("--depth 0 runs the formula closure")
+
+    monkeypatch.setattr("fgml.cli._formula_closure", refuse)
+    assert run_command(["classes", "-m", M1, "--depth", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["x", "y"]
+
+
 def test_cli_quotient(capsys):
     code = run_command(["quotient", "-m", M1])
     out = capsys.readouterr().out

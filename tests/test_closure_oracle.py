@@ -7,9 +7,12 @@ down to dict order and the formula each definable open keeps. Topology
 generation and validation sweep packed families instead; their
 references are the naive closure and the pairwise scan over fuzzy sets.
 Modal equivalence classes come from a formula-free closure; their
-reference is the partition read off `definable_opens`.
+reference is the partition read off `definable_opens`. `fgml classes
+--depth K` reads its oracle partition off the depth-K closure's vectors;
+its reference is enumerating the formulas and evaluating each again.
 """
 
+import json
 from itertools import product
 
 import pytest
@@ -39,13 +42,21 @@ from fgml import (
     is_topology,
     make_lattice,
     modal_equivalence_classes,
+    quotient_model,
 )
+from fgml.cli import LoadedModel, load_model, model_to_document, run_command
 from fgml.errors import ResourceLimitError
 from fgml.frames import FiniteFrame
 from fgml.fuzzyset import DEFAULT_MAX_SIZE
 from fgml.topology import FuzzySpace, TopologyCheck
 
-from modelgen import complete_identity_model, complete_powerset_model, identity_zoo, powerset_zoo
+from modelgen import (
+    complete_identity_model,
+    complete_powerset_model,
+    identity_zoo,
+    powerset_zoo,
+    pullback_closed_document,
+)
 
 
 def naive_generate_topology(carrier, lattice, subbasis, max_size=DEFAULT_MAX_SIZE):
@@ -425,8 +436,69 @@ def test_property_classes_match_definable_opens():
         sig = list(_signatures(sig, binary=True))[variant]
         classes = modal_equivalence_classes(m, sig)
         assert classes == definable_partition(m, sig)
+        assert quotient_model(m, sig).classes == classes
         outcomes.add(len(classes) == len(m.space.carrier))
 
     outcomes = set()
     check()
     assert outcomes == {True, False}  # both early-stop and full-closure cases drawn
+
+
+def enumerate_then_evaluate(m, sig, depth):
+    """Exit code and text lines of `fgml classes --depth` as it was when it
+    enumerated the formulas and evaluated each one again."""
+    classes = modal_equivalence_classes(m, sig)
+    lines = [" ".join(c) for c in classes]
+    if depth:
+        values = [evaluate(m, sig, f) for f in enumerate_formulas([m], sig, depth)]
+        by_vector = {}
+        for s in m.space.carrier.elements:
+            by_vector.setdefault(tuple(v(s) for v in values), []).append(s)
+        oracle = [frozenset(c) for c in by_vector.values()]
+        if not all(any(set(c) <= o for o in oracle) for c in classes):
+            return 2, []
+        if {frozenset(c) for c in classes} != set(oracle):
+            lines.append(f"note: oracle at depth {depth} is coarser than the closure partition")
+    return 0, lines
+
+
+def check_cli_classes(path, capsys):
+    """`fgml classes --depth K` for K = 0-3 against the enumerate-then-
+    evaluate path; returns the number of "coarser" notes printed."""
+    lm, notes = load_model(str(path)), 0
+    for depth in range(4):
+        code = run_command(["classes", "-m", str(path), "--depth", str(depth)])
+        lines = capsys.readouterr().out.splitlines()
+        assert (code, lines) == enumerate_then_evaluate(lm.model, lm.signature, depth)
+        notes += lines[-1].startswith("note:")
+    return notes
+
+
+def test_cli_classes_match_enumerate_then_evaluate(zoo, tmp_path, capsys):
+    # the oracle partition is read off the depth-K closure's own vectors
+    for i, (m, sig) in enumerate(zoo):
+        path = tmp_path / f"zoo{i}.json"
+        path.write_text(json.dumps(model_to_document(LoadedModel(
+            m, sig, m.space.lattice, sig.functor.name, sig.names, {}, {}))))
+        check_cli_classes(path, capsys)
+
+
+def test_cli_classes_on_a_pullback_closed_document(tmp_path, capsys):
+    # s8 copies s7, so the two are modally equivalent; two more states
+    # share a class as well
+    path = tmp_path / "pullback.json"
+    path.write_text(json.dumps(pullback_closed_document(1, 8, 5, duplicate=True)))
+    lm = load_model(str(path))
+    assert run_command(["--json", "classes", "-m", str(path)]) == 0
+    classes = json.loads(capsys.readouterr().out)["classes"]
+    assert classes == [list(c) for c in definable_partition(lm.model, lm.signature)]
+    assert ["s7", "s8"] in classes and len(classes) < 8
+
+
+@pytest.mark.parametrize("n,seed,notes", [(8, 5, 2), (12, 8, 3)])
+def test_cli_classes_notes_match_enumerate_then_evaluate(tmp_path, capsys, n, seed, notes):
+    # crisp states along sigma chains: the depth-bounded oracle is coarser
+    # than the closure up to depth `notes`
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(pullback_closed_document(1, n, seed, duplicate=True)))
+    assert check_cli_classes(path, capsys) == notes

@@ -39,8 +39,9 @@ from fgml.errors import MalformedFrameError, NotSoberError, PreconditionError, R
 from fgml.frames import FiniteFrame, FramePoint, is_frame_hom
 from fgml.fuzzyset import Carrier, CarrierMap, FuzzySet
 from fgml.grades import GradeLattice
+from fgml.topology import FuzzySpace
 
-from modelgen import identity_zoo, opens_frame, powerset_zoo
+from modelgen import identity_zoo, opens_frame, oracle_topology, powerset_zoo
 
 DENS = (1, 2, 3)
 LIMIT = 2 ** 15  # largest (d+1)^|frame| the brute force is run on
@@ -60,7 +61,8 @@ def oracle_point_space(frame, lattice):
     carrier = Carrier(tuple(name for name, _ in named))
     zeta = {a: FuzzySet(carrier, lattice, tuple(p(a) for _, p in named))
             for a in frame.elements}
-    return named, zeta, generate_topology(carrier, lattice, list(zeta.values()), LIMIT)
+    opens = oracle_topology(carrier, lattice, zeta.values())
+    return named, zeta, FuzzySpace(carrier, lattice, opens)
 
 
 def oracle_state_point_map(space):
@@ -321,6 +323,42 @@ def test_property_is_frame_matches_reference():
         "order not reflexive", "order not antisymmetric", "order not transitive",
         "designated bottom", "designated top", "no meet for", "no join for",
         "distributivity fails on", None}
+
+
+def test_property_points_match_brute_force():
+    # Random distributive lattices: the down-sets of a partial order on at
+    # most 4 elements, drawn as the orders above (every finite distributive
+    # lattice is one, by Birkhoff), listed in a drawn order.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def lattices(draw):
+        k = draw(st.integers(1, 4))
+        index = st.integers(0, k - 1)
+        pairs = draw(st.sets(st.tuples(index, index), max_size=2 * k * k))
+        rank = draw(st.permutations(range(k)))
+        below = naive_order({(a, b) for a, b in pairs if rank[a] <= rank[b]})
+        downs = [tuple(c for c in range(k) if mask >> c & 1) for mask in range(1 << k)]
+        downs = [x for x in downs if all(a in x for a, b in below if b in x)]
+        d = draw(st.integers(1, 3))
+        hypothesis.assume((d + 1) ** len(downs) <= 4096)  # brute_points' assignments
+        elements = tuple(draw(st.permutations(downs)))
+        leq = frozenset((x, y) for x in elements for y in elements if set(x) <= set(y))
+        return FiniteFrame(elements, leq, bottom=(), top=tuple(range(k))), make_lattice(d)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(lattices())
+    def check(case):
+        frame, lattice = case
+        assert is_frame(frame)
+        found = [p.values for p in points(frame, lattice, LIMIT)]
+        assert found == [p.values for p in brute_points(frame, lattice)]
+        counts.add(len(found))
+
+    counts = set()
+    check()
+    assert len(counts) > 5  # lattices with many different point counts were drawn
 
 
 def naive_order(pairs):
