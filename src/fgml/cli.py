@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from json.encoder import encode_basestring_ascii
 
 from .bisim import greatest_sigma_bisimulation, is_am_bisimulation, is_sigma_bisimulation
 from .errors import DocumentError, FgmlError, ResourceLimitError, UnknownModalityError
@@ -63,6 +64,13 @@ class LoadedModel:
 
 def _fuzzy_set_from_doc(obj, carrier: Carrier, lattice: GradeLattice,
                         what: str) -> FuzzySet:
+    table = lattice.numerators
+    if isinstance(obj, dict) and len(obj) == len(carrier):
+        try:  # canonical grades "k/d" at exactly the carrier, in one pass
+            return _from_bits(carrier, lattice,
+                              _pack([table[obj[e]] for e in carrier], lattice.den))
+        except (KeyError, TypeError):
+            pass  # any other form goes through the checks and their errors
     if not isinstance(obj, dict):
         raise DocumentError(f"{what} must be an object mapping element to grade")
     extra = set(obj) - set(carrier.elements)
@@ -71,7 +79,6 @@ def _fuzzy_set_from_doc(obj, carrier: Carrier, lattice: GradeLattice,
     missing = [e for e in carrier if e not in obj]
     if missing:
         raise DocumentError(f"{what} is missing elements {missing}")
-    table = lattice.numerators  # any other form goes through parse and its errors
     try:
         nums = [table[g] if isinstance(g := obj[e], str) and g in table
                 else lattice.parse(g).num for e in carrier]
@@ -237,9 +244,29 @@ def _named_relation(lm: LoadedModel, other: LoadedModel, name: str) -> Relation:
         raise DocumentError(f"relation {name!r}: {exc}") from None
 
 
+def _json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a value whose dicts
+    have str keys, built without the encoder's closures, which leave a
+    reference cycle behind on every call."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_json(v, inner) for v in value], "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json(payload))
     else:
         for line in text_lines:
             print(line)

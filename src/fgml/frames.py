@@ -27,7 +27,7 @@ from typing import Hashable, Iterable, Mapping
 from .errors import MalformedFrameError, NotSoberError, PreconditionError, ResourceLimitError
 from .fuzzyset import DEFAULT_MAX_SIZE, Carrier, CarrierMap, FuzzySet, direct_image, inverse_image
 from .grades import Grade, GradeLattice
-from .topology import FuzzySpace, _primes, _t0, is_continuous, is_topology
+from .topology import FuzzySpace, _t0, is_continuous, is_topology
 
 
 @dataclass(frozen=True)
@@ -269,8 +269,7 @@ def is_sober(space: FuzzySpace) -> bool:
     check = is_topology(space)
     if not check:
         raise PreconditionError(f"sobriety requires a topology: {check.violation}")
-    n, d = len(space.carrier), space.lattice.den
-    primes = _primes((o.bits for o in space.opens), n * d)
+    n, d, primes = len(space.carrier), space.lattice.den, space.primes
     irreducible = set(primes)
     if len(irreducible) > n or not _t0(primes, d):  # each j <= ... <= j is a point
         return False

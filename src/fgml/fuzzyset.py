@@ -221,11 +221,13 @@ class CarrierMap:
         for t in self.assignment:
             if t not in self.target:
                 raise CarrierMismatchError(f"{t!r} is not in the target carrier")
-        # (source, target) field positions per source element, for the images
+        # (source, target) field positions per source element, for the images,
+        # and the same edges reversed, for the inverse images
         last_s, last_t = len(self.source) - 1, len(self.target) - 1
-        object.__setattr__(self, "_edges", tuple(
-            (last_s - i, last_t - self.target.index(t))
-            for i, t in enumerate(self.assignment)))
+        edges = tuple((last_s - i, last_t - self.target.index(t))
+                      for i, t in enumerate(self.assignment))
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_back", tuple((j, i) for i, j in edges))
 
     @classmethod
     def from_dict(cls, source: Carrier, target: Carrier,
@@ -263,8 +265,7 @@ def inverse_image(f: CarrierMap, b: FuzzySet) -> FuzzySet:
     """f^-1(b) = b after f."""
     if b.carrier != f.target:
         raise CarrierMismatchError("fuzzy set is not on the map's target carrier")
-    return _from_bits(f.source, b.lattice, _fields_along(
-        b.bits, b.lattice.den, [(j, i) for i, j in f._edges]))
+    return _from_bits(f.source, b.lattice, _fields_along(b.bits, b.lattice.den, f._back))
 
 
 @dataclass(frozen=True)
@@ -279,11 +280,13 @@ class Relation:
         for l, r in self.pairs:
             if l not in self.left or r not in self.right:
                 raise CarrierMismatchError(f"pair ({l!r}, {r!r}) outside left x right")
-        # (left, right) field positions per pair, for the images
+        # (left, right) field positions per pair, for the images, and the
+        # same edges reversed, for the preimages
         last_l, last_r = len(self.left) - 1, len(self.right) - 1
-        object.__setattr__(self, "_edges", tuple(
-            (last_l - self.left.index(l), last_r - self.right.index(r))
-            for l, r in self.pairs))
+        edges = tuple((last_l - self.left.index(l), last_r - self.right.index(r))
+                      for l, r in self.pairs)
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_back", tuple((j, i) for i, j in edges))
 
     @classmethod
     def of(cls, left: Carrier, right: Carrier,
@@ -333,8 +336,7 @@ def relation_preimage(rel: Relation, b: FuzzySet) -> FuzzySet:
     """R^-1[b](d) = sup { b(d') : d R d' }; no successor -> 0."""
     if b.carrier != rel.right:
         raise CarrierMismatchError("fuzzy set is not on the relation's right carrier")
-    return _from_bits(rel.left, b.lattice, _fields_along(
-        b.bits, b.lattice.den, [(j, i) for i, j in rel._edges]))
+    return _from_bits(rel.left, b.lattice, _fields_along(b.bits, b.lattice.den, rel._back))
 
 
 def all_fuzzy_sets(carrier: Carrier, lattice: GradeLattice,

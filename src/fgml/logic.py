@@ -61,7 +61,7 @@ from .fuzzyset import (
     inverse_image,
 )
 from .signature import Lifting, Signature, image_subbasis
-from .topology import FuzzySpace, _closure, is_continuous, is_topology
+from .topology import FuzzySpace, _closure, _primes, is_continuous, is_topology
 
 
 class Formula:
@@ -267,11 +267,13 @@ def validate_model(m: Model, sig: Signature) -> ModelCheck:
     functor image and continuity of the structure map into it.
 
     Continuity is checked on the functor's subbasis of the image topology
-    read at sigma's values (`image_subbasis`), once the opens are known
-    to form a topology: an inverse image keeps constants, meets and
-    joins, so every image open pulls back to an open iff every generator
-    does. The witness names the first generator whose pullback is not
-    open; it is an image open read at sigma's values.
+    read at sigma's values (`image_subbasis`), lifted from a basis of the
+    opens, once the opens are known to form a topology: an inverse image
+    keeps constants, meets and joins, so every image open pulls back to
+    an open iff every generator does. Only a negative verdict walks the
+    subbasis lifted from every open, whose first member with a pullback
+    that is not open names the witness, an image open read at sigma's
+    values.
     """
     problems: list[str] = []
     topo = is_topology(m.space)
@@ -290,12 +292,12 @@ def validate_model(m: Model, sig: Signature) -> ModelCheck:
             gens = image_subbasis(sig.functor, m.space, m.sigma.target)
         except (CarrierMismatchError, LatticeMismatchError) as exc:
             problems.append(f"structure map leaves the functor image: {exc}")
-    if not problems:
-        for o in gens:
-            if inverse_image(m.sigma, o) not in m.space.opens:
-                problems.append(
-                    f"structure map not continuous: pullback of {o} is not open")
-                break
+    opens = m.space.opens
+    if not problems and any(inverse_image(m.sigma, o) not in opens for o in gens):
+        # the witness of the walk over the liftings of every open, in order
+        every = image_subbasis(sig.functor, m.space, m.sigma.target, every_open=True)
+        witness = next(o for o in every if inverse_image(m.sigma, o) not in opens)
+        problems.append(f"structure map not continuous: pullback of {witness} is not open")
     return ModelCheck(not problems, tuple(problems))
 
 
@@ -423,7 +425,7 @@ def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...]
             if subbasis <= family:
                 return
             # no family of fuzzy sets is larger than the (d+1)^n of them
-            family, old = _closure(subbasis, n * lattice.den, len(lattice) ** n), family
+            family, old = _closure(_primes(subbasis, n * lattice.den), len(lattice) ** n), family
             done = len(sets)
             sets += (_from_bits(carrier, lattice, p) for p in family - old)
             batch = (m.lift(lifting, args) for lifting in sig.liftings

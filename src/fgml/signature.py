@@ -9,16 +9,21 @@ sup-min composition, box is its De Morgan dual; the topology on the
 image space is generated by the chosen liftings' images, so the
 built-in signatures are characteristic by construction.
 
-A subbasis of the image topology, read at any carrier of values, comes
-without building the image: the opens for the identity functor, the
-generating liftings applied to the opens for the powerset functor, the
-opens of `on_space` for a functor without one. A map f into T S is fuzzy
-continuous iff every subbasis member pulls back to an open, provided
-the source opens form a topology: inverse images keep the constants,
-meets and joins, and f factors through the values it takes. This is
-exact for every signature. Only `sig check` and the mediating-map
-search of `bisim am` enumerate the (d+1)^n carrier of the powerset
-image, under the size guard.
+A subbasis of the image topology of a topology S, read at any carrier
+of values, comes without building the image, and from a basis of S, not
+from every open: the distinct primes of S for the identity functor; for
+the powerset functor, dia applied to the primes and box applied to the
+co-primes (`topology`): dia keeps joins and every open is the join of
+the primes below it, box keeps meets and every open is the meet of the
+co-primes above it. So at most n*d sets per lifting generate the image
+topology, which `on_space` builds from them. A functor without a
+subbasis of its own gives every open of `on_space`. A map f into T S is
+fuzzy continuous iff every subbasis member pulls back to an open,
+provided the source opens form a topology: inverse images keep the
+constants, meets and joins, and f factors through the values it takes.
+This is exact for every signature. Only `sig check` and the
+mediating-map search of `bisim am` enumerate the (d+1)^n carrier of the
+powerset image, under the size guard.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .fuzzyset import (
     inverse_image,
 )
 from .grades import GradeLattice
-from .topology import FuzzySpace, generate_topology, is_continuous
+from .topology import FuzzySpace, _coprimes, _generate, generate_topology, is_continuous
 
 
 @dataclass(frozen=True)
@@ -57,16 +62,18 @@ class FunctorInstance:
     carrier holding every value; `on_map(f, S, S')` is T f on single values.
 
     Optionally, `elements(S)` is the carrier of T S without its topology,
-    and `subbasis(S, at)` gives fuzzy sets on the carrier `at` of values
-    that generate the topology of `on_space(S)` read at `at`, raising
-    `CarrierMismatchError` for a value outside T S. Without them,
+    and `subbasis(S, at, every_open)` gives fuzzy sets on the carrier `at`
+    of values that generate the topology of `on_space(S)` read at `at`,
+    for a topology S, raising `CarrierMismatchError` for a value outside
+    T S: the generating liftings applied to a basis of S, or to every
+    open in order when `every_open` is true. Without them,
     `image_elements` and `image_subbasis` read `on_space`.
     """
 
     name: str
     on_space: Callable[[FuzzySpace], FuzzySpace]
     on_map: Callable[[CarrierMap, FuzzySpace, FuzzySpace], Callable[[Hashable], Hashable]]
-    subbasis: Callable[[FuzzySpace, Carrier], tuple[FuzzySet, ...]] | None = None
+    subbasis: Callable[[FuzzySpace, Carrier, bool], tuple[FuzzySet, ...]] | None = None
     elements: Callable[[FuzzySpace], Carrier] | None = None
 
 
@@ -82,13 +89,21 @@ def _restrict(fs: FuzzySet, at: Carrier) -> FuzzySet:
     return inverse_image(CarrierMap(at, fs.carrier, at.elements), fs)
 
 
-def image_subbasis(functor: FunctorInstance, space: FuzzySpace, at: Carrier
-                   ) -> tuple[FuzzySet, ...]:
+def image_subbasis(functor: FunctorInstance, space: FuzzySpace, at: Carrier,
+                   every_open: bool = False) -> tuple[FuzzySet, ...]:
     """A subbasis of T S's topology read at the values in `at`: the
-    functor's own, or every open of `on_space(space)`."""
+    functor's own, on a basis of S or on every open of S, or every open
+    of `on_space(space)`."""
     if functor.subbasis is not None:
-        return functor.subbasis(space, at)
+        return functor.subbasis(space, at, every_open)
     return tuple(_restrict(o, at) for o in functor.on_space(space).sorted_opens())
+
+
+def _basis(space: FuzzySpace, packed: Iterable[int]) -> list[FuzzySet]:
+    """The distinct packed sets on the space in bits order; none for a
+    space without opens, as there is nothing to lift."""
+    return [_from_bits(space.carrier, space.lattice, p)
+            for p in sorted(set(packed))] if space.opens else []
 
 
 @dataclass(frozen=True)
@@ -141,9 +156,15 @@ class Signature:
 
 def identity_functor() -> tuple[FunctorInstance, Signature]:
     """T S = S and T f = f, with the identity lifting named "id"; the
-    image subbasis is the opens, read at the given states."""
+    image subbasis is the distinct primes, or the opens, read at the
+    given states."""
+
+    def subbasis(space: FuzzySpace, at: Carrier, every_open: bool) -> tuple[FuzzySet, ...]:
+        opens = space.sorted_opens() if every_open else _basis(space, space.primes)
+        return tuple(_restrict(o, at) for o in opens)
+
     functor = FunctorInstance(name="identity", on_space=lambda space: space,
-                              on_map=lambda f, source, target: f)
+                              on_map=lambda f, source, target: f, subbasis=subbasis)
     lifting = Lifting("id", 1, functor, lambda space, args, at: _restrict(args[0], at))
     return functor, Signature(functor, (lifting,))
 
@@ -160,8 +181,10 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     box(m)(v) = inf_s max(1 - v(s), m(s)), computed as 1 - dia(1 - m)(v).
     The topology on the image is generated by the images of the
     requested modalities over all opens, which makes the returned
-    signature characteristic for the functor; `subbasis` returns those
-    images at the given values without generating the topology.
+    signature characteristic for the functor; `subbasis` returns, at the
+    given values and without generating the topology, dia's images of
+    the primes and box's of the co-primes, which generate it too, or
+    the images of every open.
     """
     mods = tuple(modalities)
     for m in mods:
@@ -181,18 +204,23 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
             image_cache[space] = Carrier(all_fuzzy_sets(space.carrier, lattice, max_size))
         return image_cache[space]
 
-    def subbasis(space: FuzzySpace, at: Carrier) -> tuple[FuzzySet, ...]:
+    def subbasis(space: FuzzySpace, at: Carrier, every_open: bool) -> tuple[FuzzySet, ...]:
         for nu in at:
             if not (isinstance(nu, FuzzySet) and (nu.carrier, nu.lattice) == (space.carrier, lattice)):
                 raise CarrierMismatchError(f"{nu} is not a fuzzy set on the space")
-        opens = space.sorted_opens()  # every modality is unary
-        return tuple(raw[m](space, (o,), at) for m in mods for o in opens)
+        if every_open:
+            lifted = dict.fromkeys(mods, space.sorted_opens())
+        else:  # dia keeps joins and box meets: a join basis and a meet basis
+            width = len(space.carrier) * lattice.den
+            lifted = {m: _basis(space, space.primes if m == "dia"
+                                else _coprimes(space.primes, width)) for m in mods}
+        return tuple(raw[m](space, (o,), at) for m in mods for o in lifted[m])  # unary
 
     def on_space(space: FuzzySpace) -> FuzzySpace:
         if space not in space_cache:
             at = elements(space)
-            space_cache[space] = generate_topology(at, lattice, subbasis(space, at),
-                                                   max_size)
+            space_cache[space] = _generate(at, lattice, subbasis(space, at, False),
+                                           lambda: subbasis(space, at, True), max_size)
         return space_cache[space]
 
     functor = FunctorInstance(

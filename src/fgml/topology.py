@@ -15,13 +15,23 @@ form of minimal neighbourhoods (Pu and Liu, "Fuzzy topology I", 1980)
 and of Birkhoff's representation. So the generated topology is the joins
 of at most n*d primes, swept in one prime at a time, and a family holding
 both constants is a topology iff that closure is no larger than it.
+
+A space computes its primes once (`FuzzySpace.primes`), and a generated
+space is handed those of its generators, which are the same. They are a
+join basis: a join-preserving map, such as an inverse image, is known on
+every open once it is known on the distinct primes. The co-prime c_b of
+a topology, the join of the opens that lack bit b, is the join of the
+primes that lack it, and every open is the meet of the co-primes of the
+bits it lacks: the co-primes are a meet basis, for the maps that keep
+meets. So a subspace pulls back the primes of each side, not every open.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable
+from functools import cached_property, reduce
+from operator import attrgetter, or_
+from typing import Callable, Iterable
 
 from .errors import CarrierMismatchError, LatticeMismatchError, ResourceLimitError
 from .fuzzyset import (
@@ -64,6 +74,12 @@ class FuzzySpace:
         """Opens in canonical numerator-tuple order."""
         return tuple(sorted(self.opens, key=attrgetter("bits")))
 
+    @cached_property
+    def primes(self) -> tuple[int, ...]:
+        """The packed prime of each bit, indexed by bit; computed once."""
+        return _primes((o.bits for o in self.opens),
+                       len(self.carrier) * self.lattice.den)
+
 
 @dataclass(frozen=True)
 class TopologyCheck:
@@ -76,7 +92,7 @@ class TopologyCheck:
         return self.ok
 
 
-def _primes(family: Iterable[int], width: int) -> list[int]:
+def _primes(family: Iterable[int], width: int) -> tuple[int, ...]:
     """The prime j_b of each bit b below `width`, indexed by b: the meet of
     the constant 1 and the packed members with bit b set."""
     primes = [(1 << width) - 1] * width
@@ -86,15 +102,22 @@ def _primes(family: Iterable[int], width: int) -> list[int]:
             b = rest.bit_length() - 1
             primes[b] &= p
             rest ^= 1 << b
-    return primes
+    return tuple(primes)
 
 
-def _closure(family: Iterable[int], width: int, limit: int) -> set[int] | None:
-    """The packed topology the family generates, as the joins of its
-    primes swept in one prime at a time; None once it holds more than
-    `limit` members. A sweep at most doubles the family."""
+def _coprimes(primes: Iterable[int], width: int) -> list[int]:
+    """The co-prime c_b of each bit b of a topology with these primes: the
+    join of the distinct primes that lack bit b."""
+    distinct = set(primes)
+    return [reduce(or_, (j for j in distinct if not j >> b & 1), 0) for b in range(width)]
+
+
+def _closure(primes: Iterable[int], limit: int) -> set[int] | None:
+    """The packed topology the primes generate, as their joins swept in
+    one prime at a time; None once it holds more than `limit` members. A
+    sweep at most doubles the family."""
     found = {0}
-    for j in set(_primes(family, width)):
+    for j in set(primes):
         found.update([j | x for x in found])
         if len(found) > limit:
             return None
@@ -114,13 +137,44 @@ def is_topology(space: FuzzySpace) -> TopologyCheck:
         return TopologyCheck(False, "constant-0 fuzzy set missing")
     if (1 << width) - 1 not in family:
         return TopologyCheck(False, "constant-1 fuzzy set missing")
-    if _closure(family, width, len(family)) is not None:
+    if _closure(space.primes, len(family)) is not None:
         return TopologyCheck(True)
     packed = sorted(family)
     kind, a, b = next((kind, a, b) for i, a in enumerate(packed) for b in packed[i:]
                       for kind, c in (("meet", a & b), ("join", a | b)) if c not in family)
     a, b = (_from_bits(space.carrier, space.lattice, p) for p in (a, b))
     return TopologyCheck(False, f"{kind} of {a} and {b} not open")
+
+
+def _start(carrier: Carrier, lattice: GradeLattice, sets: Iterable[FuzzySet]) -> set[int]:
+    """The two constants and the packed sets, checked to lie on the carrier."""
+    found = {0, (1 << len(carrier) * lattice.den) - 1}
+    for s in sets:
+        if s.carrier != carrier:
+            raise CarrierMismatchError("subbasis member not on the given carrier")
+        if s.lattice != lattice:
+            raise LatticeMismatchError("subbasis member uses a foreign grade lattice")
+        found.add(s.bits)
+    return found
+
+
+def _generate(carrier: Carrier, lattice: GradeLattice, basis: Iterable[FuzzySet],
+              family: Callable[[], Iterable[FuzzySet]], max_size: int) -> FuzzySpace:
+    """generate_topology(carrier, lattice, family(), max_size), where the
+    sets `basis` generate the same topology as `family()`. The family is
+    built only when the topology has more than max_size opens, because
+    the guard's bound is max(max_size, its starting family)."""
+    primes = _primes(_start(carrier, lattice, basis), len(carrier) * lattice.den)
+    closed = _closure(primes, max_size)
+    if closed is None:
+        limit = max(max_size, len(_start(carrier, lattice, family())))
+        closed = _closure(primes, limit) if limit > max_size else None
+        if closed is None:
+            raise ResourceLimitError("topology generation", limit + 1, max_size)
+    space = FuzzySpace(carrier, lattice,
+                       frozenset(_from_bits(carrier, lattice, p) for p in closed))
+    vars(space)["primes"] = primes  # the generators' primes are the topology's
+    return space
 
 
 def generate_topology(carrier: Carrier, lattice: GradeLattice,
@@ -134,20 +188,8 @@ def generate_topology(carrier: Carrier, lattice: GradeLattice,
     arbitrary joins. The guard trips once the family passes
     max(max_size, starting family) and reports that bound + 1.
     """
-    width = len(carrier) * lattice.den
-    found = {0, (1 << width) - 1}
-    for s in subbasis:
-        if s.carrier != carrier:
-            raise CarrierMismatchError("subbasis member not on the given carrier")
-        if s.lattice != lattice:
-            raise LatticeMismatchError("subbasis member uses a foreign grade lattice")
-        found.add(s.bits)
-    limit = max(max_size, len(found))
-    closed = _closure(found, width, limit)
-    if closed is None:
-        raise ResourceLimitError("topology generation", limit + 1, max_size)
-    return FuzzySpace(carrier, lattice,
-                      frozenset(_from_bits(carrier, lattice, p) for p in closed))
+    subbasis = tuple(subbasis)
+    return _generate(carrier, lattice, subbasis, lambda: subbasis, max_size)
 
 
 def discrete_space(carrier: Carrier, lattice: GradeLattice,
@@ -164,7 +206,7 @@ def indiscrete_space(carrier: Carrier, lattice: GradeLattice) -> FuzzySpace:
                                  FuzzySet.full(carrier, lattice)}))
 
 
-def _t0(primes: list[int], d: int) -> bool:
+def _t0(primes: tuple[int, ...], d: int) -> bool:
     """The states' chains of primes j(s,1), ..., j(s,d) are distinct."""
     return len({tuple(primes[k:k + d]) for k in range(0, len(primes), d)}) * d == len(primes)
 
@@ -172,8 +214,7 @@ def _t0(primes: list[int], d: int) -> bool:
 def is_t0(space: FuzzySpace) -> bool:
     """Some open separates the grades of every pair of distinct states:
     the n states' chains of primes j(s,1), ..., j(s,d) are distinct."""
-    d = space.lattice.den
-    return _t0(_primes((o.bits for o in space.opens), len(space.carrier) * d), d)
+    return _t0(space.primes, space.lattice.den)
 
 
 def is_continuous(f: CarrierMap, source: FuzzySpace, target: FuzzySpace) -> bool:
@@ -186,11 +227,18 @@ def is_continuous(f: CarrierMap, source: FuzzySpace, target: FuzzySpace) -> bool
 def subspace_topology(rel: Relation, left: FuzzySpace, right: FuzzySpace,
                       max_size: int = DEFAULT_MAX_SIZE) -> FuzzySpace:
     """Topology on a relation's pair carrier, generated by the pullbacks of
-    the two sides' opens along the projections."""
+    the two sides' opens along the projections.
+
+    Each open is the join of the primes of its bits and each prime a meet
+    of opens, and inverse images keep both, so the pullbacks of the
+    distinct primes generate it, for any two families. Every open is
+    pulled back only when the topology passes the guard, to size it.
+    """
     if rel.left != left.carrier or rel.right != right.carrier:
         raise CarrierMismatchError("relation does not connect the two spaces")
     pi1, pi2 = rel.projections()
-    gens = [inverse_image(pi1, o) for o in left.sorted_opens()]
-    gens += [inverse_image(pi2, o) for o in right.sorted_opens()]
-    return generate_topology(rel.pair_carrier(), left.lattice, gens, max_size)
-
+    sides = ((pi1, left), (pi2, right))
+    basis = [inverse_image(pi, _from_bits(side.carrier, side.lattice, j))
+             for pi, side in sides for j in sorted(set(side.primes))]
+    return _generate(pi1.source, left.lattice, basis, lambda: [
+        inverse_image(pi, o) for pi, side in sides for o in side.sorted_opens()], max_size)

@@ -20,6 +20,7 @@ from fgml import (
     Model,
     Or,
     Prop,
+    Relation,
     Signature,
     Top,
     evaluate,
@@ -34,6 +35,7 @@ from fgml import (
     validate_model,
 )
 from fgml.frames import FiniteFrame
+from fgml.fuzzyset import DEFAULT_MAX_SIZE
 from fgml.topology import FuzzySpace
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
@@ -311,6 +313,30 @@ def oracle_topology(carrier: Carrier, lat, subbasis) -> frozenset[FuzzySet]:
                   for op in (fs_meet, fs_join)} - family:
         family |= new
     return frozenset(family)
+
+
+def all_opens_subbasis(sig: Signature, space: FuzzySpace, at: Carrier) -> list[FuzzySet]:
+    """The image subbasis before the prime bases: every generating (unary)
+    lifting applied to every open in order, read at the values in `at`."""
+    return [l.apply(space, (o,), at) for l in sig.liftings for o in space.sorted_opens()]
+
+
+def all_opens_discontinuity(m: Model, sig: Signature) -> FuzzySet | None:
+    """The continuity walk before the prime bases: the first member of the
+    all-opens subbasis, read at sigma's values, whose pullback along sigma
+    is not open; None when there is none."""
+    return next((o for o in all_opens_subbasis(sig, m.space, m.sigma.target)
+                 if inverse_image(m.sigma, o) not in m.space.opens), None)
+
+
+def all_opens_subspace_topology(rel: Relation, left: FuzzySpace, right: FuzzySpace,
+                                max_size: int = DEFAULT_MAX_SIZE) -> FuzzySpace:
+    """The subspace topology before the prime bases: generated by the
+    pullbacks of every open of both sides along the projections."""
+    pi1, pi2 = rel.projections()
+    gens = [inverse_image(pi1, o) for o in left.sorted_opens()]
+    gens += [inverse_image(pi2, o) for o in right.sorted_opens()]
+    return generate_topology(rel.pair_carrier(), left.lattice, gens, max_size)
 
 
 def opens_frame(space: FuzzySpace) -> FiniteFrame:

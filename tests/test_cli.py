@@ -10,6 +10,7 @@ import pytest
 from fgml.cli import (
     LoadedModel,
     _fuzzy_set_from_doc,
+    _json,
     load_document,
     load_model,
     model_to_document,
@@ -542,3 +543,21 @@ def test_verdicts_match_library(capsys):
     code = run_command(["bisim", "check", "-m", M1, "-n", M1, "-r", "diag"])
     assert code == 0
     capsys.readouterr()
+
+
+def test_property_json_printer_matches_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    text = st.text(alphabet=st.characters(codec="utf-8"), max_size=6)  # non-ASCII too
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | text
+    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                          | st.dictionaries(text, inner, max_size=4), max_leaves=20)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(values)
+    def check(value):
+        assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    check()
+    assert _json({"a": [], "b": {}, "c": ["\u00e9\u2603", 1.5, None]}) == \
+        json.dumps({"a": [], "b": {}, "c": ["\u00e9\u2603", 1.5, None]}, indent=2, sort_keys=True)
