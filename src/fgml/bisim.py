@@ -1,17 +1,26 @@
 """Coherent pairs, Sigma-bisimulation, Aczel-Mendler bisimulation.
 
-The greatest Sigma-bisimulation is computed by refinement from the
-prop-agreeing relation: deleting a pair can only enlarge the coherent
-set, so surviving pairs are re-tested against a strictly stronger
-condition each sweep and the loop terminates in at most |B1|x|B2|
-iterations. Both Sigma checks compare the numerators of the lifting
-values' pullbacks to the states, and build `Grade`s only for witnesses.
+Both Sigma checks read one sweep, `_disagreements`: it lifts every
+coherent tuple of the relation once and gives each related pair the
+lifting rows on which its two numerators differ. `is_sigma_bisimulation`
+turns those rows into witnesses, building `Grade`s only for them.
+`greatest_sigma_bisimulation` refines from the prop-agreeing relation,
+dropping every pair with a row, one sweep per round: deleting a pair can
+only enlarge the coherent set, so surviving pairs are re-tested against
+a strictly stronger condition each round and the loop terminates in at
+most |B1|x|B2| rounds.
+
+The Aczel-Mendler check searches the product of each pair's candidate
+structure values in order, so its first choice is the greedy one (every
+pair's first candidate); the search is held to the guard only once that
+choice fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .errors import LatticeMismatchError, PreconditionError, ResourceLimitError
 from .fuzzyset import (
@@ -106,25 +115,28 @@ class AmBisimReport(BisimReport):
 def _require_shared_props(m1: Model, m2: Model) -> None:
     if m1.props != m2.props:
         raise PreconditionError("models value different proposition sets")
+    if m1.space.lattice != m2.space.lattice:
+        raise LatticeMismatchError("the two spaces use different grade lattices")
 
 
 def _prop_witnesses(rel: Relation, m1: Model, m2: Model) -> list[BisimWitness]:
-    out = []
-    for b1, b2 in rel.sorted_pairs():
-        for name in m1.props:
-            g1, g2 = m1.prop(name)(b1), m2.prop(name)(b2)
-            if g1 != g2:
-                out.append(BisimWitness((b1, b2), prop=name,
-                                        left_grade=g1, right_grade=g2))
-    return out
+    return [BisimWitness((b1, b2), prop=name, left_grade=g1, right_grade=g2)
+            for b1, b2 in rel.sorted_pairs() for name in m1.props
+            if (g1 := m1.prop(name)(b1)) != (g2 := m2.prop(name)(b2))]
 
 
-def _lifting_tables(rel: Relation, m1: Model, m2: Model, sig: Signature,
-                    max_tuples: int = DEFAULT_MAX_SIZE):
-    """For each lifting and coherent tuple, the numerators of its two
-    pullbacks along sigma1 and sigma2, one per state."""
+def _disagreements(rel: Relation, m1: Model, m2: Model, sig: Signature,
+                   max_tuples: int):
+    """Each related pair in canonical order, with the rows of the lifting
+    table on which its two numerators differ.
+
+    The table is built once: a row per lifting and coherent tuple, with
+    the numerators of the tuple's two pullbacks along sigma1 and sigma2.
+    A pair's rows are (lifting, left opens, right opens, left numerator,
+    right numerator), in table order.
+    """
     coherent = coherent_pairs(rel, m1.space, m2.space)
-    tables = []
+    table = []
     for lifting in sig.liftings:
         combos = len(coherent) ** lifting.arity
         if combos > max_tuples:
@@ -132,26 +144,25 @@ def _lifting_tables(rel: Relation, m1: Model, m2: Model, sig: Signature,
         for combo in product(coherent, repeat=lifting.arity):
             mus = tuple(mu for mu, _ in combo)
             etas = tuple(eta for _, eta in combo)
-            tables.append((lifting, mus, etas, m1.lift(lifting, mus).key(),
-                           m2.lift(lifting, etas).key()))
-    return tables
+            table.append((lifting, mus, etas, m1.lift(lifting, mus).key(),
+                          m2.lift(lifting, etas).key()))
+    for b1, b2 in rel.sorted_pairs():
+        i1, i2 = m1.space.carrier.index(b1), m2.space.carrier.index(b2)
+        yield (b1, b2), [(lifting, mus, etas, left[i1], right[i2])
+                         for lifting, mus, etas, left, right in table
+                         if left[i1] != right[i2]]
 
 
 def is_sigma_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
                           max_tuples: int = DEFAULT_MAX_SIZE) -> BisimReport:
     """Prop agreement plus equal lifting grades over every coherent tuple."""
     _require_shared_props(m1, m2)
-    witnesses = _prop_witnesses(rel, m1, m2)
-    tables = _lifting_tables(rel, m1, m2, sig, max_tuples)
-    grades1, grades2 = m1.space.lattice.values, m2.space.lattice.values
-    for b1, b2 in rel.sorted_pairs():
-        i1, i2 = m1.space.carrier.index(b1), m2.space.carrier.index(b2)
-        for lifting, mus, etas, left, right in tables:
-            if left[i1] != right[i2]:
-                witnesses.append(BisimWitness(
-                    (b1, b2), lifting=lifting.name,
-                    left_opens=mus, right_opens=etas,
-                    left_grade=grades1[left[i1]], right_grade=grades2[right[i2]]))
+    grades = m1.space.lattice.values
+    witnesses = _prop_witnesses(rel, m1, m2) + [
+        BisimWitness(pair, lifting=lifting.name, left_opens=mus, right_opens=etas,
+                     left_grade=grades[k1], right_grade=grades[k2])
+        for pair, rows in _disagreements(rel, m1, m2, sig, max_tuples)
+        for lifting, mus, etas, k1, k2 in rows]
     return BisimReport(not witnesses, tuple(witnesses))
 
 
@@ -165,19 +176,16 @@ def greatest_sigma_bisimulation(m1: Model, m2: Model, sig: Signature,
     and the fixpoint is itself one, so it is the greatest.
     """
     _require_shared_props(m1, m2)
-    states1, states2 = m1.space.carrier.elements, m2.space.carrier.elements
+    carrier1, carrier2 = m1.space.carrier, m2.space.carrier
     props = [(v.key(), m2.prop(name).key()) for name, v in m1.valuation]
-    pairs = {(i1, i2) for i1 in range(len(states1)) for i2 in range(len(states2))
-             if all(left[i1] == right[i2] for left, right in props)}
+    rel = Relation.of(carrier1, carrier2, (
+        (b1, b2) for (i1, b1), (i2, b2) in product(enumerate(carrier1), enumerate(carrier2))
+        if all(left[i1] == right[i2] for left, right in props)))
     while True:
-        rel = Relation.of(m1.space.carrier, m2.space.carrier,
-                          ((states1[i1], states2[i2]) for i1, i2 in pairs))
-        tables = _lifting_tables(rel, m1, m2, sig, max_tuples)
-        survivors = {(i1, i2) for i1, i2 in pairs
-                     if all(left[i1] == right[i2] for *_, left, right in tables)}
-        if survivors == pairs:
+        dropped = {p for p, rows in _disagreements(rel, m1, m2, sig, max_tuples) if rows}
+        if not dropped:
             return rel
-        pairs = survivors
+        rel = Relation.of(carrier1, carrier2, rel.pairs - dropped)
 
 
 def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
@@ -188,8 +196,10 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
     the values of the functor image of the relation space, enumerated
     once under the guard, whose two projections are the pair's structure
     values; the assembled map must also be fuzzy continuous, which is
-    checked on the functor's subbasis of the image topology. The empty
-    relation is vacuously accepted.
+    checked on the functor's subbasis of the image topology. The search
+    starts at the greedy choice of each pair's first candidate and is held
+    to the guard only once that fails. The empty relation is vacuously
+    accepted.
     """
     _require_shared_props(m1, m2)
     witnesses = _prop_witnesses(rel, m1, m2)
@@ -214,24 +224,12 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
 
     pair_carrier = rel.pair_carrier()
     gens = image_subbasis(sig.functor, rel_space, image)
-
-    def continuous(choice: tuple) -> CarrierMap | None:
+    for tried, choice in enumerate(product(*candidates)):
         gamma = CarrierMap(pair_carrier, image, choice)
-        return gamma if all(inverse_image(gamma, g) in rel_space.opens
-                            for g in gens) else None
-
-    greedy = continuous(tuple(options[0] for options in candidates))
-    if greedy is not None:
-        return AmBisimReport(True, (), mediating=greedy)
-    total = 1
-    for options in candidates:
-        total *= len(options)
-    if total > max_size:
-        raise ResourceLimitError("mediating map search", total, max_size)
-    for choice in product(*candidates):
-        gamma = continuous(choice)
-        if gamma is not None:
+        if all(inverse_image(gamma, g) in rel_space.opens for g in gens):
             return AmBisimReport(True, (), mediating=gamma)
+        if not tried and (total := prod(map(len, candidates))) > max_size:
+            raise ResourceLimitError("mediating map search", total, max_size)
     first = rel.sorted_pairs()[0]
     return AmBisimReport(False, (BisimWitness(
         first, note="pairwise structure values exist but none assemble into "

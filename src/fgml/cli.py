@@ -244,19 +244,19 @@ def _named_relation(lm: LoadedModel, other: LoadedModel, name: str) -> Relation:
         raise DocumentError(f"relation {name!r}: {exc}") from None
 
 
-def _json(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for a value whose dicts
+def _json(value, sort: bool = True, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=sort) for a value whose dicts
     have str keys, built without the encoder's closures, which leave a
     reference cycle behind on every call."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
-                 for k, v in sorted(value.items())]
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, sort, inner)}"
+                 for k, v in (sorted(value.items()) if sort else value.items())]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        items, brackets = [_json(v, inner) for v in value], "[]"
+        items, brackets = [_json(v, sort, inner) for v in value], "[]"
     else:
         return json.dumps(value)
     if not items:
@@ -325,7 +325,7 @@ def _cmd_quotient(args) -> int:
     mapping = {s: result.quotient_map(s) for s in lm.model.space.carrier}
     lines = [] if args.json else [  # the text form only when it is printed
         "classes: " + "; ".join(" ".join(c) for c in result.classes),
-        json.dumps(doc, indent=2)]
+        _json(doc, sort=False)]
     _emit(args, {"ok": True, "classes": [list(c) for c in result.classes],
                  "map": mapping, "model": doc}, lines)
     return 0

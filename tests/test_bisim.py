@@ -18,7 +18,7 @@ from fgml import (
     is_sigma_bisimulation,
     make_lattice,
 )
-from fgml.errors import PreconditionError
+from fgml.errors import LatticeMismatchError, PreconditionError
 from fgml.signature import Lifting, Signature
 from fgml.topology import generate_topology, indiscrete_space
 
@@ -309,6 +309,26 @@ def test_am_blocking_pair_reported():
     report = is_am_bisimulation(rel, m_id, m_swap, sig)
     assert not report.verdict
     assert report.witnesses[0].note is not None
+
+
+def test_every_check_refuses_models_it_cannot_compare():
+    # each prop is the top grade, so only the lattice or the prop name differs
+    _, sig = identity_functor()
+
+    def model(lat, prop):
+        return complete_identity_model(XY, lat, ("x", "y"),
+                                       {prop: FuzzySet.constant(XY, lat, lat.top)}, sig)
+
+    m, diag = model(D2, "p"), Relation.diagonal(XY)
+    for other, error, message in (
+            (model(make_lattice(1), "p"), LatticeMismatchError,
+             "the two spaces use different grade lattices"),
+            (model(D2, "q"), PreconditionError, "models value different proposition sets")):
+        for check in (lambda: is_sigma_bisimulation(diag, other, m, sig),
+                      lambda: greatest_sigma_bisimulation(other, m, sig),
+                      lambda: is_am_bisimulation(diag, other, m, sig)):
+            with pytest.raises(error, match=message):
+                check()
 
 
 # ------------------------------------------------------------------ suites

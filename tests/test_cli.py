@@ -557,7 +557,10 @@ def test_property_json_printer_matches_json_dumps():
     @hypothesis.given(values)
     def check(value):
         assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert _json(value, sort=False) == json.dumps(value, indent=2)
 
     check()
     assert _json({"a": [], "b": {}, "c": ["\u00e9\u2603", 1.5, None]}) == \
         json.dumps({"a": [], "b": {}, "c": ["\u00e9\u2603", 1.5, None]}, indent=2, sort_keys=True)
+    assert _json({"b": 1, "a": {"d": [], "c": 2}}, sort=False) == \
+        json.dumps({"b": 1, "a": {"d": [], "c": 2}}, indent=2)

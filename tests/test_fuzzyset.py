@@ -126,6 +126,19 @@ def test_relation_pairs_validated():
         Relation.of(XY, UV, [("x", "zzz")])
 
 
+def test_relation_membership_and_size():
+    r = Relation.of(XY, UV, [("x", "u"), ("y", "v"), ("x", "u")])
+    assert ("x", "u") in r and ("y", "v") in r
+    assert ("x", "v") not in r and ("u", "x") not in r
+    assert len(r) == 2 and len(Relation.of(XY, UV, [])) == 0
+
+
+def test_fuzzy_set_from_dict_needs_every_element():
+    assert FuzzySet.from_dict(XY, LAT, {"y": LAT.grade(2), "x": LAT.grade(1)}) == fs(XY, 1, 2)
+    with pytest.raises(ValueError, match=r"membership not total, missing \['y'\]"):
+        FuzzySet.from_dict(XY, LAT, {"x": LAT.grade(1)})
+
+
 def test_pair_carrier_deterministic():
     r = Relation.of(XY, UV, [("y", "u"), ("x", "v"), ("x", "u")])
     assert r.pair_carrier().elements == (("x", "u"), ("x", "v"), ("y", "u"))

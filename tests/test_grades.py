@@ -1,3 +1,4 @@
+import operator
 from itertools import product
 
 import pytest
@@ -79,6 +80,24 @@ def test_chain_order_total():
     for a, b in product(vals, repeat=2):
         assert a <= b or b <= a
     assert lat.bottom <= lat.top
+
+
+def test_strict_and_reverse_orders():
+    lat = make_lattice(3)
+    for a, b in product(lat.values, repeat=2):
+        assert (a < b) == (a.num < b.num) and (a > b) == (a.num > b.num)
+        assert (a >= b) == (a.num >= b.num)
+    low, high = make_lattice(2).grade(0), make_lattice(4).grade(4)
+    for compare in (operator.lt, operator.gt, operator.ge):
+        with pytest.raises(LatticeMismatchError, match="grades from different lattices"):
+            compare(low, high)
+
+
+def test_lattice_holds_only_its_own_grades():
+    lat = make_lattice(2)
+    assert all(g in lat for g in lat.values)
+    assert make_lattice(3).grade(1) not in lat
+    assert "1/2" not in lat and 1 not in lat
 
 
 def test_serialization_round_trip():

@@ -141,33 +141,62 @@ def test_am_mediating_maps_are_continuous_into_the_eager_image():
     assert accepted and refused
 
 
+S3 = Carrier(("s0", "s1", "s2"))
+
+
+def crisp_box_models(*specs):
+    """The `box` signature over the crisp lattice and, for each (opens,
+    sigma sets) spec, a valid model on s0, s1, s2 with p the constant 1;
+    sets are bit tuples."""
+    lat = make_lattice(1)
+    _, sig = fuzzy_powerset_functor(lat, ("box",))
+
+    def crisp(bits):
+        return FuzzySet(S3, lat, tuple(map(lat.grade, bits)))
+
+    models = []
+    for opens, sigma_sets in specs:
+        space = FuzzySpace(S3, lat, frozenset(map(crisp, opens)))
+        sigma = CarrierMap.onto(S3, [crisp(v) for v in sigma_sets])
+        models.append(Model.create(space, sigma, {"p": crisp((1, 1, 1))}))
+        assert validate_model(models[-1], sig)
+    return sig, models
+
+
 def test_am_refuses_when_no_choice_is_continuous():
     # a crisp box model pair found by random search: every pair has
     # structure values projecting onto both sides, but no choice of them
     # pulls each subbasis member back to an open of the relation space
-    lat = make_lattice(1)
-    carrier = Carrier(("s0", "s1", "s2"))
-    _, sig = fuzzy_powerset_functor(lat, ("box",))
-
-    def crisp(*bits):
-        return FuzzySet(carrier, lat, tuple(map(lat.grade, bits)))
-
-    def model(opens, sigma_sets):
-        space = FuzzySpace(carrier, lat, frozenset(crisp(*o) for o in opens))
-        sigma = CarrierMap.onto(carrier, [crisp(*v) for v in sigma_sets])
-        m = Model.create(space, sigma, {"p": crisp(1, 1, 1)})
-        assert validate_model(m, sig)
-        return m
-
-    m1 = model([(0, 0, 0), (0, 0, 1), (1, 1, 1)], [(0, 1, 1), (1, 1, 0), (1, 1, 0)])
-    m2 = model([(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)],
-               [(1, 0, 1), (1, 0, 1), (1, 0, 0)])
-    rel = Relation.of(carrier, carrier, [("s0", "s0"), ("s0", "s2"), ("s1", "s0"),
-                                         ("s2", "s0"), ("s2", "s2")])
+    sig, (m1, m2) = crisp_box_models(
+        ([(0, 0, 0), (0, 0, 1), (1, 1, 1)], [(0, 1, 1), (1, 1, 0), (1, 1, 0)]),
+        ([(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)], [(1, 0, 1), (1, 0, 1), (1, 0, 0)]))
+    rel = Relation.of(S3, S3, [("s0", "s0"), ("s0", "s2"), ("s1", "s0"),
+                               ("s2", "s0"), ("s2", "s2")])
     report = is_am_bisimulation(rel, m1, m2, sig)
     assert not report.verdict and "none assemble" in report.witnesses[0].note
     eager = dataclasses.replace(sig.functor, subbasis=None, elements=None)
     assert is_am_bisimulation(rel, m1, m2, Signature(eager, sig.liftings)) == report
+
+
+def test_am_search_finds_a_map_past_the_greedy_choice():
+    # a crisp box model pair found by random search: the greedy choice of
+    # each pair's first candidate is not continuous, a later choice of the
+    # 42-entry search is, and the guard is checked only once greedy fails
+    opens = [(0, 0, 0), (1, 0, 0), (1, 1, 1)]
+    sig, (m1, m2) = crisp_box_models((opens, [(0, 1, 1), (1, 1, 0), (1, 1, 1)]),
+                                     (opens, [(1, 1, 0), (0, 1, 0), (1, 0, 1)]))
+    rel = Relation.of(S3, S3, [("s0", "s0"), ("s0", "s1"), ("s0", "s2"), ("s1", "s0"),
+                               ("s1", "s1"), ("s2", "s1"), ("s2", "s2")])
+    with pytest.raises(ResourceLimitError, match=re.escape(
+            "mediating map search needs 42 entries, above the guard of 8; "
+            "raise max_size to override")):
+        is_am_bisimulation(rel, m1, m2, sig, max_size=8)
+    report = is_am_bisimulation(rel, m1, m2, sig)
+    assert report.verdict and is_am_bisimulation(rel, m1, m2, sig, max_size=64) == report
+    eager = FunctorInstance(sig.functor.name, sig.functor.on_space, sig.functor.on_map)
+    assert is_am_bisimulation(rel, m1, m2, Signature(eager, sig.liftings)) == report
+    rel_space = subspace_topology(rel, m1.space, m2.space)
+    assert is_continuous(report.mediating, rel_space, eager.on_space(rel_space))
 
 
 def _no_image_topology(monkeypatch):

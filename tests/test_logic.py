@@ -98,6 +98,12 @@ def test_parse_validates_against_signature():
     assert parse_formula("<dia>(p)", sig) == Modal("dia", (Prop("p"),))
 
 
+def test_evaluate_checks_arity_of_a_formula_parsed_without_signature():
+    m1, sig = m1_model()
+    with pytest.raises(ArityMismatchError, match="<dia> takes 1 arguments, got 2"):
+        evaluate(m1, sig, parse_formula("<dia>(p, p)"))
+
+
 # --------------------------------------------------------------- semantics
 
 def test_evaluate_top_is_one():
