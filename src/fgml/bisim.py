@@ -1,14 +1,37 @@
 """Coherent pairs, Sigma-bisimulation, Aczel-Mendler bisimulation.
 
-Both Sigma checks read one sweep, `_disagreements`: it lifts every
-coherent tuple of the relation once and gives each related pair the
-lifting rows on which its two numerators differ. `is_sigma_bisimulation`
-turns those rows into witnesses, building `Grade`s only for them.
-`greatest_sigma_bisimulation` refines from the prop-agreeing relation,
-dropping every pair with a row, one sweep per round: deleting a pair can
-only enlarge the coherent set, so surviving pairs are re-tested against
-a strictly stronger condition each round and the loop terminates in at
-most |B1|x|B2| rounds.
+The coherent pairs of a relation R are the pairs of opens (mu, eta) with
+R[mu] <= eta and R^-1[eta] <= mu. Direct images keep joins and do not
+raise meets, so the coherent pairs are closed under componentwise join
+and meet, and (0, 0) and (1, 1) are coherent: packed mu << w2 | eta on
+S1 + S2, they form a topology, whose primes and co-primes are bases
+(`topology`). The least coherent pair holding a bit of mu is reached
+from the prime j of that bit by eta := up2(eta | R[mu]), mu :=
+up1(mu | R^-1[eta]), where up(x) is the least open above x, the join of
+the primes of x's bits: every step is forced on any coherent pair above
+(j, 0), and the fixpoint is coherent. So the fixpoints from the distinct
+primes of both sides are the primes of the coherent pairs, at most
+(n1 + n2)*d of them. Every coherent pair is the join of the primes of
+its bits, (0, 0) for none; so a lifting that keeps joins (`Lifting.keeps`)
+gives a related pair equal grades on every coherent pair iff it does on
+the primes and (0, 0), its join basis. Dually every coherent pair is the
+meet of the co-primes of the bits it lacks, (1, 1) for none, which is
+the meet basis of a lifting that keeps meets. Pullbacks along sigma keep
+both joins and meets. A lifting that declares nothing, or takes more
+than one argument, is read on every coherent tuple. Both spaces must be
+topologies, as a validated model's is.
+
+Both Sigma checks read one sweep, `_disagreements`: it lifts each basis
+member, or each coherent tuple, of the relation once and gives each
+related pair the lifting rows on which its two numerators differ.
+`is_sigma_bisimulation` decides its verdict on the bases; only a
+negative one walks every coherent tuple and turns those rows into
+witnesses, building `Grade`s only for them. `greatest_sigma_bisimulation`
+refines from the prop-agreeing relation, dropping every pair with a
+basis row, one sweep per round: deleting a pair can only enlarge the
+coherent set, so surviving pairs are re-tested against a strictly
+stronger condition each round and the loop terminates in at most
+|B1|x|B2| rounds.
 
 The Aczel-Mendler check searches the product of each pair's candidate
 structure values in order, so its first choice is the greedy one (every
@@ -28,6 +51,8 @@ from .fuzzyset import (
     CarrierMap,
     FuzzySet,
     Relation,
+    _fields_along,
+    _from_bits,
     fs_leq,
     inverse_image,
     relation_image,
@@ -36,7 +61,7 @@ from .fuzzyset import (
 from .grades import Grade
 from .logic import Model
 from .signature import Signature, image_elements, image_subbasis
-from .topology import FuzzySpace, subspace_topology
+from .topology import FuzzySpace, _coprimes, subspace_topology
 
 
 def is_coherent(rel: Relation, mu: FuzzySet, eta: FuzzySet) -> bool:
@@ -125,27 +150,77 @@ def _prop_witnesses(rel: Relation, m1: Model, m2: Model) -> list[BisimWitness]:
             if (g1 := m1.prop(name)(b1)) != (g2 := m2.prop(name)(b2))]
 
 
+def _coherent_basis(rel: Relation, space1: FuzzySpace, space2: FuzzySpace,
+                    kinds: set[str]) -> dict[str, list[tuple[FuzzySet, FuzzySet]]]:
+    """The join basis of the coherent pairs under "joins", and their meet
+    basis under "meets" if that is one of `kinds`.
+
+    From each distinct prime j of either side, eta := up2(eta | R[mu])
+    and mu := up1(mu | R^-1[eta]) rise to the least coherent pair above
+    (j, 0) or (0, j), where up(x) is the join of the primes of x's bits.
+    These pairs and (0, 0) are the join basis; the co-primes of the pairs
+    packed mu << w2 | eta, and (1, 1), are the meet basis.
+    """
+    d, lattice = space1.lattice.den, space1.lattice
+    w2 = len(space2.carrier) * d
+    width = len(space1.carrier) * d + w2
+
+    def up(primes: tuple[int, ...], x: int) -> int:
+        # a bit inside an open already joined needs no prime: its prime is below
+        out = 0
+        while x:
+            out |= primes[x.bit_length() - 1]
+            x &= ~out
+        return out
+
+    packed = {0}
+    for mu, eta in [(j, 0) for j in set(space1.primes)] + [(0, j) for j in set(space2.primes)]:
+        last = None
+        while last != (mu, eta):
+            last = mu, eta
+            eta = up(space2.primes, eta | _fields_along(mu, d, rel._edges))
+            mu = up(space1.primes, mu | _fields_along(eta, d, rel._back))
+        packed.add(mu << w2 | eta)
+    bases = {"joins": packed}
+    if "meets" in kinds:
+        bases["meets"] = set(_coprimes(packed, width)) | {(1 << width) - 1}
+    return {kind: [(_from_bits(space1.carrier, lattice, p >> w2),
+                    _from_bits(space2.carrier, lattice, p & (1 << w2) - 1))
+                   for p in sorted(family)] for kind, family in bases.items()}
+
+
 def _disagreements(rel: Relation, m1: Model, m2: Model, sig: Signature,
-                   max_tuples: int):
+                   max_tuples: int, basis: bool = True):
     """Each related pair in canonical order, with the rows of the lifting
     table on which its two numerators differ.
 
-    The table is built once: a row per lifting and coherent tuple, with
-    the numerators of the tuple's two pullbacks along sigma1 and sigma2.
-    A pair's rows are (lifting, left opens, right opens, left numerator,
-    right numerator), in table order.
+    The table is built once: a row per lifting and member, with the
+    numerators of the member's two pullbacks along sigma1 and sigma2. A
+    pair's rows are (lifting, left opens, right opens, left numerator,
+    right numerator), in table order. With `basis`, a lifting that
+    declares what it keeps is read on that basis of the coherent pairs,
+    so a pair has a row iff it has one in the full table; every other
+    lifting, and every lifting without `basis`, is read on every coherent
+    tuple.
     """
-    coherent = coherent_pairs(rel, m1.space, m2.space)
+    kinds = {l.keeps for l in sig.liftings} - {None} if basis else set()
+    bases = _coherent_basis(rel, m1.space, m2.space, kinds) if kinds else {}
+    coherent = coherent_pairs(rel, m1.space, m2.space) \
+        if any(l.keeps not in bases for l in sig.liftings) else ()
     table = []
     for lifting in sig.liftings:
-        combos = len(coherent) ** lifting.arity
-        if combos > max_tuples:
-            raise ResourceLimitError("coherent tuple enumeration", combos, max_tuples)
-        for combo in product(coherent, repeat=lifting.arity):
-            mus = tuple(mu for mu, _ in combo)
-            etas = tuple(eta for _, eta in combo)
-            table.append((lifting, mus, etas, m1.lift(lifting, mus).key(),
-                          m2.lift(lifting, etas).key()))
+        if lifting.keeps in bases:
+            combos = [((mu,), (eta,)) for mu, eta in bases[lifting.keeps]]
+        else:
+            total = len(coherent) ** lifting.arity
+            if total > max_tuples:
+                raise ResourceLimitError("coherent tuple enumeration", total, max_tuples)
+            combos = [(tuple(mu for mu, _ in combo), tuple(eta for _, eta in combo))
+                      for combo in product(coherent, repeat=lifting.arity)]
+        for mus, etas in combos:
+            left = m1.lift(lifting, mus).key()
+            right = left if m1 is m2 and mus == etas else m2.lift(lifting, etas).key()
+            table.append((lifting, mus, etas, left, right))
     for b1, b2 in rel.sorted_pairs():
         i1, i2 = m1.space.carrier.index(b1), m2.space.carrier.index(b2)
         yield (b1, b2), [(lifting, mus, etas, left[i1], right[i2])
@@ -155,15 +230,23 @@ def _disagreements(rel: Relation, m1: Model, m2: Model, sig: Signature,
 
 def is_sigma_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
                           max_tuples: int = DEFAULT_MAX_SIZE) -> BisimReport:
-    """Prop agreement plus equal lifting grades over every coherent tuple."""
+    """Prop agreement plus equal lifting grades over every coherent tuple.
+
+    The verdict is read on the bases; only a negative one walks every
+    coherent tuple, for the witnesses in table order.
+    """
     _require_shared_props(m1, m2)
+    witnesses = _prop_witnesses(rel, m1, m2)
+    if not witnesses and not any(rows for _, rows in _disagreements(
+            rel, m1, m2, sig, max_tuples)):
+        return BisimReport(True)
     grades = m1.space.lattice.values
-    witnesses = _prop_witnesses(rel, m1, m2) + [
+    witnesses += [
         BisimWitness(pair, lifting=lifting.name, left_opens=mus, right_opens=etas,
                      left_grade=grades[k1], right_grade=grades[k2])
-        for pair, rows in _disagreements(rel, m1, m2, sig, max_tuples)
+        for pair, rows in _disagreements(rel, m1, m2, sig, max_tuples, basis=False)
         for lifting, mus, etas, k1, k2 in rows]
-    return BisimReport(not witnesses, tuple(witnesses))
+    return BisimReport(False, tuple(witnesses))
 
 
 def greatest_sigma_bisimulation(m1: Model, m2: Model, sig: Signature,
@@ -172,8 +255,9 @@ def greatest_sigma_bisimulation(m1: Model, m2: Model, sig: Signature,
 
     Start from all prop-agreeing pairs; repeatedly delete pairs whose
     lifting grades disagree on some coherent tuple of the current
-    relation. Each surviving relation contains every Sigma-bisimulation,
-    and the fixpoint is itself one, so it is the greatest.
+    relation, read on the bases. Each surviving relation contains every
+    Sigma-bisimulation, and the fixpoint is itself one, so it is the
+    greatest.
     """
     _require_shared_props(m1, m2)
     carrier1, carrier2 = m1.space.carrier, m2.space.carrier

@@ -24,7 +24,16 @@ from json.encoder import encode_basestring_ascii
 from .bisim import greatest_sigma_bisimulation, is_am_bisimulation, is_sigma_bisimulation
 from .errors import DocumentError, FgmlError, ResourceLimitError, UnknownModalityError
 from .frames import duality_check
-from .fuzzyset import DEFAULT_MAX_SIZE, Carrier, CarrierMap, FuzzySet, Relation, _from_bits, _pack
+from .fuzzyset import (
+    DEFAULT_MAX_SIZE,
+    Carrier,
+    CarrierMap,
+    FuzzySet,
+    Relation,
+    _from_bits,
+    _pack,
+    inverse_image,
+)
 from .grades import GradeLattice, make_lattice
 from .logic import (
     Model,
@@ -44,7 +53,7 @@ from .signature import (
     fuzzy_powerset_functor,
     identity_functor,
 )
-from .topology import FuzzySpace, generate_topology, is_continuous
+from .topology import FuzzySpace, generate_topology
 
 _PROP_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -333,7 +342,7 @@ def _cmd_quotient(args) -> int:
 
 def _cmd_bisim(args) -> int:
     lm = load_model(args.model, args.max_size)
-    ln = load_model(args.other, args.max_size)
+    ln = lm if args.other == args.model else load_model(args.other, args.max_size)
     if (lm.lattice, lm.functor_name, lm.modalities) != \
             (ln.lattice, ln.functor_name, ln.modalities):
         raise DocumentError("the two models must share lattice, functor and "
@@ -372,9 +381,13 @@ def _cmd_sig(args) -> int:
         ok = ok and mono.ok
     maps = (CarrierMap(space.carrier, space.carrier, assignment)
             for assignment in product(space.carrier.elements, repeat=n))
+    # the loaded space is a topology: every open is a join of primes, and
+    # inverse images keep joins, so a map is continuous iff each prime
+    # pulls back to an open
+    primes = [_from_bits(space.carrier, space.lattice, j) for j in set(space.primes)]
     natural_ok = True
     for f in maps:
-        if not is_continuous(f, space, space):
+        if not all(inverse_image(f, j) in space.opens for j in primes):
             continue
         for lifting in sig.liftings:
             nat = check_natural(lifting, f, space, space)

@@ -113,12 +113,24 @@ class Lifting:
     Outputs are opens of the image space whenever the lifting belongs to
     the generating signature; derived duals may fall outside the image
     topology, so apply() accepts arbitrary fuzzy sets mechanically.
+
+    `keeps` declares that a unary lifting keeps binary "joins" or "meets"
+    of its argument, pointwise; the Sigma-bisimulation checks then read
+    it on a basis of the coherent pairs (`bisim`). None, the default,
+    claims nothing.
     """
 
     name: str
     arity: int
     functor: FunctorInstance
     _raw: Callable[[FuzzySpace, tuple[FuzzySet, ...], Carrier], FuzzySet]
+    keeps: str | None = None
+
+    def __post_init__(self):
+        if self.keeps not in (None, "joins", "meets"):
+            raise ValueError(f"keeps must be None, 'joins' or 'meets', not {self.keeps!r}")
+        if self.keeps and self.arity != 1:
+            raise ValueError("only a unary lifting declares what it keeps")
 
     def apply(self, space: FuzzySpace, args: Sequence[FuzzySet],
               at: Carrier | None = None) -> FuzzySet:
@@ -165,7 +177,8 @@ def identity_functor() -> tuple[FunctorInstance, Signature]:
 
     functor = FunctorInstance(name="identity", on_space=lambda space: space,
                               on_map=lambda f, source, target: f, subbasis=subbasis)
-    lifting = Lifting("id", 1, functor, lambda space, args, at: _restrict(args[0], at))
+    lifting = Lifting("id", 1, functor, lambda space, args, at: _restrict(args[0], at),
+                      keeps="joins")
     return functor, Signature(functor, (lifting,))
 
 
@@ -245,17 +258,20 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
 
     raw = {"dia": dia_raw, "box": lambda space, args, at: fs_complement(
         dia_raw(space, tuple(map(fs_complement, args)), at))}
-    liftings = tuple(Lifting(m, 1, functor, raw[m]) for m in mods)
+    keeps = {"dia": "joins", "box": "meets"}
+    liftings = tuple(Lifting(m, 1, functor, raw[m], keeps[m]) for m in mods)
     return functor, Signature(functor, liftings)
 
 
 def dual_lifting(l: Lifting) -> Lifting:
-    """Pointwise complement of the lifting applied to complemented arguments."""
+    """Pointwise complement of the lifting applied to complemented arguments;
+    the complement swaps joins and meets, and so what the dual keeps."""
 
     def raw(space: FuzzySpace, args: tuple[FuzzySet, ...], at: Carrier) -> FuzzySet:
         return fs_complement(l.apply(space, tuple(fs_complement(a) for a in args), at))
 
-    return Lifting(f"dual_{l.name}", l.arity, l.functor, raw)
+    swap = {"joins": "meets", "meets": "joins", None: None}
+    return Lifting(f"dual_{l.name}", l.arity, l.functor, raw, swap[l.keeps])
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,26 @@
 """Brute-force bisimulation oracles, used only by the tests.
 
-The coherence lemma check compares every pair of opens both ways; the
-implication suites enumerate every relation between two carriers (AM
+The full-table Sigma checks lift every coherent tuple for every lifting,
+with no basis: `full_table_sigma_check` lists every disagreeing tuple as
+a witness and `full_table_greatest` refines on that table. The coherence
+lemma check compares every pair of opens both ways; the implication
+suites enumerate every relation between two carriers (AM
 bisimulation implies Sigma-bisimulation, for monotone signatures) or
 every formula up to a depth plus the definable opens' defining formulas
 (Sigma-bisimilar states are modally equivalent).
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from fgml import (
+    BisimReport,
+    BisimWitness,
     FuzzySpace,
     Model,
     Relation,
     Signature,
+    coherent_pairs,
     definable_opens,
     enumerate_formulas,
     evaluate,
@@ -26,6 +33,54 @@ from fgml import (
 from fgml.errors import PreconditionError, ResourceLimitError
 from fgml.fuzzyset import DEFAULT_MAX_SIZE
 from fgml.signature import check_monotone
+
+
+def _full_table(rel: Relation, m1: Model, m2: Model, sig: Signature, max_tuples: int):
+    """Each related pair in canonical order with its disagreeing rows
+    (lifting, left opens, right opens, left grade, right grade): every
+    lifting on every coherent tuple, under the tuple guard."""
+    coherent = coherent_pairs(rel, m1.space, m2.space)
+    table = []
+    for lifting in sig.liftings:
+        combos = len(coherent) ** lifting.arity
+        if combos > max_tuples:
+            raise ResourceLimitError("coherent tuple enumeration", combos, max_tuples)
+        for combo in product(coherent, repeat=lifting.arity):
+            mus = tuple(mu for mu, _ in combo)
+            etas = tuple(eta for _, eta in combo)
+            table.append((lifting, mus, etas, m1.lift(lifting, mus), m2.lift(lifting, etas)))
+    for b1, b2 in rel.sorted_pairs():
+        yield (b1, b2), [(lifting, mus, etas, left(b1), right(b2))
+                         for lifting, mus, etas, left, right in table
+                         if left(b1) != right(b2)]
+
+
+def full_table_sigma_check(rel: Relation, m1: Model, m2: Model, sig: Signature,
+                           max_tuples: int = DEFAULT_MAX_SIZE) -> BisimReport:
+    """Prop witnesses, then a witness per related pair and disagreeing row
+    of the full table, in table order."""
+    witnesses = [BisimWitness((b1, b2), prop=name, left_grade=g1, right_grade=g2)
+                 for b1, b2 in rel.sorted_pairs() for name in m1.props
+                 if (g1 := m1.prop(name)(b1)) != (g2 := m2.prop(name)(b2))]
+    witnesses += [BisimWitness(pair, lifting=lifting.name, left_opens=mus, right_opens=etas,
+                               left_grade=g1, right_grade=g2)
+                  for pair, rows in _full_table(rel, m1, m2, sig, max_tuples)
+                  for lifting, mus, etas, g1, g2 in rows]
+    return BisimReport(not witnesses, tuple(witnesses))
+
+
+def full_table_greatest(m1: Model, m2: Model, sig: Signature,
+                        max_tuples: int = DEFAULT_MAX_SIZE) -> Relation:
+    """From the prop-agreeing pairs, drop every pair with a disagreeing
+    row of the full table until none has one."""
+    c1, c2 = m1.space.carrier, m2.space.carrier
+    rel = Relation.of(c1, c2, [(b1, b2) for b1 in c1 for b2 in c2
+                               if all(m1.prop(p)(b1) == m2.prop(p)(b2) for p in m1.props)])
+    while True:
+        dropped = {p for p, rows in _full_table(rel, m1, m2, sig, max_tuples) if rows}
+        if not dropped:
+            return rel
+        rel = Relation.of(c1, c2, rel.pairs - dropped)
 
 
 def coherence_lemma_check(rel: Relation, space1: FuzzySpace,
