@@ -30,15 +30,14 @@ from .fuzzyset import (
     CarrierMap,
     FuzzySet,
     Relation,
+    _fields_along,
     _from_bits,
     _pack,
-    inverse_image,
 )
 from .grades import GradeLattice, make_lattice
 from .logic import (
     Model,
-    _formula_closure,
-    _seeds,
+    _depth_labels,
     evaluate,
     modal_equivalence_classes,
     parse_formula,
@@ -97,7 +96,8 @@ def _fuzzy_set_from_doc(obj, carrier: Carrier, lattice: GradeLattice,
 
 
 def _fuzzy_set_to_doc(fs: FuzzySet) -> dict:
-    return {e: str(g) for e, g in zip(fs.carrier.elements, fs.grades)}
+    names = fs.lattice.names
+    return dict(zip(fs.carrier.elements, [names[k] for k in fs.key()]))
 
 
 def build_signature(functor_name: str, modalities: tuple[str, ...],
@@ -261,7 +261,8 @@ def _json(value, sort: bool = True, indent: str = "") -> str:
         return encode_basestring_ascii(value)
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, sort, inner)}"
+        items = [f"{encode_basestring_ascii(k)}: " + (
+                     encode_basestring_ascii(v) if isinstance(v, str) else _json(v, sort, inner))
                  for k, v in (sorted(value.items()) if sort else value.items())]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
@@ -294,10 +295,9 @@ def _cmd_eval(args) -> int:
     lm = load_model(args.model, args.max_size)
     text = lm.formulas.get(args.formula, args.formula)
     formula = parse_formula(text, lm.signature)
-    result = evaluate(lm.model, lm.signature, formula)
-    _emit(args, {"formula": str(formula),
-                 "grades": _fuzzy_set_to_doc(result)},
-          [f"{e}: {g}" for e, g in zip(result.carrier.elements, result.grades)])
+    grades = _fuzzy_set_to_doc(evaluate(lm.model, lm.signature, formula))
+    _emit(args, {"formula": str(formula), "grades": grades},
+          [f"{e}: {g}" for e, g in grades.items()])
     return 0
 
 
@@ -306,15 +306,15 @@ def _cmd_classes(args) -> int:
     classes = modal_equivalence_classes(lm.model, lm.signature)
     lines = [" ".join(cls) for cls in classes]
     if args.depth:
-        vectors = _formula_closure([lm.model], lm.signature, _seeds(lm.model.props), args.depth)
-        grades = dict(zip(lm.model.space.carrier, zip(*(v.key() for v, in vectors))))
+        labels = dict(zip(lm.model.space.carrier,
+                          _depth_labels(lm.model, lm.signature, args.depth)))
         # the closure partition must refine the depth-bounded one; the
         # oracle separating states the closure joins would be a real bug
-        if any(len({grades[s] for s in c}) > 1 for c in classes):
+        if any(len({labels[s] for s in c}) > 1 for c in classes):
             print("error: depth-bounded oracle separates states the closure "
                   "joins", file=sys.stderr)
             return 2
-        if len(set(grades.values())) < len(classes):
+        if len(set(labels.values())) < len(classes):
             lines.append(f"note: oracle at depth {args.depth} is coarser "
                          "than the closure partition")
     _emit(args, {"classes": [list(c) for c in classes]}, lines)
@@ -379,16 +379,17 @@ def _cmd_sig(args) -> int:
         mono = check_monotone(lifting, space)
         lines.append(f"monotone[{lifting.name}]: {'PASS' if mono.ok else 'FAIL'}")
         ok = ok and mono.ok
-    maps = (CarrierMap(space.carrier, space.carrier, assignment)
-            for assignment in product(space.carrier.elements, repeat=n))
     # the loaded space is a topology: every open is a join of primes, and
     # inverse images keep joins, so a map is continuous iff each prime
-    # pulls back to an open
-    primes = [_from_bits(space.carrier, space.lattice, j) for j in set(space.primes)]
+    # pulls back to an open; only a continuous map becomes a CarrierMap
+    d, last, states = space.lattice.den, n - 1, space.carrier.elements
+    primes, opens = set(space.primes), {o.bits for o in space.opens}
     natural_ok = True
-    for f in maps:
-        if not all(inverse_image(f, j) in space.opens for j in primes):
+    for targets in product(range(n), repeat=n):
+        back = [(last - t, last - i) for i, t in enumerate(targets)]  # its CarrierMap._back
+        if not all(_fields_along(j, d, back) in opens for j in primes):
             continue
+        f = CarrierMap(space.carrier, space.carrier, tuple(states[t] for t in targets))
         for lifting in sig.liftings:
             nat = check_natural(lifting, f, space, space)
             if not nat.ok:

@@ -64,9 +64,14 @@ class GradeLattice:
         return tuple(Grade(k, self.den) for k in range(self.den + 1))
 
     @cached_property
+    def names(self) -> tuple[str, ...]:
+        """The canonical grade string "k/d" of each numerator k."""
+        return tuple(map(str, self.values))
+
+    @cached_property
     def numerators(self) -> dict[str, int]:
         """The numerator k of each canonical grade string "k/d"."""
-        return {str(g): g.num for g in self.values}
+        return {name: k for k, name in enumerate(self.names)}
 
     @property
     def bottom(self) -> Grade:

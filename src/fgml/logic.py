@@ -19,7 +19,12 @@ which runs round by round and semi-naively (Bancilhon and Ramakrishnan,
 1986): a round offers only the argument tuples that use a member added by
 the round before, in the order a naive round over all members would.
 Older tuples were offered before, so the members, their order and each
-one's formula (its first offer) are the naive ones.
+one's formula (its first offer) are the naive ones. The cross-check of
+`classes --depth K` needs only the partition by the first K rounds'
+members and runs those rounds on packed `bits` without formulas
+(`_depth_labels`); its last round offers only lifts, since a meet or join
+of members that agree at two states agrees there too and so splits no
+block.
 
 `modal_equivalence_classes`, and through it `quotient_model` and the
 `classes` and `quotient` commands, need only the partition of the states
@@ -32,7 +37,9 @@ t agrees there too, so the family splits the states exactly as its
 generators do. The lattice closure is still needed, as a lifting is
 applied to meets and joins of generators; but once the generators
 separate every pair of states no finer partition exists, and the
-closure stops.
+closure stops. `quotient_model` keeps an open iff it is saturated, read
+on its fields (pushed along the quotient map and pulled back, it is
+unchanged), and builds a fuzzy set only for the images of those.
 """
 
 from __future__ import annotations
@@ -54,8 +61,8 @@ from .fuzzyset import (
     Carrier,
     CarrierMap,
     FuzzySet,
+    _fields_along,
     _from_bits,
-    direct_image,
     fs_join,
     fs_meet,
     inverse_image,
@@ -379,6 +386,65 @@ def _formula_closure(models: Sequence[Model], sig: Signature, seeds: Sequence[Fo
     return found
 
 
+def _depth_labels(m: Model, sig: Signature, depth: int) -> tuple[int, ...]:
+    """One label per state, equal for two states iff every member of
+    `_formula_closure([m], sig, _seeds(m.props), depth)` takes the same
+    grade at both.
+
+    Runs that closure's rounds semi-naively on packed `bits`, without
+    formulas: a round offers the meets and joins of the pairs, and the
+    lifts of the argument tuples, that use a member the round before
+    added. A member is made a `FuzzySet` only to be a lifting argument.
+
+    The last round offers only lifts. Let F be the family before it. If
+    every member of F takes equal grades at s and t, then so do the meet
+    and the join of two members a, b of F, since min(a(s), b(s)) =
+    min(a(t), b(t)) and max likewise. So the last round's meets and joins
+    split no block that F leaves whole, and the partition by F, its
+    meets and joins and its lifts is the partition by F and its lifts.
+    Earlier rounds stay complete, as their meets and joins are arguments
+    of later lifts. The rounds stop early once every state has a label of
+    its own, which no member can split.
+    """
+    space, carrier, lattice = m.space, m.space.carrier, m.space.lattice
+    n, field = len(carrier), (1 << lattice.den) - 1
+    shifts = range((n - 1) * lattice.den, -1, -lattice.den)
+    items = list(dict.fromkeys([space.top_open.bits, 0, *(v.bits for _, v in m.valuation)]))
+    found, sets, old = set(items), [], 0
+    labels = (0,) * n
+
+    def refine(batch) -> int:  # labels split by each state's grades in batch
+        nonlocal labels
+        ids: dict[tuple, int] = {}
+        labels = tuple(ids.setdefault((label, tuple(b >> shift & field for b in batch)), len(ids))
+                       for label, shift in zip(labels, shifts))
+        return len(ids)
+
+    classes = refine(items)
+    for round_ in range(depth):
+        if classes == n:
+            break
+        fresh = set()
+        if round_ < depth - 1:
+            for j in range(old, len(items)):
+                b = items[j]
+                for a in items[:j + 1]:
+                    fresh.add(a & b)
+                    fresh.add(a | b)
+        sets += (_from_bits(carrier, lattice, b) for b in items[len(sets):])
+        for lifting in sig.liftings:
+            fresh.update(m.lift(lifting, args).bits
+                         for args in _new_combos(sets, old, lifting.arity, False))
+        fresh -= found
+        if not fresh:
+            break
+        found |= fresh
+        old = len(items)
+        items += fresh
+        classes = refine(fresh)
+    return labels
+
+
 def definable_opens(m: Model, sig: Signature) -> dict[FuzzySet, Formula]:
     """Least family containing both constants and the valuations, closed
     under meet, join and each lifting composed with the structure map.
@@ -516,9 +582,12 @@ def quotient_model(m: Model, sig: Signature) -> QuotientResult:
     q = CarrierMap(m.space.carrier, q_carrier,
                    tuple(rep_of[s] for s in m.space.carrier))
 
-    opens = frozenset(w for o in m.space.opens
-                      if inverse_image(q, w := direct_image(q, o)) == o)
-    q_space = FuzzySpace(q_carrier, m.space.lattice, opens)
+    # o is saturated iff q^-1(q(o)) = o; only those images become opens
+    lattice, d = m.space.lattice, m.space.lattice.den
+    opens = frozenset(_from_bits(q_carrier, lattice, w) for o in m.space.opens
+                      if _fields_along(w := _fields_along(o.bits, d, q._edges),
+                                       d, q._back) == o.bits)
+    q_space = FuzzySpace(q_carrier, lattice, opens)
 
     image_map = sig.functor.on_map(q, m.space, q_space)
     sigma_values = {}
@@ -533,7 +602,7 @@ def quotient_model(m: Model, sig: Signature) -> QuotientResult:
                             f"{other!r} are modally equivalent but their structure "
                             "values differ in the quotient")
     q_sigma = CarrierMap.onto(q_carrier, [sigma_values[rep] for rep in reps])
-    valuation = {name: FuzzySet(q_carrier, m.space.lattice,
+    valuation = {name: FuzzySet(q_carrier, lattice,
                                 tuple(v(rep) for rep in reps))
                  for name, v in m.valuation}
     quotient = Model.create(q_space, q_sigma, valuation)

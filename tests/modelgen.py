@@ -23,6 +23,7 @@ from fgml import (
     Relation,
     Signature,
     Top,
+    direct_image,
     evaluate,
     fs_join,
     fs_meet,
@@ -327,6 +328,13 @@ def all_opens_discontinuity(m: Model, sig: Signature) -> FuzzySet | None:
     is not open; None when there is none."""
     return next((o for o in all_opens_subbasis(sig, m.space, m.sigma.target)
                  if inverse_image(m.sigma, o) not in m.space.opens), None)
+
+
+def oracle_quotient_opens(m: Model, q: CarrierMap) -> frozenset[FuzzySet]:
+    """The final topology along the onto quotient map q, on fuzzy sets:
+    the images q(o) of the opens o with q^-1(q(o)) = o."""
+    return frozenset(w for o in m.space.opens
+                     if inverse_image(q, w := direct_image(q, o)) == o)
 
 
 def all_opens_subspace_topology(rel: Relation, left: FuzzySpace, right: FuzzySpace,

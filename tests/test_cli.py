@@ -136,11 +136,24 @@ def test_cli_classes_refuses_a_negative_depth(capsys, monkeypatch):
     assert "argument --depth: must not be negative: -1" in capsys.readouterr().err
 
     def refuse(*args):
-        raise AssertionError("--depth 0 runs the formula closure")
+        raise AssertionError("--depth 0 runs the depth-bounded oracle")
 
-    monkeypatch.setattr("fgml.cli._formula_closure", refuse)
+    monkeypatch.setattr("fgml.cli._depth_labels", refuse)
     assert run_command(["classes", "-m", M1, "--depth", "0"]) == 0
     assert capsys.readouterr().out.splitlines() == ["x", "y"]
+
+
+def test_cli_classes_runs_no_formula_closure(capsys, monkeypatch):
+    # the depth-bounded oracle works on packed bits: no closure with
+    # formulas runs and no formula variant is constructed
+    def refuse(*args):
+        raise AssertionError("classes builds formulas")
+
+    for name in ("_formula_closure", "Top", "Prop", "And", "Or", "Modal"):
+        monkeypatch.setattr(f"fgml.logic.{name}", refuse)
+    for depth in ("2", "3"):
+        assert run_command(["classes", "-m", M1, "--depth", depth]) == 0
+        assert capsys.readouterr().out.splitlines() == ["x", "y"]
 
 
 def test_cli_quotient(capsys):

@@ -8,8 +8,10 @@ generation and validation sweep packed families instead; their
 references are the naive closure and the pairwise scan over fuzzy sets.
 Modal equivalence classes come from a formula-free closure; their
 reference is the partition read off `definable_opens`. `fgml classes
---depth K` reads its oracle partition off the depth-K closure's vectors;
-its reference is enumerating the formulas and evaluating each again.
+--depth K` reads its oracle partition off `_depth_labels`, the depth-K
+closure on packed bits; its references are the partition read off the
+depth-K `_formula_closure`'s vectors and enumerating the formulas and
+evaluating each again.
 """
 
 import json
@@ -44,10 +46,11 @@ from fgml import (
     modal_equivalence_classes,
     quotient_model,
 )
-from fgml.cli import LoadedModel, load_model, model_to_document, run_command
+from fgml.cli import LoadedModel, load_document, load_model, model_to_document, run_command
 from fgml.errors import ResourceLimitError
 from fgml.frames import FiniteFrame
 from fgml.fuzzyset import DEFAULT_MAX_SIZE
+from fgml.logic import _depth_labels, _formula_closure, _seeds
 from fgml.topology import FuzzySpace, TopologyCheck
 
 from modelgen import (
@@ -403,10 +406,8 @@ def test_binary_liftings_pull_back_old_with_new_members():
     assert modal_equivalence_classes(m, sig) == definable_partition(m, sig) == (("a",), ("b",))
 
 
-def test_property_classes_match_definable_opens():
-    # Random models of both functors; powerset models with dia, box or both.
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def _random_models(st):
+    """Random models of both functors; powerset models with dia, box or both."""
 
     @st.composite
     def models(draw):
@@ -429,8 +430,15 @@ def test_property_classes_match_definable_opens():
         sigma_sets = {s: draw(grades) for s in carrier}
         return complete_powerset_model(carrier, lat, sigma_sets, valuation, sig), sig
 
+    return models()
+
+
+def test_property_classes_match_definable_opens():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
-    @hypothesis.given(models(), st.integers(0, 4))
+    @hypothesis.given(_random_models(st), st.integers(0, 4))
     def check(case, variant):
         m, sig = case
         sig = list(_signatures(sig, binary=True))[variant]
@@ -442,6 +450,64 @@ def test_property_classes_match_definable_opens():
     outcomes = set()
     check()
     assert outcomes == {True, False}  # both early-stop and full-closure cases drawn
+
+
+def closure_partition(m, sig, depth):
+    """States grouped by their grades on every vector of the depth-bounded
+    `_formula_closure`: the oracle partition of `classes --depth` before
+    it moved onto packed bits."""
+    vectors = [v.key() for v, in _formula_closure([m], sig, _seeds(m.props), depth)]
+    groups = {}
+    for i, s in enumerate(m.space.carrier):
+        groups.setdefault(tuple(key[i] for key in vectors), set()).add(s)
+    return {frozenset(g) for g in groups.values()}
+
+
+def check_depth_labels(m, sig, depths=range(6)):
+    """`_depth_labels` partitions the states as `closure_partition` does at
+    each depth; returns the number of depths whose last round split a
+    block, where a helper that skipped that round's lifts would fail (its
+    meets and joins split none)."""
+    splits, previous = 0, None
+    for depth in depths:
+        groups = {}
+        for s, label in zip(m.space.carrier, _depth_labels(m, sig, depth)):
+            groups.setdefault(label, set()).add(s)
+        expected = closure_partition(m, sig, depth)
+        assert {frozenset(g) for g in groups.values()} == expected, depth
+        splits += previous is not None and expected != previous
+        previous = expected
+    return splits
+
+
+def test_depth_labels_match_the_formula_closure(zoo):
+    for m, sig in zoo:
+        small = len(m.space.carrier) <= 3 and m.space.lattice.den <= 2
+        for variant in _signatures(sig, binary=small):
+            check_depth_labels(m, variant)
+
+
+@pytest.mark.parametrize("n,seed", [(8, 5), (12, 8)])
+def test_depth_labels_on_chain_documents(n, seed):
+    # the documents whose depth-bounded oracle is coarser than the closure
+    # up to depth 2 and 3: later rounds keep splitting blocks
+    lm = load_document(pullback_closed_document(1, n, seed, duplicate=True))
+    assert check_depth_labels(lm.model, lm.signature) >= 2
+
+
+def test_property_depth_labels_match_the_formula_closure():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(_random_models(st), st.integers(0, 4))
+    def check(case, variant):
+        m, sig = case
+        splits.append(check_depth_labels(m, list(_signatures(sig, binary=True))[variant]))
+
+    splits = []
+    check()
+    assert any(splits)
 
 
 def enumerate_then_evaluate(m, sig, depth):

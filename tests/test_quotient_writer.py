@@ -1,0 +1,104 @@
+"""`quotient` and the document writer on packed bits, against fuzzy sets.
+
+The quotient topology keeps the images of the saturated opens; the
+reference is the filter over `direct_image` and `inverse_image` objects
+(`modelgen.oracle_quotient_opens`). Grades are written through a table of
+strings indexed by numerator; the reference is `str` of each `Grade`.
+The text and `--json` outputs of `quotient` and `classes --depth 3` on
+each loadable fixture are pinned byte for byte in `golden/outputs.json`
+(`m1_dup.json` and `chain_d1n8.json` have modally equivalent states, so
+merging quotients are pinned too);
+`python tests/test_quotient_writer.py` rewrites that file from the
+current code, for a change that means to alter those outputs.
+"""
+
+import contextlib
+import glob
+import io
+import json
+import os
+import sys
+from itertools import product
+
+import pytest
+
+from fgml import Carrier, make_lattice, quotient_model
+from fgml.cli import _fuzzy_set_to_doc, load_model, run_command
+from fgml.errors import DocumentError
+from fgml.fuzzyset import _from_bits, _pack
+
+from modelgen import (
+    FIXTURES,
+    duplicate_state,
+    identity_zoo,
+    oracle_quotient_opens,
+    powerset_zoo,
+)
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "outputs.json")
+
+
+def test_quotient_opens_match_the_fuzzy_set_filter():
+    merged = 0
+    zoo = powerset_zoo(3) + powerset_zoo(2, dens=(1, 2, 3), modalities=("dia", "box")) \
+        + identity_zoo(5, dens=(1, 2, 3))
+    zoo += [(duplicate_state(m, sig, m.space.carrier.elements[-1], "z"), sig)
+            for m, sig in powerset_zoo(2)]
+    for m, sig in zoo:
+        result = quotient_model(m, sig)
+        if result:
+            assert result.model.space.opens == oracle_quotient_opens(m, result.quotient_map)
+            merged += len(result.classes) < len(m.space.carrier)
+    assert merged  # some quotients identify states, so that some opens are not saturated
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_fuzzy_set_to_doc_writes_str_of_each_grade(d):
+    lat, carrier = make_lattice(d), Carrier(("x", "y", "z"))
+    for nums in product(range(d + 1), repeat=len(carrier)):
+        fs = _from_bits(carrier, lat, _pack(nums, d))
+        assert _fuzzy_set_to_doc(fs) == {e: str(g) for e, g in zip(carrier.elements, fs.grades)}
+
+
+def _fixtures():
+    """The fixture documents that load, by file name."""
+    names = []
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        try:
+            load_model(path)
+        except DocumentError:
+            continue
+        names.append(os.path.basename(path))
+    return names
+
+
+def _outputs(name: str) -> dict:
+    """Exit code and stdout of each pinned command on one fixture."""
+    path = os.path.join(FIXTURES, name)
+    out = {}
+    for command in (["quotient"], ["classes", "--depth", "3"]):
+        for flags in ([], ["--json"]):
+            argv = [*flags, *command, "-m", path]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = run_command(argv)
+            out[" ".join([*flags, *command])] = [code, stdout.getvalue()]
+    return out
+
+
+def test_golden_covers_every_loadable_fixture():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        assert sorted(json.load(fh)) == _fixtures()
+
+
+@pytest.mark.parametrize("name", _fixtures())
+def test_outputs_match_the_golden_bytes(name):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        assert _outputs(name) == json.load(fh)[name]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump({name: _outputs(name) for name in _fixtures()}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)
