@@ -18,8 +18,11 @@ the primes and (0, 0), its join basis. Dually every coherent pair is the
 meet of the co-primes of the bits it lacks, (1, 1) for none, which is
 the meet basis of a lifting that keeps meets. Pullbacks along sigma keep
 both joins and meets. A lifting that declares nothing, or takes more
-than one argument, is read on every coherent tuple. Both spaces must be
-topologies, as a validated model's is.
+than one argument, is read on every coherent tuple; that tuple path
+reads the coherent pairs as the closure of their primes
+(`topology._read_on`), the same pairs in the same order as
+`coherent_pairs`, so it too needs both spaces to be topologies, as a
+validated model's are.
 
 Both Sigma checks read one sweep, `_disagreements`: it lifts each basis
 member, or each coherent tuple, of the relation once and gives each
@@ -61,7 +64,7 @@ from .fuzzyset import (
 from .grades import Grade
 from .logic import Model
 from .signature import Signature, image_elements, image_subbasis
-from .topology import FuzzySpace, _coprimes, subspace_topology
+from .topology import FuzzySpace, _read_on, subspace_topology
 
 
 def is_coherent(rel: Relation, mu: FuzzySet, eta: FuzzySet) -> bool:
@@ -77,6 +80,8 @@ def coherent_pairs(rel: Relation, space1: FuzzySpace, space2: FuzzySpace
     By the coherence lemma, which holds for every relation, (mu, eta) is
     coherent iff their pullbacks to the pair carrier are equal, so the
     opens of space2 are bucketed by pullback and each mu meets its bucket.
+    The Sigma checks read the same pairs, in the same order, as the
+    closure of the coherent primes (`_coherent_basis`).
     """
     if space1.lattice != space2.lattice:
         raise LatticeMismatchError("the two spaces use different grade lattices")
@@ -151,15 +156,16 @@ def _prop_witnesses(rel: Relation, m1: Model, m2: Model) -> list[BisimWitness]:
 
 
 def _coherent_basis(rel: Relation, space1: FuzzySpace, space2: FuzzySpace,
-                    kinds: set[str]) -> dict[str, list[tuple[FuzzySet, FuzzySet]]]:
-    """The join basis of the coherent pairs under "joins", and their meet
-    basis under "meets" if that is one of `kinds`.
+                    kinds: set[str | None]) -> dict[str | None, list[tuple[FuzzySet, FuzzySet]]]:
+    """The coherent pairs, in canonical order, that a lifting keeping each
+    of `kinds` is read on (`topology._read_on`): the join basis under
+    "joins", the meet basis under "meets", every coherent pair under None.
 
     From each distinct prime j of either side, eta := up2(eta | R[mu])
     and mu := up1(mu | R^-1[eta]) rise to the least coherent pair above
     (j, 0) or (0, j), where up(x) is the join of the primes of x's bits.
-    These pairs and (0, 0) are the join basis; the co-primes of the pairs
-    packed mu << w2 | eta, and (1, 1), are the meet basis.
+    These pairs, packed mu << w2 | eta, are the primes of the coherent
+    pairs; sorted packed pairs are in `coherent_pairs`' order.
     """
     d, lattice = space1.lattice.den, space1.lattice
     w2 = len(space2.carrier) * d
@@ -181,12 +187,9 @@ def _coherent_basis(rel: Relation, space1: FuzzySpace, space2: FuzzySpace,
             eta = up(space2.primes, eta | _fields_along(mu, d, rel._edges))
             mu = up(space1.primes, mu | _fields_along(eta, d, rel._back))
         packed.add(mu << w2 | eta)
-    bases = {"joins": packed}
-    if "meets" in kinds:
-        bases["meets"] = set(_coprimes(packed, width)) | {(1 << width) - 1}
     return {kind: [(_from_bits(space1.carrier, lattice, p >> w2),
                     _from_bits(space2.carrier, lattice, p & (1 << w2) - 1))
-                   for p in sorted(family)] for kind, family in bases.items()}
+                   for p in sorted(_read_on(kind, packed, width))] for kind in kinds}
 
 
 def _disagreements(rel: Relation, m1: Model, m2: Model, sig: Signature,
@@ -194,30 +197,24 @@ def _disagreements(rel: Relation, m1: Model, m2: Model, sig: Signature,
     """Each related pair in canonical order, with the rows of the lifting
     table on which its two numerators differ.
 
-    The table is built once: a row per lifting and member, with the
-    numerators of the member's two pullbacks along sigma1 and sigma2. A
-    pair's rows are (lifting, left opens, right opens, left numerator,
-    right numerator), in table order. With `basis`, a lifting that
-    declares what it keeps is read on that basis of the coherent pairs,
-    so a pair has a row iff it has one in the full table; every other
-    lifting, and every lifting without `basis`, is read on every coherent
-    tuple.
+    The table is built once: a row per lifting and tuple of coherent
+    pairs, with the numerators of the two sides' lifts pulled back along
+    sigma1 and sigma2. A pair's rows are (lifting, left opens, right
+    opens, left numerator, right numerator), in table order. With
+    `basis`, a lifting that declares what it keeps is read on that basis
+    of the coherent pairs, so a pair has a row iff it has one in the full
+    table; every other lifting, and every lifting without `basis`, is
+    read on every coherent tuple, under the guard.
     """
-    kinds = {l.keeps for l in sig.liftings} - {None} if basis else set()
-    bases = _coherent_basis(rel, m1.space, m2.space, kinds) if kinds else {}
-    coherent = coherent_pairs(rel, m1.space, m2.space) \
-        if any(l.keeps not in bases for l in sig.liftings) else ()
+    read = [l.keeps if basis else None for l in sig.liftings]
+    bases = _coherent_basis(rel, m1.space, m2.space, set(read)) if read else {}
     table = []
-    for lifting in sig.liftings:
-        if lifting.keeps in bases:
-            combos = [((mu,), (eta,)) for mu, eta in bases[lifting.keeps]]
-        else:
-            total = len(coherent) ** lifting.arity
-            if total > max_tuples:
-                raise ResourceLimitError("coherent tuple enumeration", total, max_tuples)
-            combos = [(tuple(mu for mu, _ in combo), tuple(eta for _, eta in combo))
-                      for combo in product(coherent, repeat=lifting.arity)]
-        for mus, etas in combos:
+    for lifting, kind in zip(sig.liftings, read):
+        pairs = bases[kind]
+        if kind is None and (total := len(pairs) ** lifting.arity) > max_tuples:
+            raise ResourceLimitError("coherent tuple enumeration", total, max_tuples)
+        for combo in product(pairs, repeat=lifting.arity):
+            mus, etas = tuple(mu for mu, _ in combo), tuple(eta for _, eta in combo)
             left = m1.lift(lifting, mus).key()
             right = left if m1 is m2 and mus == etas else m2.lift(lifting, etas).key()
             table.append((lifting, mus, etas, left, right))

@@ -28,18 +28,22 @@ block.
 
 `modal_equivalence_classes`, and through it `quotient_model` and the
 `classes` and `quotient` commands, need only the partition of the states
-and close the sets' packed `bits` instead. The family is a fuzzy
-topology, the one its generators generate (the constants, the
-valuations, every modal pullback), so it is closed by the prime closure
-that generates and checks every topology (`topology._closure`). That
-partition is exact: a pointwise meet or join of sets that agree at s and
-t agrees there too, so the family splits the states exactly as its
-generators do. The lattice closure is still needed, as a lifting is
-applied to meets and joins of generators; but once the generators
-separate every pair of states no finer partition exists, and the
-closure stops. `quotient_model` keeps an open iff it is saturated, read
-on its fields (pushed along the quotient map and pulled back, it is
-unchanged), and builds a fuzzy set only for the images of those.
+and read it off generators of the family on packed `bits`. The family
+is a fuzzy topology, the one its generators generate (the constants, the
+valuations, every modal pullback), and every open of a topology is the
+join of the primes below it and the meet of the co-primes above it. So
+a lifting that keeps joins is known on the family once it is known on
+the primes and 0, one that keeps meets on the co-primes and 1, and any
+other on every member (`topology._read_on`): the generators need only
+those lifts, and with the built-in liftings the family is never
+enumerated. A pointwise meet or join of sets that agree at s and t
+agrees there too, so the family splits the states exactly as its
+generators do, and once they separate every pair of states no finer
+partition exists and the rounds stop. The proof is in
+`modal_equivalence_classes`. `quotient_model` keeps an open iff it is
+saturated, read on its fields (pushed along the quotient map and pulled
+back, it is unchanged), and builds a fuzzy set only for the images of
+those.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from .fuzzyset import (
     inverse_image,
 )
 from .signature import Lifting, Signature, image_subbasis
-from .topology import FuzzySpace, _closure, _primes, is_continuous, is_topology
+from .topology import FuzzySpace, _primes, _read_on, is_continuous, is_topology
 
 
 class Formula:
@@ -461,50 +465,48 @@ def definable_opens(m: Model, sig: Signature) -> dict[FuzzySet, Formula]:
 def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...], ...]:
     """Partition of the carrier by agreement on every definable open.
 
-    Closes the family of `definable_opens` on packed `bits`, without
-    formulas (exact by the argument in the module docstring). The family
-    is the topology its generators generate: both constants, the
-    valuations and the pullbacks of a lifting's value on family members.
-    Each round lifts only the argument tuples that use a member the round
-    before added, and a round that brought a generator from outside the
-    family closes the generators found so far with `topology._closure`.
-    The partition is refined by each such generator's grades as it
-    arrives, and the closure stops once every state is alone. With the
-    signature's generating liftings every member is an open of the model,
-    so the family is no larger than the opens the load guard admitted.
+    Closes the generators of the family of `definable_opens` on packed
+    `bits`, without formulas. G starts as both constants and the
+    valuations. Each round groups the states by their grades over G and
+    stops if every state is alone, since no family splits them further.
+    Otherwise it lifts, for each lifting, the members of the topology G
+    generates that `topology._read_on` gives for what the lifting keeps
+    (its primes and 0, its co-primes and 1, or every member), pulls each
+    lift back along sigma and adds it to G; it stops when no lift is new.
+
+    The partition by that fixpoint G* is the partition by the definable
+    family F. Every member of G* lies in F, and so does the topology T it
+    generates, as F is closed under meets and joins. Conversely T holds
+    the constants and the valuations and is closed under lifts: every
+    open of T is the join of the primes below it (0 for none) and the
+    meet of the co-primes above it (1 for none), a lifting that keeps
+    joins or meets keeps that join or meet, the pullback along sigma
+    keeps both, and G* holds the lifts of the members each lifting is
+    read on. So T holds the least such family F, and T = F. A meet or
+    join of members that agree at two states agrees there too, so G*
+    splits the states as F does.
 
     Classes are ordered by first member in carrier order; members keep
     carrier order too.
     """
-    space, carrier, lattice = m.space, m.space.carrier, m.space.lattice
-    n = len(carrier)
-    labels, classes = (0,) * n, min(n, 1)  # states with equal labels share a class
-
-    def generators():
-        subbasis, family, sets = {0, space.top_open.bits}, set(), []
-        batch = (v for _, v in m.valuation)
-        while True:
-            for g in batch:
-                if g.bits not in family and g.bits not in subbasis:
-                    subbasis.add(g.bits)
-                    yield g
-            if subbasis <= family:
-                return
-            # no family of fuzzy sets is larger than the (d+1)^n of them
-            family, old = _closure(_primes(subbasis, n * lattice.den), len(lattice) ** n), family
-            done = len(sets)
-            sets += (_from_bits(carrier, lattice, p) for p in family - old)
-            batch = (m.lift(lifting, args) for lifting in sig.liftings
-                     for args in _new_combos(sets, done, lifting.arity, False))
-
-    gens = generators()
-    while classes < n and (g := next(gens, None)) is not None:
-        ids: dict[tuple[int, int], int] = {}
-        labels = tuple(ids.setdefault(pair, len(ids)) for pair in zip(labels, g.key()))
-        classes = len(ids)
-    blocks: dict[int, list[str]] = {}
-    for s, label in zip(carrier, labels):
-        blocks.setdefault(label, []).append(s)
+    carrier, lattice = m.space.carrier, m.space.lattice
+    d, width = lattice.den, len(carrier) * lattice.den
+    found = {0, (1 << width) - 1, *(v.bits for _, v in m.valuation)}
+    while True:
+        blocks: dict[tuple[int, ...], list[str]] = {}
+        for s, shift in zip(carrier, range(width - d, -1, -d)):
+            blocks.setdefault(tuple(b >> shift & (1 << d) - 1 for b in found), []).append(s)
+        if len(blocks) == len(carrier):
+            break
+        primes, lifts = _primes(found, width), set()
+        for lifting in sig.liftings:
+            basis = [_from_bits(carrier, lattice, p)
+                     for p in _read_on(lifting.keeps, primes, width)]
+            lifts.update(m.lift(lifting, args).bits
+                         for args in product(basis, repeat=lifting.arity))
+        if lifts <= found:
+            break
+        found |= lifts
     return tuple(map(tuple, blocks.values()))
 
 

@@ -115,9 +115,10 @@ class Lifting:
     topology, so apply() accepts arbitrary fuzzy sets mechanically.
 
     `keeps` declares that a unary lifting keeps binary "joins" or "meets"
-    of its argument, pointwise; the Sigma-bisimulation checks then read
-    it on a basis of the coherent pairs (`bisim`). None, the default,
-    claims nothing.
+    of its argument, pointwise; every reader of the lifting then reads it
+    on that basis (`topology._read_on`): the Sigma-bisimulation checks on
+    one of the coherent pairs (`bisim`), modal equivalence on one of the
+    definable opens (`logic`). None, the default, claims nothing.
     """
 
     name: str
@@ -206,6 +207,7 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     if not mods:
         raise UnknownModalityError("at least one generating modality is required")
 
+    keeps = {"dia": "joins", "box": "meets"}
     space_cache: dict[FuzzySpace, FuzzySpace] = {}
     image_cache: dict[FuzzySpace, Carrier] = {}
     # per carrier of values lifted at, by identity (and kept alive here): one
@@ -225,7 +227,7 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
             lifted = dict.fromkeys(mods, space.sorted_opens())
         else:  # dia keeps joins and box meets: a join basis and a meet basis
             width = len(space.carrier) * lattice.den
-            lifted = {m: _basis(space, space.primes if m == "dia"
+            lifted = {m: _basis(space, space.primes if keeps[m] == "joins"
                                 else _coprimes(space.primes, width)) for m in mods}
         return tuple(raw[m](space, (o,), at) for m in mods for o in lifted[m])  # unary
 
@@ -258,7 +260,6 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
 
     raw = {"dia": dia_raw, "box": lambda space, args, at: fs_complement(
         dia_raw(space, tuple(map(fs_complement, args)), at))}
-    keeps = {"dia": "joins", "box": "meets"}
     liftings = tuple(Lifting(m, 1, functor, raw[m], keeps[m]) for m in mods)
     return functor, Signature(functor, liftings)
 

@@ -16,14 +16,17 @@ and of Birkhoff's representation. So the generated topology is the joins
 of at most n*d primes, swept in one prime at a time, and a family holding
 both constants is a topology iff that closure is no larger than it.
 
-A space computes its primes once (`FuzzySpace.primes`), and a generated
-space is handed those of its generators, which are the same. They are a
-join basis: a join-preserving map, such as an inverse image, is known on
-every open once it is known on the distinct primes. The co-prime c_b of
+A space computes its primes (`FuzzySpace.primes`) and its `is_topology`
+verdict once, and a generated space is handed those of its generators,
+which are the same, and a verdict of yes. The primes are a join basis:
+a join-preserving map, such as an inverse image, is known on every open
+once it is known on the distinct primes. The co-prime c_b of
 a topology, the join of the opens that lack bit b, is the join of the
 primes that lack it, and every open is the meet of the co-primes of the
 bits it lacks: the co-primes are a meet basis, for the maps that keep
-meets. So a subspace pulls back the primes of each side, not every open.
+meets. So a subspace pulls back the primes of each side, not every open,
+and every reader of a lifting reads it on the basis it keeps (`_read_on`),
+or on every open when it keeps neither.
 """
 
 from __future__ import annotations
@@ -75,6 +78,11 @@ class FuzzySpace:
         return tuple(sorted(self.opens, key=attrgetter("bits")))
 
     @cached_property
+    def _verdict(self) -> TopologyCheck:
+        """`is_topology`'s verdict; computed once."""
+        return _check_topology(self)
+
+    @cached_property
     def primes(self) -> tuple[int, ...]:
         """The packed prime of each bit, indexed by bit; computed once."""
         return _primes((o.bits for o in self.opens),
@@ -124,13 +132,33 @@ def _closure(primes: Iterable[int], limit: int) -> set[int] | None:
     return found
 
 
+def _read_on(keeps: str | None, primes: Iterable[int], width: int) -> set[int]:
+    """The packed members of the topology with these primes on which a
+    lifting that keeps `keeps` is read. One that keeps "joins" is known on
+    the distinct primes and 0, as every open is the join of the primes
+    below it (0 for none); one that keeps "meets" on the co-primes and 1,
+    as every open is the meet of the co-primes above it (1 for none); any
+    other lifting on every open."""
+    if keeps == "joins":
+        return set(primes) | {0}
+    if keeps == "meets":
+        return set(_coprimes(primes, width)) | {(1 << width) - 1}
+    return _closure(primes, 1 << width)
+
+
 def is_topology(space: FuzzySpace) -> TopologyCheck:
     """Constants present and binary meet/join closure; first violation reported.
 
     A family holding both constants is a topology iff the topology it
     generates is no larger. Only a negative verdict walks the rows of
-    meets and joins in canonical order, for the first failing pair.
+    meets and joins in canonical order, for the first failing pair. The
+    verdict is kept on the space, as its primes are.
     """
+    return space._verdict
+
+
+def _check_topology(space: FuzzySpace) -> TopologyCheck:
+    """The verdict `is_topology` returns, computed from the opens."""
     width = len(space.carrier) * space.lattice.den
     family = {o.bits for o in space.opens}
     if 0 not in family:
@@ -174,6 +202,7 @@ def _generate(carrier: Carrier, lattice: GradeLattice, basis: Iterable[FuzzySet]
     space = FuzzySpace(carrier, lattice,
                        frozenset(_from_bits(carrier, lattice, p) for p in closed))
     vars(space)["primes"] = primes  # the generators' primes are the topology's
+    vars(space)["_verdict"] = TopologyCheck(True)  # a closure is a topology
     return space
 
 

@@ -116,6 +116,27 @@ def test_property_bases_span_the_coherent_pairs():
     check()
 
 
+def test_property_tuple_reading_is_coherent_pairs():
+    # the closure of the coherent primes, decoded in packed order, is the
+    # enumeration of `coherent_pairs`, pair for pair and in its order
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cases = _pool()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(cases), st.data())
+    def check(case, data):
+        _, m1, m2 = case
+        full = list(product(m1.space.carrier, m2.space.carrier))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)))
+        rel = Relation.of(m1.space.carrier, m2.space.carrier,
+                          [p for p, k in zip(full, keep) if k])
+        assert _coherent_basis(rel, m1.space, m2.space, {None})[None] \
+            == list(coherent_pairs(rel, m1.space, m2.space))
+
+    check()
+
+
 def _same_as_oracle(rel, m1, m2, sig):
     """The basis and the full table agree on the greatest relation and on
     the check of `rel` and of the greatest; returns the verdicts seen."""
@@ -138,29 +159,38 @@ def test_property_basis_matches_full_table():
     seen = set()
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
-    @hypothesis.given(st.sampled_from(cases), st.data())
-    def check(case, data):
+    @hypothesis.given(st.sampled_from(cases), st.data(), st.booleans())
+    def check(case, data, mixed):
         sig, m1, m2 = case
         full = list(product(m1.space.carrier, m2.space.carrier))
         keep = data.draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)))
         rel = Relation.of(m1.space.carrier, m2.space.carrier,
                           [p for p, k in zip(full, keep) if k])
-        verdicts = _same_as_oracle(rel, m1, m2, sig)
-        seen.update((sig.names, v) for v in verdicts)
+        # the declared liftings, or those beside the undeclared `neg`
+        variant = Signature(sig.functor, sig.liftings + (_neg(sig),)) if mixed else sig
+        verdicts = _same_as_oracle(rel, m1, m2, variant)
+        seen.update((variant.names, v) for v in verdicts)
 
     check()
     for names in (("id",),) + POWERSET_MODS:
         assert {(names, True), (names, False)} <= seen
+        assert {(names + ("neg",), True), (names + ("neg",), False)} <= seen
+
+
+def _neg(sig):
+    """The antitone complement of the first lifting, which declares
+    nothing and so takes the full table."""
+    first = sig.liftings[0]
+    return Lifting("neg", 1, sig.functor,
+                   lambda space, args, at: fs_complement(first.apply(space, args, at)))
 
 
 def _variants(sig):
-    """The signature with its duals, and the antitone `neg`, which
-    declares nothing and so takes the full table."""
-    first = sig.liftings[0]
-    neg = Lifting("neg", 1, sig.functor,
-                  lambda space, args, at: fs_complement(first.apply(space, args, at)))
+    """The signature with its duals, `neg` alone, and the signature's
+    declared liftings beside `neg`."""
     return (Signature(sig.functor, sig.liftings + tuple(map(dual_lifting, sig.liftings))),
-            Signature(sig.functor, (neg,)))
+            Signature(sig.functor, (_neg(sig),)),
+            Signature(sig.functor, sig.liftings + (_neg(sig),)))
 
 
 def test_duals_and_undeclared_liftings_match_full_table():

@@ -39,6 +39,7 @@ from modelgen import (
     all_opens_subspace_topology,
     identity_zoo,
     powerset_zoo,
+    pullback_closed_document,
 )
 from test_image_subbasis import _zoos, perturbations
 
@@ -224,4 +225,27 @@ def test_one_primes_pass_per_explicit_opens_load(monkeypatch, capsys):
     calls[0] = 0
     assert run_command(["duality", "-m", f"{FIXTURES}/tiny_identity.json"]) == 0
     assert calls[0] == 1  # sobriety reads the primes the load computed
+    capsys.readouterr()
+
+
+def test_one_closure_per_space_in_duality(monkeypatch, tmp_path, capsys):
+    # the load's validation decides the topology once (or the generation
+    # hands its verdict over); sobriety reads that verdict again
+    import fgml.topology
+
+    calls = [0]
+    closure = fgml.topology._closure
+
+    def counted(*args):
+        calls[0] += 1
+        return closure(*args)
+
+    monkeypatch.setattr(fgml.topology, "_closure", counted)
+    generated = tmp_path / "chain.json"
+    generated.write_text(json.dumps(pullback_closed_document(2, 6, 3)))
+    for path, code in ((f"{FIXTURES}/tiny_identity.json", 0), (f"{FIXTURES}/dia_d2n5.json", 2),
+                       (f"{FIXTURES}/m1_dup.json", 2), (str(generated), 2)):
+        calls[0] = 0
+        assert run_command(["duality", "-m", path]) == code
+        assert calls[0] == 1, path
     capsys.readouterr()
