@@ -36,35 +36,47 @@ coherent set, so surviving pairs are re-tested against a strictly
 stronger condition each round and the loop terminates in at most
 |B1|x|B2| rounds.
 
-The Aczel-Mendler check searches the product of each pair's candidate
-structure values in order, so its first choice is the greedy one (every
-pair's first candidate); the search is held to the guard only once that
-choice fails.
+The Aczel-Mendler check builds neither T R nor the opens of the
+relation space R. Every candidate structure value of a related pair
+lies below its greatest one, whose direct images decide whether the
+pair has any, and the map of the greatest values is tried first. A map
+into T R is continuous iff the functor's subbasis, lifted from the
+primes of R and read at the map's values, pulls back to opens of R,
+and a pullback is open iff it is the join of the primes of its bits.
+Only when that map fails are the candidates enumerated and their
+choices searched in order, each pair's least candidate first; the
+search is held to the guard only once that choice fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from math import prod
 
 from .errors import LatticeMismatchError, PreconditionError, ResourceLimitError
 from .fuzzyset import (
     DEFAULT_MAX_SIZE,
+    Carrier,
     CarrierMap,
     FuzzySet,
     Relation,
     _fields_along,
     _from_bits,
+    _pack,
+    direct_image,
+    fs_join,
     fs_leq,
+    fs_meet,
     inverse_image,
     relation_image,
     relation_preimage,
 )
 from .grades import Grade
 from .logic import Model
-from .signature import Signature, image_elements, image_subbasis
-from .topology import FuzzySpace, _read_on, subspace_topology
+from .signature import Signature, image_subbasis
+from .topology import FuzzySpace, _PrimeSpace, _pullback_basis, _read_on, _up
 
 
 def is_coherent(rel: Relation, mu: FuzzySet, eta: FuzzySet) -> bool:
@@ -171,21 +183,13 @@ def _coherent_basis(rel: Relation, space1: FuzzySpace, space2: FuzzySpace,
     w2 = len(space2.carrier) * d
     width = len(space1.carrier) * d + w2
 
-    def up(primes: tuple[int, ...], x: int) -> int:
-        # a bit inside an open already joined needs no prime: its prime is below
-        out = 0
-        while x:
-            out |= primes[x.bit_length() - 1]
-            x &= ~out
-        return out
-
     packed = {0}
     for mu, eta in [(j, 0) for j in set(space1.primes)] + [(0, j) for j in set(space2.primes)]:
         last = None
         while last != (mu, eta):
             last = mu, eta
-            eta = up(space2.primes, eta | _fields_along(mu, d, rel._edges))
-            mu = up(space1.primes, mu | _fields_along(eta, d, rel._back))
+            eta = _up(space2.primes, eta | _fields_along(mu, d, rel._edges))
+            mu = _up(space1.primes, mu | _fields_along(eta, d, rel._back))
         packed.add(mu << w2 | eta)
     return {kind: [(_from_bits(space1.carrier, lattice, p >> w2),
                     _from_bits(space2.carrier, lattice, p & (1 << w2) - 1))
@@ -269,49 +273,84 @@ def greatest_sigma_bisimulation(m1: Model, m2: Model, sig: Signature,
         rel = Relation.of(carrier1, carrier2, rel.pairs - dropped)
 
 
+def _candidates(tops: list[FuzzySet], pi1: CarrierMap, pi2: CarrierMap,
+                max_size: int) -> list[list[FuzzySet]]:
+    """For each pair's greatest structure value t*, every fuzzy set with
+    t*'s two direct images, in bits order.
+
+    Each lies below t*, so the walk goes over the fuzzy sets below the
+    join of the t*, prod(k + 1) of them over its grades k/d, at most
+    |T R|, under the guard, and files each by its two images.
+    """
+    top, lattice = reduce(fs_join, tops), tops[0].lattice
+    if (total := prod(k + 1 for k in top.key())) > max_size:
+        raise ResourceLimitError("structure value enumeration", total, max_size)
+    by_sides: dict[tuple[FuzzySet, FuzzySet], list[FuzzySet]] = {}
+    for nums in product(*(range(k + 1) for k in top.key())):
+        s = _from_bits(pi1.source, lattice, _pack(nums, lattice.den))
+        by_sides.setdefault((direct_image(pi1, s), direct_image(pi2, s)), []).append(s)
+    return [by_sides[direct_image(pi1, t), direct_image(pi2, t)] for t in tops]
+
+
 def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
                        max_size: int = DEFAULT_MAX_SIZE) -> AmBisimReport:
-    """Search for a mediating structure map on the relation.
+    """Search for a mediating structure map gamma: R -> T R whose two
+    projections are sigma1 and sigma2, fuzzy continuous for the subspace
+    topology on R.
 
-    The relation carries the subspace topology. Per pair, candidates are
-    the values of the functor image of the relation space, enumerated
-    once under the guard, whose two projections are the pair's structure
-    values; the assembled map must also be fuzzy continuous, which is
-    checked on the functor's subbasis of the image topology. The search
-    starts at the greedy choice of each pair's first candidate and is held
-    to the guard only once that fails. The empty relation is vacuously
-    accepted.
+    Neither T R nor the opens of R are built. For the identity functor a
+    pair's only candidate is (sigma1(b1), sigma2(b2)), if related. For
+    the fuzzy powerset every candidate t of a pair has t <= pi1^-1(v1)
+    and t <= pi2^-1(v2), so t <= t*, their meet; direct images are
+    monotone and T pi_i(t*) <= v_i, so T pi_i(t) = v_i forces T pi_i(t*)
+    = v_i: a pair has a candidate iff t* is one, its greatest. The map of
+    the greatest candidates, onto the values it takes, is tried first.
+
+    gamma is continuous iff each member g of the functor's subbasis, read
+    at gamma's values, pulls back to an open, as in `validate_model`. The
+    subbasis is lifted from a basis of R, read on its primes, which are
+    the primes of the pullbacks of both sides' distinct primes (as in
+    `subspace_topology`), and a pullback x is open iff it is the join of
+    the primes of its bits (`topology._up`). Only when the greatest
+    candidates fail are all candidates enumerated (`_candidates`) and
+    their choices tried in order, each pair's least candidate first; the
+    search is held to `max_size` once that first choice fails. The empty
+    relation is vacuously accepted.
     """
     _require_shared_props(m1, m2)
     witnesses = _prop_witnesses(rel, m1, m2)
     if witnesses:
         return AmBisimReport(False, tuple(witnesses))
-    rel_space = subspace_topology(rel, m1.space, m2.space, max_size)
-    pi1, pi2 = rel.projections()
-    image_pi1 = sig.functor.on_map(pi1, rel_space, m1.space)
-    image_pi2 = sig.functor.on_map(pi2, rel_space, m2.space)
-    image = image_elements(sig.functor, rel_space)
-    by_sides: dict[tuple, list] = {}
-    for t in image:
-        by_sides.setdefault((image_pi1(t), image_pi2(t)), []).append(t)
-    candidates = []
+    if not (identity := sig.functor.name == "identity") and sig.functor.name != "fuzzy-powerset":
+        raise PreconditionError(f"no Aczel-Mendler search for the functor {sig.functor.name!r}")
+    ((pi1, _), (pi2, _)), basis = _pullback_basis(rel, m1.space, m2.space)
+    space = _PrimeSpace(pi1.source, m1.space.lattice, basis)
+    tops = []
     for b1, b2 in rel.sorted_pairs():
-        options = by_sides.get((m1.sigma(b1), m2.sigma(b2)))
-        if not options:
+        v = m1.sigma(b1), m2.sigma(b2)
+        t = v if identity else fs_meet(inverse_image(pi1, v[0]), inverse_image(pi2, v[1]))
+        if (t not in rel) if identity else (direct_image(pi1, t), direct_image(pi2, t)) != v:
             return AmBisimReport(False, (BisimWitness(
-                (b1, b2),
-                note="no structure value projects onto both sides"),))
-        candidates.append(options)
+                (b1, b2), note="no structure value projects onto both sides"),))
+        tops.append(t)
 
-    pair_carrier = rel.pair_carrier()
-    gens = image_subbasis(sig.functor, rel_space, image)
-    for tried, choice in enumerate(product(*candidates)):
-        gamma = CarrierMap(pair_carrier, image, choice)
-        if all(inverse_image(gamma, g) in rel_space.opens for g in gens):
-            return AmBisimReport(True, (), mediating=gamma)
-        if not tried and (total := prod(map(len, candidates))) > max_size:
-            raise ResourceLimitError("mediating map search", total, max_size)
-    first = rel.sorted_pairs()[0]
+    def search(candidates: list[list]) -> CarrierMap | None:
+        at = Carrier(tuple(dict.fromkeys(t for options in candidates for t in options)))
+        gens = image_subbasis(sig.functor, space, at)
+        for tried, choice in enumerate(product(*candidates)):
+            gamma = CarrierMap(space.carrier, at, choice)
+            pulled = (inverse_image(gamma, g).bits for g in gens)
+            if all(_up(space.primes, x) == x for x in pulled):
+                return CarrierMap.onto(space.carrier, choice)
+            if not tried and (total := prod(map(len, candidates))) > max_size:
+                raise ResourceLimitError("mediating map search", total, max_size)
+        return None
+
+    gamma = search([[t] for t in tops])
+    if gamma is None and not identity:  # an identity model has no other candidates
+        gamma = search(_candidates(tops, pi1, pi2, max_size))
+    if gamma is not None:
+        return AmBisimReport(True, (), mediating=gamma)
     return AmBisimReport(False, (BisimWitness(
-        first, note="pairwise structure values exist but none assemble into "
-                    "a fuzzy continuous mediating map"),))
+        rel.sorted_pairs()[0], note="pairwise structure values exist but none assemble "
+                                    "into a fuzzy continuous mediating map"),))

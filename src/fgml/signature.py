@@ -21,9 +21,10 @@ subbasis of its own gives every open of `on_space`. A map f into T S is
 fuzzy continuous iff every subbasis member pulls back to an open,
 provided the source opens form a topology: inverse images keep the
 constants, meets and joins, and f factors through the values it takes.
-This is exact for every signature. Only `sig check` and the
-mediating-map search of `bisim am` enumerate the (d+1)^n carrier of the
-powerset image, under the size guard.
+This is exact for every signature. Only `sig check` enumerates the
+(d+1)^n carrier of the powerset image, under the size guard; `bisim am`
+reads the subbasis of a relation space, known by its primes, at the at
+most |R| values of a candidate mediating map.
 """
 
 from __future__ import annotations
@@ -82,11 +83,13 @@ def image_elements(functor: FunctorInstance, space: FuzzySpace) -> Carrier:
     return functor.elements(space) if functor.elements else functor.on_space(space).carrier
 
 
-def _restrict(fs: FuzzySet, at: Carrier) -> FuzzySet:
-    """fs read at the elements of `at`, which must lie in its carrier."""
-    if at is fs.carrier or at == fs.carrier:  # an identity model's sigma goes into S
-        return fs
-    return inverse_image(CarrierMap(at, fs.carrier, at.elements), fs)
+def _restrict(sets: Sequence[FuzzySet], carrier: Carrier, at: Carrier) -> tuple[FuzzySet, ...]:
+    """The fuzzy sets on `carrier` read at the elements of `at`, which must
+    lie in it, through one map."""
+    if at is carrier or at == carrier:  # an identity model's sigma goes into S
+        return tuple(sets)
+    restrict = CarrierMap(at, carrier, at.elements)
+    return tuple(inverse_image(restrict, fs) for fs in sets)
 
 
 def image_subbasis(functor: FunctorInstance, space: FuzzySpace, at: Carrier,
@@ -96,14 +99,13 @@ def image_subbasis(functor: FunctorInstance, space: FuzzySpace, at: Carrier,
     of `on_space(space)`."""
     if functor.subbasis is not None:
         return functor.subbasis(space, at, every_open)
-    return tuple(_restrict(o, at) for o in functor.on_space(space).sorted_opens())
+    image = functor.on_space(space)
+    return _restrict(image.sorted_opens(), image.carrier, at)
 
 
 def _basis(space: FuzzySpace, packed: Iterable[int]) -> list[FuzzySet]:
-    """The distinct packed sets on the space in bits order; none for a
-    space without opens, as there is nothing to lift."""
-    return [_from_bits(space.carrier, space.lattice, p)
-            for p in sorted(set(packed))] if space.opens else []
+    """The distinct packed sets on the space in bits order."""
+    return [_from_bits(space.carrier, space.lattice, p) for p in sorted(set(packed))]
 
 
 @dataclass(frozen=True)
@@ -174,12 +176,12 @@ def identity_functor() -> tuple[FunctorInstance, Signature]:
 
     def subbasis(space: FuzzySpace, at: Carrier, every_open: bool) -> tuple[FuzzySet, ...]:
         opens = space.sorted_opens() if every_open else _basis(space, space.primes)
-        return tuple(_restrict(o, at) for o in opens)
+        return _restrict(opens, space.carrier, at)
 
     functor = FunctorInstance(name="identity", on_space=lambda space: space,
                               on_map=lambda f, source, target: f, subbasis=subbasis)
-    lifting = Lifting("id", 1, functor, lambda space, args, at: _restrict(args[0], at),
-                      keeps="joins")
+    lifting = Lifting("id", 1, functor,
+                      lambda space, args, at: _restrict(args, space.carrier, at)[0], keeps="joins")
     return functor, Signature(functor, (lifting,))
 
 

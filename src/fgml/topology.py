@@ -132,6 +132,16 @@ def _closure(primes: Iterable[int], limit: int) -> set[int] | None:
     return found
 
 
+def _up(primes: tuple[int, ...], x: int) -> int:
+    """The least open above the packed set x, the join of the primes of its
+    bits; x is open iff it is its own `_up`."""
+    out = 0
+    while x:  # a bit inside an open already joined needs no prime: its prime is below
+        out |= primes[x.bit_length() - 1]
+        x &= ~out
+    return out
+
+
 def _read_on(keeps: str | None, primes: Iterable[int], width: int) -> set[int]:
     """The packed members of the topology with these primes on which a
     lifting that keeps `keeps` is read. One that keeps "joins" is known on
@@ -253,6 +263,33 @@ def is_continuous(f: CarrierMap, source: FuzzySpace, target: FuzzySpace) -> bool
     return all(inverse_image(f, o) in source.opens for o in target.opens)
 
 
+class _PrimeSpace(FuzzySpace):
+    """The topology that the generators generate on the carrier, known by
+    its primes, which are theirs (`_generate`): its opens, the joins of
+    the primes, are generated only when something reads them."""
+
+    def __init__(self, carrier: Carrier, lattice: GradeLattice, generators: Iterable[FuzzySet]):
+        primes = _primes((g.bits for g in generators), len(carrier) * lattice.den)
+        vars(self).update(carrier=carrier, lattice=lattice, primes=primes,
+                          _verdict=TopologyCheck(True))
+
+    @cached_property
+    def opens(self) -> frozenset[FuzzySet]:
+        closed = _closure(self.primes, 1 << len(self.primes))
+        return frozenset(_from_bits(self.carrier, self.lattice, p) for p in closed)
+
+
+def _pullback_basis(rel: Relation, left: FuzzySpace, right: FuzzySpace):
+    """The projections with their sides, and the pullbacks of both sides'
+    distinct primes, which generate the subspace topology and have its
+    primes (`subspace_topology`)."""
+    if rel.left != left.carrier or rel.right != right.carrier:
+        raise CarrierMismatchError("relation does not connect the two spaces")
+    sides = tuple(zip(rel.projections(), (left, right)))
+    return sides, [inverse_image(pi, _from_bits(side.carrier, side.lattice, j))
+                   for pi, side in sides for j in sorted(set(side.primes))]
+
+
 def subspace_topology(rel: Relation, left: FuzzySpace, right: FuzzySpace,
                       max_size: int = DEFAULT_MAX_SIZE) -> FuzzySpace:
     """Topology on a relation's pair carrier, generated by the pullbacks of
@@ -260,14 +297,10 @@ def subspace_topology(rel: Relation, left: FuzzySpace, right: FuzzySpace,
 
     Each open is the join of the primes of its bits and each prime a meet
     of opens, and inverse images keep both, so the pullbacks of the
-    distinct primes generate it, for any two families. Every open is
-    pulled back only when the topology passes the guard, to size it.
+    distinct primes generate it, for any two families, and their primes
+    are its primes. Every open is pulled back only when the topology
+    passes the guard, to size it.
     """
-    if rel.left != left.carrier or rel.right != right.carrier:
-        raise CarrierMismatchError("relation does not connect the two spaces")
-    pi1, pi2 = rel.projections()
-    sides = ((pi1, left), (pi2, right))
-    basis = [inverse_image(pi, _from_bits(side.carrier, side.lattice, j))
-             for pi, side in sides for j in sorted(set(side.primes))]
-    return _generate(pi1.source, left.lattice, basis, lambda: [
+    sides, basis = _pullback_basis(rel, left, right)
+    return _generate(sides[0][0].source, left.lattice, basis, lambda: [
         inverse_image(pi, o) for pi, side in sides for o in side.sorted_opens()], max_size)

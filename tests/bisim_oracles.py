@@ -2,20 +2,24 @@
 
 The full-table Sigma checks lift every coherent tuple for every lifting,
 with no basis: `full_table_sigma_check` lists every disagreeing tuple as
-a witness and `full_table_greatest` refines on that table. The coherence
-lemma check compares every pair of opens both ways; the implication
-suites enumerate every relation between two carriers (AM
-bisimulation implies Sigma-bisimulation, for monotone signatures) or
-every formula up to a depth plus the definable opens' defining formulas
-(Sigma-bisimilar states are modally equivalent).
+a witness and `full_table_greatest` refines on that table. The
+Aczel-Mendler oracle `image_am_search` builds T R and every open of the
+relation space, and tries every choice of structure values in T R's
+order. The coherence lemma check compares every pair of opens both
+ways; the implication suites enumerate every relation between two
+carriers (AM bisimulation implies Sigma-bisimulation, for monotone
+signatures) or every formula up to a depth plus the definable opens'
+defining formulas (Sigma-bisimilar states are modally equivalent).
 """
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from fgml import (
     BisimReport,
     BisimWitness,
+    CarrierMap,
     FuzzySpace,
     Model,
     Relation,
@@ -29,10 +33,12 @@ from fgml import (
     is_am_bisimulation,
     is_coherent,
     is_sigma_bisimulation,
+    subspace_topology,
 )
+from fgml.bisim import AmBisimReport, _prop_witnesses, _require_shared_props
 from fgml.errors import PreconditionError, ResourceLimitError
 from fgml.fuzzyset import DEFAULT_MAX_SIZE
-from fgml.signature import check_monotone
+from fgml.signature import check_monotone, image_elements, image_subbasis
 
 
 def _full_table(rel: Relation, m1: Model, m2: Model, sig: Signature, max_tuples: int):
@@ -81,6 +87,54 @@ def full_table_greatest(m1: Model, m2: Model, sig: Signature,
         if not dropped:
             return rel
         rel = Relation.of(c1, c2, rel.pairs - dropped)
+
+
+def image_am_search(rel: Relation, m1: Model, m2: Model, sig: Signature,
+                    max_size: int = DEFAULT_MAX_SIZE) -> AmBisimReport:
+    """Search for a mediating structure map among the values of T R.
+
+    The relation carries the subspace topology, generated under the
+    guard. Per pair, candidates are the values of T R, enumerated under
+    the functor's own guard, whose two projections are the pair's
+    structure values; the assembled map into all of T R must also be
+    fuzzy continuous, checked on the functor's subbasis against every
+    open of the relation space. Choices are tried in T R's order, each
+    pair's least candidate first, and held to `max_size` once the first
+    fails. The empty relation is vacuously accepted.
+    """
+    _require_shared_props(m1, m2)
+    witnesses = _prop_witnesses(rel, m1, m2)
+    if witnesses:
+        return AmBisimReport(False, tuple(witnesses))
+    rel_space = subspace_topology(rel, m1.space, m2.space, max_size)
+    pi1, pi2 = rel.projections()
+    image_pi1 = sig.functor.on_map(pi1, rel_space, m1.space)
+    image_pi2 = sig.functor.on_map(pi2, rel_space, m2.space)
+    image = image_elements(sig.functor, rel_space)
+    by_sides: dict[tuple, list] = {}
+    for t in image:
+        by_sides.setdefault((image_pi1(t), image_pi2(t)), []).append(t)
+    candidates = []
+    for b1, b2 in rel.sorted_pairs():
+        options = by_sides.get((m1.sigma(b1), m2.sigma(b2)))
+        if not options:
+            return AmBisimReport(False, (BisimWitness(
+                (b1, b2),
+                note="no structure value projects onto both sides"),))
+        candidates.append(options)
+
+    pair_carrier = rel.pair_carrier()
+    gens = image_subbasis(sig.functor, rel_space, image)
+    for tried, choice in enumerate(product(*candidates)):
+        gamma = CarrierMap(pair_carrier, image, choice)
+        if all(inverse_image(gamma, g) in rel_space.opens for g in gens):
+            return AmBisimReport(True, (), mediating=gamma)
+        if not tried and (total := prod(map(len, candidates))) > max_size:
+            raise ResourceLimitError("mediating map search", total, max_size)
+    first = rel.sorted_pairs()[0]
+    return AmBisimReport(False, (BisimWitness(
+        first, note="pairwise structure values exist but none assemble into "
+                    "a fuzzy continuous mediating map"),))
 
 
 def coherence_lemma_check(rel: Relation, space1: FuzzySpace,

@@ -348,8 +348,9 @@ def _signatures(sig, binary=False):
     """The signature, the empty one, the signature with its duals, an
     antitone lifting (the complement of the first lifting: `neg` for the
     identity functor), the signature's declared liftings beside that
-    undeclared one and, if asked, a binary lifting antitone in its second
-    argument."""
+    undeclared one, the first lifting of the complement (`dia` of it
+    sends joins to neither joins nor meets) and, if asked, a binary
+    lifting antitone in its second argument."""
     first = sig.liftings[0]
     yield sig
     yield Signature(sig.functor, ())
@@ -358,6 +359,9 @@ def _signatures(sig, binary=False):
                   lambda space, args, at: fs_complement(first.apply(space, args, at)))
     yield Signature(sig.functor, (neg,))
     yield Signature(sig.functor, sig.liftings + (neg,))
+    yield Signature(sig.functor, (Lifting(
+        "of_not", 1, sig.functor,
+        lambda space, args, at: first.apply(space, (fs_complement(args[0]),), at)),))
     if binary:
         yield Signature(sig.functor, (Lifting(
             "but", 2, sig.functor,
@@ -440,7 +444,7 @@ def test_property_classes_match_definable_opens():
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
-    @hypothesis.given(_random_models(st), st.integers(0, 5))
+    @hypothesis.given(_random_models(st), st.integers(0, 6))
     def check(case, variant):
         m, sig = case
         sig = list(_signatures(sig, binary=True))[variant]
@@ -502,7 +506,7 @@ def test_property_depth_labels_match_the_formula_closure():
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
-    @hypothesis.given(_random_models(st), st.integers(0, 5))
+    @hypothesis.given(_random_models(st), st.integers(0, 6))
     def check(case, variant):
         m, sig = case
         splits.append(check_depth_labels(m, list(_signatures(sig, binary=True))[variant]))

@@ -125,6 +125,8 @@ def _relations(m: Model):
 
 
 def test_am_mediating_maps_are_continuous_into_the_eager_image():
+    # a mediating map goes onto the values it takes; sent into the whole
+    # of T R, it is continuous into the eager image topology
     accepted = refused = 0
     for m, sig in powerset_zoo(2, dens=(1, 2)) + identity_zoo(3, dens=(1,)):
         eager = FunctorInstance(sig.functor.name, sig.functor.on_space, sig.functor.on_map)
@@ -135,8 +137,12 @@ def test_am_mediating_maps_are_continuous_into_the_eager_image():
             if report.mediating is None:
                 refused += not report.verdict
                 continue
+            gamma = report.mediating
+            assert gamma.target.elements == tuple(dict.fromkeys(gamma.assignment))
             rel_space = subspace_topology(rel, m.space, m.space)
-            assert is_continuous(report.mediating, rel_space, eager.on_space(rel_space))
+            image = eager.on_space(rel_space)
+            assert is_continuous(CarrierMap(gamma.source, image.carrier, gamma.assignment),
+                                 rel_space, image)
             accepted += 1
     assert accepted and refused
 
@@ -178,25 +184,42 @@ def test_am_refuses_when_no_choice_is_continuous():
     assert is_am_bisimulation(rel, m1, m2, Signature(eager, sig.liftings)) == report
 
 
+def past_greedy_case():
+    """A crisp box model and a relation on it, found by random search, on
+    which neither the greatest candidates nor each pair's least one
+    assemble into a continuous map, but a later choice of the 72 does;
+    the search enumerates the 64 fuzzy sets below the join of the
+    greatest ones."""
+    opens = [(0, 0, 0), (0, 1, 0), (1, 1, 1)]
+    sigma_sets = [(0, 1, 1), (1, 1, 1), (1, 1, 0)]
+    sig, (m,) = crisp_box_models((opens, sigma_sets))
+    rel = Relation.of(S3, S3, [("s0", "s0"), ("s0", "s1"), ("s1", "s0"),
+                               ("s1", "s2"), ("s2", "s0"), ("s2", "s1")])
+    return sig, m, rel
+
+
 def test_am_search_finds_a_map_past_the_greedy_choice():
-    # a crisp box model pair found by random search: the greedy choice of
-    # each pair's first candidate is not continuous, a later choice of the
-    # 42-entry search is, and the guard is checked only once greedy fails
-    opens = [(0, 0, 0), (1, 0, 0), (1, 1, 1)]
-    sig, (m1, m2) = crisp_box_models((opens, [(0, 1, 1), (1, 1, 0), (1, 1, 1)]),
-                                     (opens, [(1, 1, 0), (0, 1, 0), (1, 0, 1)]))
-    rel = Relation.of(S3, S3, [("s0", "s0"), ("s0", "s1"), ("s0", "s2"), ("s1", "s0"),
-                               ("s1", "s1"), ("s2", "s1"), ("s2", "s2")])
-    with pytest.raises(ResourceLimitError, match=re.escape(
-            "mediating map search needs 42 entries, above the guard of 8; "
-            "raise max_size to override")):
-        is_am_bisimulation(rel, m1, m2, sig, max_size=8)
-    report = is_am_bisimulation(rel, m1, m2, sig)
-    assert report.verdict and is_am_bisimulation(rel, m1, m2, sig, max_size=64) == report
+    # the guard is checked only once the greatest candidates fail: first on
+    # the enumeration below their join, then on the choices, once each
+    # pair's least candidate fails too
+    sig, m, rel = past_greedy_case()
+    for k, message in ((63, "structure value enumeration needs 64 entries, above the guard of 63"),
+                       (71, "mediating map search needs 72 entries, above the guard of 71")):
+        with pytest.raises(ResourceLimitError, match=re.escape(message)):
+            is_am_bisimulation(rel, m, m, sig, max_size=k)
+    report = is_am_bisimulation(rel, m, m, sig)
+    assert report.verdict and is_am_bisimulation(rel, m, m, sig, max_size=72) == report
+    pi1, pi2 = rel.projections()
+    greatest = [inverse_image(pi1, m.sigma(a)).bits & inverse_image(pi2, m.sigma(b)).bits
+                for a, b in rel.sorted_pairs()]
+    assert [t.bits for t in report.mediating.assignment] != greatest
     eager = FunctorInstance(sig.functor.name, sig.functor.on_space, sig.functor.on_map)
-    assert is_am_bisimulation(rel, m1, m2, Signature(eager, sig.liftings)) == report
-    rel_space = subspace_topology(rel, m1.space, m2.space)
-    assert is_continuous(report.mediating, rel_space, eager.on_space(rel_space))
+    assert is_am_bisimulation(rel, m, m, Signature(eager, sig.liftings)) == report
+    rel_space = subspace_topology(rel, m.space, m.space)
+    image = eager.on_space(rel_space)
+    gamma = report.mediating
+    assert is_continuous(CarrierMap(gamma.source, image.carrier, gamma.assignment),
+                         rel_space, image)
 
 
 def _no_image_topology(monkeypatch):
