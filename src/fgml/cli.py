@@ -219,19 +219,15 @@ def load_model(path: str, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
     return load_document(doc, max_size)
 
 
-def model_to_document(lm: LoadedModel) -> dict:
-    """Canonical document: opens sorted by grade key, names sorted."""
-    model, lattice = lm.model, lm.lattice
-    carrier = model.space.carrier
-    sigma_doc = {e: _fuzzy_set_to_doc(v) if isinstance(v, FuzzySet) else v
-                 for e, v in zip(carrier, model.sigma.assignment)}
+def _document(lm: LoadedModel) -> dict:
+    """The canonical document with its fuzzy sets as they are, for `_json`."""
     doc = {
-        "lattice": lattice.den,
+        "lattice": lm.lattice.den,
         "functor": lm.functor_name,
-        "carrier": list(carrier.elements),
-        "opens": [_fuzzy_set_to_doc(o) for o in model.space.sorted_opens()],
-        "sigma": sigma_doc,
-        "valuation": {name: _fuzzy_set_to_doc(v) for name, v in model.valuation},
+        "carrier": list(lm.model.space.carrier.elements),
+        "opens": list(lm.model.space.sorted_opens()),
+        "sigma": dict(zip(lm.model.space.carrier, lm.model.sigma.assignment)),
+        "valuation": dict(lm.model.valuation),
     }
     if lm.modalities:
         doc["modalities"] = list(lm.modalities)
@@ -240,6 +236,16 @@ def model_to_document(lm: LoadedModel) -> dict:
                             for name, pairs in sorted(lm.relations.items())}
     if lm.formulas:
         doc["formulas"] = dict(sorted(lm.formulas.items()))
+    return doc
+
+
+def model_to_document(lm: LoadedModel) -> dict:
+    """Canonical document: opens sorted by grade key, names sorted."""
+    doc = _document(lm)
+    doc["opens"] = list(map(_fuzzy_set_to_doc, doc["opens"]))
+    for key in ("sigma", "valuation"):
+        doc[key] = {k: _fuzzy_set_to_doc(v) if isinstance(v, FuzzySet) else v
+                    for k, v in doc[key].items()}
     return doc
 
 
@@ -253,20 +259,39 @@ def _named_relation(lm: LoadedModel, other: LoadedModel, name: str) -> Relation:
         raise DocumentError(f"relation {name!r}: {exc}") from None
 
 
-def _json(value, sort: bool = True, indent: str = "") -> str:
+def _fragments(fs: FuzzySet, sort: bool) -> list[tuple[int, dict[int, str]]]:
+    """For each state of fs's carrier, in carrier order or sorted by name:
+    the mask of its field in `bits`, and the fragment `"name": "k/d"` of
+    each value of the field under that mask."""
+    carrier, d, names = fs.carrier, fs.lattice.den, fs.lattice.names
+    return [(((1 << d) - 1) << (shift := (len(carrier) - 1 - carrier.index(s)) * d),
+             {((1 << k) - 1) << shift: f"{encode_basestring_ascii(s)}: \"{g}\""
+              for k, g in enumerate(names)})
+            for s in (sorted(carrier.elements) if sort else carrier.elements)]
+
+
+def _json(value, sort: bool = True, indent: str = "", tables: dict | None = None) -> str:
     """json.dumps(value, indent=2, sort_keys=sort) for a value whose dicts
-    have str keys, built without the encoder's closures, which leave a
-    reference cycle behind on every call."""
+    have str keys, with each FuzzySet on str states written as its
+    `_fuzzy_set_to_doc`, built without the encoder's closures, which leave
+    a reference cycle behind on every call. A fuzzy set is written from its
+    bits through its carrier's `_fragments`, made once per call in `tables`."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    tables = {} if tables is None else tables
     inner = indent + "  "
-    if isinstance(value, dict):
+    if isinstance(value, FuzzySet):
+        if (table := tables.get(key := (id(value.carrier), id(value.lattice)))) is None:
+            table = tables[key] = _fragments(value, sort)
+        items, brackets = [row[value.bits & mask] for mask, row in table], "{}"
+    elif isinstance(value, dict):
         items = [f"{encode_basestring_ascii(k)}: " + (
-                     encode_basestring_ascii(v) if isinstance(v, str) else _json(v, sort, inner))
+                     encode_basestring_ascii(v) if isinstance(v, str)
+                     else _json(v, sort, inner, tables))
                  for k, v in (sorted(value.items()) if sort else value.items())]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        items, brackets = [_json(v, sort, inner) for v in value], "[]"
+        items, brackets = [_json(v, sort, inner, tables) for v in value], "[]"
     else:
         return json.dumps(value)
     if not items:
@@ -330,7 +355,7 @@ def _cmd_quotient(args) -> int:
         return 1
     out = LoadedModel(result.model, lm.signature, lm.lattice, lm.functor_name,
                       lm.modalities, {}, {})
-    doc = model_to_document(out)
+    doc = _document(out)
     mapping = {s: result.quotient_map(s) for s in lm.model.space.carrier}
     lines = [] if args.json else [  # the text form only when it is printed
         "classes: " + "; ".join(" ".join(c) for c in result.classes),

@@ -41,14 +41,14 @@ agrees there too, so the family splits the states exactly as its
 generators do, and once they separate every pair of states no finer
 partition exists and the rounds stop. The proof is in
 `modal_equivalence_classes`. `quotient_model` keeps an open iff it is
-saturated, read on its fields (pushed along the quotient map and pulled
-back, it is unchanged), and builds a fuzzy set only for the images of
-those.
+saturated, that is constant on every class, read as one field compare per
+merged state, and builds a fuzzy set only for the images of those.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product, repeat
 from typing import Mapping, Sequence
@@ -62,10 +62,8 @@ from .errors import (
     UnboundPropositionError,
 )
 from .fuzzyset import (
-    Carrier,
     CarrierMap,
     FuzzySet,
-    _fields_along,
     _from_bits,
     fs_join,
     fs_meet,
@@ -576,20 +574,38 @@ def quotient_model(m: Model, sig: Signature) -> QuotientResult:
     images q(o) of the opens o with q^-1(q(o)) = o; the structure map sends
     a class to the functor image of the representative's structure value
     and is accepted only if that choice is representative-independent.
+
+    The opens are read on their fields. q(o)(c) is the sup of o over the
+    class c, so q^-1(q(o))(s) is the sup of o over the class of s, which
+    is at least o(s) and equals it iff o(s) is that class's largest grade.
+    So q^-1(q(o)) = o iff o is constant on every class: iff each merged
+    state's field equals its representative's. Then q(o) is o at the
+    representatives, which come first in their classes and so in carrier
+    order: the fields of a run of consecutive ones move down together.
     """
     classes = modal_equivalence_classes(m, sig)
     reps = tuple(cls[0] for cls in classes)
-    q_carrier = Carrier(reps)
     rep_of = {s: cls[0] for cls in classes for s in cls}
-    q = CarrierMap(m.space.carrier, q_carrier,
-                   tuple(rep_of[s] for s in m.space.carrier))
+    q = CarrierMap.onto(m.space.carrier, [rep_of[s] for s in m.space.carrier])  # onto reps
 
-    # o is saturated iff q^-1(q(o)) = o; only those images become opens
     lattice, d = m.space.lattice, m.space.lattice.den
-    opens = frozenset(_from_bits(q_carrier, lattice, w) for o in m.space.opens
-                      if _fields_along(w := _fields_along(o.bits, d, q._edges),
-                                       d, q._back) == o.bits)
-    q_space = FuzzySpace(q_carrier, lattice, opens)
+    field = (1 << d) - 1
+    shift = dict(zip(m.space.carrier, range((len(m.space.carrier) - 1) * d, -1, -d)))
+    same = defaultdict(int)  # merged states' fields, by how far up their representative's lie
+    moved = defaultdict(int)  # representatives' fields in q.target, by how far down they move
+    for cls in classes:
+        for s in cls[1:]:
+            same[shift[cls[0]] - shift[s]] |= field << shift[s]
+    for k, rep in enumerate(reversed(reps)):  # one gap per run of consecutive representatives
+        moved[shift[rep] - k * d] |= field << k * d
+
+    def image(bits: int) -> FuzzySet:
+        return _from_bits(q.target, lattice,
+                          sum(bits >> gap & mask for gap, mask in moved.items()))
+
+    q_space = FuzzySpace(q.target, lattice, frozenset(
+        image(b) for b in (o.bits for o in m.space.opens)
+        if not any((b >> gap ^ b) & mask for gap, mask in same.items())))
 
     image_map = sig.functor.on_map(q, m.space, q_space)
     sigma_values = {}
@@ -603,10 +619,8 @@ def quotient_model(m: Model, sig: Signature) -> QuotientResult:
                     failure=f"structure map not well-defined: states {rep!r} and "
                             f"{other!r} are modally equivalent but their structure "
                             "values differ in the quotient")
-    q_sigma = CarrierMap.onto(q_carrier, [sigma_values[rep] for rep in reps])
-    valuation = {name: FuzzySet(q_carrier, lattice,
-                                tuple(v(rep) for rep in reps))
-                 for name, v in m.valuation}
+    q_sigma = CarrierMap.onto(q.target, [sigma_values[rep] for rep in reps])
+    valuation = {name: image(v.bits) for name, v in m.valuation}  # definable, so saturated
     quotient = Model.create(q_space, q_sigma, valuation)
     return QuotientResult(True, model=quotient, quotient_map=q, classes=classes)
 

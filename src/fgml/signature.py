@@ -29,6 +29,7 @@ most |R| values of a candidate mediating map.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -212,9 +213,10 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     keeps = {"dia": "joins", "box": "meets"}
     space_cache: dict[FuzzySpace, FuzzySpace] = {}
     image_cache: dict[FuzzySpace, Carrier] = {}
-    # per carrier of values lifted at, by identity (and kept alive here): one
-    # row per state s packing nu(s) for every value nu, each grade k/d as often
-    rows_cache: dict[int, tuple[Carrier, list[int], list[int]]] = {}
+    # per carrier of values lifted at, by identity and held weakly (an entry
+    # counts only while its carrier lives; dead ones go before each new entry):
+    # one row per state s packing nu(s) for every value nu, each grade k/d as often
+    rows_cache: dict[int, tuple[weakref.ref, list[int], list[int]]] = {}
 
     def elements(space: FuzzySpace) -> Carrier:
         if space not in image_cache:
@@ -248,13 +250,15 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     # min(nu(s), mu(s)) is rows[s] & consts[mu(s)] for all values nu at once
     def dia_raw(space: FuzzySpace, args: tuple[FuzzySet, ...], at: Carrier) -> FuzzySet:
         (mu,) = args
-        if id(at) not in rows_cache:
+        alive, rows, consts = rows_cache.get(id(at), (None, None, None))
+        if alive is None or alive() is not at:
+            for key in [key for key, (ref, _, _) in rows_cache.items() if ref() is None]:
+                del rows_cache[key]
             d, keys = lattice.den, [nu.key() for nu in at]
             low = _pack([1] * len(at), d)
-            rows_cache[id(at)] = (at, [_pack((key[s] for key in keys), d)
-                                       for s in range(len(space.carrier))],
-                                  [low * ((1 << k) - 1) for k in range(d + 1)])
-        _, rows, consts = rows_cache[id(at)]
+            rows = [_pack((key[s] for key in keys), d) for s in range(len(space.carrier))]
+            consts = [low * ((1 << k) - 1) for k in range(d + 1)]
+            rows_cache[id(at)] = (weakref.ref(at), rows, consts)
         bits = 0
         for row, k in zip(rows, mu.key()):
             bits |= row & consts[k]

@@ -59,10 +59,10 @@ class FuzzySpace:
     opens: frozenset[FuzzySet]
 
     def __post_init__(self):
-        for o in self.opens:
-            if o.carrier != self.carrier:
+        for o in self.opens:  # `is` first: the opens of a load share its carrier
+            if o.carrier is not self.carrier and o.carrier != self.carrier:
                 raise CarrierMismatchError("open not on the space's carrier")
-            if o.lattice != self.lattice:
+            if o.lattice is not self.lattice and o.lattice != self.lattice:
                 raise CarrierMismatchError("open uses a foreign grade lattice")
 
     @property

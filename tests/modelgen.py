@@ -197,6 +197,43 @@ def duplicate_state(model: Model, sig: Signature, state: str, copy: str) -> Mode
     return complete_powerset_model(new_carrier, lat, sigma_sets, valuation, sig)
 
 
+def copy_states(model: Model, sig: Signature, copies, odd: str) -> Model:
+    """The model with copies of states put anywhere in the carrier, for
+    either functor.
+
+    `copies` lists (copy, state, index) in turn: `copy` goes in at
+    position `index` of the carrier so far, with `state`'s prop grades and
+    structure value (a powerset value spread over the new carrier with
+    grade 0 at the copies), so it is modally equivalent to `state` by
+    construction. So merged states need not be adjacent, a state copied
+    twice makes a class of three, and a copy put first becomes its class's
+    representative. The topology is completed from the valuations and one
+    more open: the crisp set of the states that copy what `odd` copies
+    (an original copies itself), `odd` left out. It is not constant on
+    the class of `odd`, so the quotient has opens to drop, and it sets
+    apart `odd` alone within its copies.
+    """
+    lat, old = model.space.lattice, model.space.carrier
+    states, source = list(old.elements), {s: s for s in old}
+    for copy, state, index in copies:
+        states.insert(index, copy)
+        source[copy] = source[state]
+    carrier = Carrier(tuple(states))
+
+    def widen(fs: FuzzySet, copied: bool) -> FuzzySet:
+        return FuzzySet(carrier, lat, tuple(fs(source[s]) if copied or s in old
+                                            else lat.bottom for s in carrier))
+
+    valuation = {name: widen(v, True) for name, v in model.valuation}
+    extra = FuzzySet(carrier, lat, tuple(lat.top if source[s] == source[odd] and s != odd
+                                         else lat.bottom for s in carrier))
+    if sig.functor.name == "identity":
+        return complete_identity_model(carrier, lat, tuple(model.sigma(source[s]) for s in carrier),
+                                       valuation, sig, [extra])
+    sigma_sets = {s: widen(model.sigma(source[s]), False) for s in carrier}
+    return complete_powerset_model(carrier, lat, sigma_sets, valuation, sig, [extra])
+
+
 def dia_closed_document(d: int, n: int, seed: int) -> dict:
     """Seeded fuzzy-powerset `dia` model document, closed by pullbacks.
 

@@ -217,3 +217,20 @@ def test_am_never_builds_t_r_or_the_relation_space(monkeypatch, tmp_path):
     assert [code for code, _, _ in got] == expected
     assert all(err == "" for _, _, err in got)
     assert expected.count(0) >= 3
+
+
+def test_dia_rows_die_with_their_carrier_of_values():
+    """`dia` keeps its rows per carrier of values it is read at, by
+    identity, only while that carrier lives: repeated library checks,
+    each at new carriers, leave the table as small as after one."""
+    m, sig = next((m, sig) for m, sig in powerset_zoo(2, dens=(2,)) if len(m.space.carrier) == 2)
+    dia = sig.lifting("dia")._raw
+    rows_cache = dia.__closure__[dia.__code__.co_freevars.index("rows_cache")].cell_contents
+    rels = list(relations(m.space.carrier, m.space.carrier))
+    assert len(rels) == 16
+    sizes = []
+    for _ in range(4):
+        for rel in rels:
+            is_am_bisimulation(rel, m, m, sig)
+        sizes.append(len(rows_cache))
+    assert sizes == sizes[:1] * 4, sizes

@@ -10,6 +10,7 @@ import pytest
 from fgml.cli import (
     LoadedModel,
     _fuzzy_set_from_doc,
+    _fuzzy_set_to_doc,
     _json,
     load_document,
     load_model,
@@ -17,7 +18,7 @@ from fgml.cli import (
     run_command,
 )
 from fgml.errors import DocumentError, FgmlError
-from fgml.fuzzyset import Carrier, FuzzySet
+from fgml.fuzzyset import Carrier, FuzzySet, _from_bits, _pack
 from fgml.grades import make_lattice
 from fgml.logic import MAX_NESTING, parse_formula
 
@@ -557,6 +558,31 @@ def test_verdicts_match_library(capsys):
     code = run_command(["bisim", "check", "-m", M1, "-n", M1, "-r", "diag"])
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_json_printer_writes_fuzzy_sets_as_their_documents(d):
+    """A FuzzySet leaf is written from its bits as json.dumps writes its
+    `_fuzzy_set_to_doc`: every fuzzy set on two 3-state carriers whose
+    names need escaping and sort out of carrier order, at the top and
+    nested, beside a fuzzy set on the other carrier, and the empty carrier."""
+    lat = make_lattice(d)
+    quoted, accented = Carrier(("z", 'q"uote', "a\\b")), Carrier(("\u00e9t\u00e9", "b", "\u2603"))
+    assert list(quoted.elements) != sorted(quoted.elements)
+    assert list(accented.elements) != sorted(accented.elements)
+    other = _from_bits(accented, lat, _pack((d, 0, 1), d))
+    empty = _from_bits(Carrier(()), lat, 0)
+    for carrier in (quoted, accented):
+        for nums in product(range(d + 1), repeat=3):
+            fs = _from_bits(carrier, lat, _pack(nums, d))
+            for sort in (True, False):
+                doc = _fuzzy_set_to_doc(fs)
+                assert _json(fs, sort) == json.dumps(doc, indent=2, sort_keys=sort)
+                nested = {"k": [fs, {"m": fs}], "a": other, "e": [empty]}
+                assert _json(nested, sort) == json.dumps(
+                    {"k": [doc, {"m": doc}], "a": _fuzzy_set_to_doc(other), "e": [{}]},
+                    indent=2, sort_keys=sort)
+    assert _json(empty) == _json(empty, sort=False) == json.dumps({}) == "{}"
 
 
 def test_property_json_printer_matches_json_dumps():

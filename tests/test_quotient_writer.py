@@ -7,7 +7,8 @@ strings indexed by numerator; the reference is `str` of each `Grade`.
 The text and `--json` outputs of `quotient` and `classes --depth 3` on
 each loadable fixture are pinned byte for byte in `golden/outputs.json`
 (`m1_dup.json` and `chain_d1n8.json` have modally equivalent states, so
-merging quotients are pinned too);
+merging quotients are pinned too, and `spread_d2n6.json` merges states
+that are not adjacent, three of them in one class);
 `python tests/test_quotient_writer.py` rewrites that file from the
 current code, for a change that means to alter those outputs.
 """
@@ -29,6 +30,7 @@ from fgml.fuzzyset import _from_bits, _pack
 
 from modelgen import (
     FIXTURES,
+    copy_states,
     duplicate_state,
     identity_zoo,
     oracle_quotient_opens,
@@ -50,6 +52,34 @@ def test_quotient_opens_match_the_fuzzy_set_filter():
             assert result.model.space.opens == oracle_quotient_opens(m, result.quotient_map)
             merged += len(result.classes) < len(m.space.carrier)
     assert merged  # some quotients identify states, so that some opens are not saturated
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("zoo", [powerset_zoo, identity_zoo])
+def test_quotient_opens_match_where_merged_states_are_apart(zoo, d):
+    """Copies put first, between and last: merged states that are not
+    adjacent, classes of three or more, representatives that are copies,
+    and representatives in several runs. Each state of a copied group is
+    in turn the one an extra open sets apart."""
+    apart = three = first = runs = dropped = 0
+    for m, sig in zoo(2 if (zoo, d) == (powerset_zoo, 3) else 3, dens=(d,)):
+        if len(states := m.space.carrier.elements) < 2:
+            continue
+        for copies in ([("u", states[-1], 0), ("v", states[-1], 2), ("w", states[0], len(states) + 2)],
+                       [("v", states[0], 1), ("w", states[0], 3)]):
+            for odd in sorted({name for copy in copies for name in copy[:2]}):
+                spread = copy_states(m, sig, copies, odd)
+                result = quotient_model(spread, sig)
+                assert result, result.failure
+                assert result.model.space.opens == oracle_quotient_opens(spread, result.quotient_map)
+                index = {s: i for i, s in enumerate(spread.space.carrier.elements)}
+                reps = [c[0] for c in result.classes]
+                apart += any(index[b] - index[a] > 1 for c in result.classes for a, b in zip(c, c[1:]))
+                three += max(map(len, result.classes)) >= 3
+                first += reps[0] == "u"
+                runs += any(index[b] - index[a] > 1 for a, b in zip(reps, reps[1:]))
+                dropped += len(result.model.space.opens) < len(spread.space.opens)
+    assert apart and three and first and runs and dropped
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

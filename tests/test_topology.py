@@ -1,5 +1,7 @@
 from itertools import product
 
+import pytest
+
 from fgml import (
     Carrier,
     CarrierMap,
@@ -15,6 +17,7 @@ from fgml import (
     make_lattice,
     subspace_topology,
 )
+from fgml.errors import CarrierMismatchError
 from fgml.fuzzyset import all_fuzzy_sets
 from fgml.topology import discrete_space, indiscrete_space
 
@@ -47,6 +50,17 @@ def test_missing_meet_reported():
 def test_missing_constants_reported():
     space = FuzzySpace(XY, LAT, frozenset({fs(XY, 2, 2)}))
     assert "constant-0" in is_topology(space).violation
+
+
+def test_space_takes_equal_carriers_and_refuses_others():
+    full = fs(XY, 2, 2)  # on XY and LAT
+    twin, lat = Carrier(("x", "y")), make_lattice(2)  # equal to them, other objects
+    assert twin is not XY and lat is not LAT
+    assert FuzzySpace(twin, lat, frozenset({full})).opens == {full}
+    with pytest.raises(CarrierMismatchError, match="carrier"):
+        FuzzySpace(Carrier(("x", "z")), LAT, frozenset({full}))
+    with pytest.raises(CarrierMismatchError, match="lattice"):
+        FuzzySpace(XY, make_lattice(3), frozenset({full}))
 
 
 def test_generate_empty_subbasis_gives_indiscrete():
