@@ -76,7 +76,7 @@ from .fuzzyset import (
 from .grades import Grade
 from .logic import Model
 from .signature import Signature, image_subbasis
-from .topology import FuzzySpace, _PrimeSpace, _pullback_basis, _read_on, _up
+from .topology import FuzzySpace, _read_on, _subspace, _up
 
 
 def is_coherent(rel: Relation, mu: FuzzySet, eta: FuzzySet) -> bool:
@@ -311,7 +311,7 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
     subbasis is lifted from a basis of R, read on its primes, which are
     the primes of the pullbacks of both sides' distinct primes (as in
     `subspace_topology`), and a pullback x is open iff it is the join of
-    the primes of its bits (`topology._up`). Only when the greatest
+    the primes of its bits (`FuzzySpace.is_open`). Only when the greatest
     candidates fail are all candidates enumerated (`_candidates`) and
     their choices tried in order, each pair's least candidate first; the
     search is held to `max_size` once that first choice fails. The empty
@@ -323,8 +323,7 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
         return AmBisimReport(False, tuple(witnesses))
     if not (identity := sig.functor.name == "identity") and sig.functor.name != "fuzzy-powerset":
         raise PreconditionError(f"no Aczel-Mendler search for the functor {sig.functor.name!r}")
-    ((pi1, _), (pi2, _)), basis = _pullback_basis(rel, m1.space, m2.space)
-    space = _PrimeSpace(pi1.source, m1.space.lattice, basis)
+    (pi1, pi2), space = _subspace(rel, m1.space, m2.space, max_size)
     tops = []
     for b1, b2 in rel.sorted_pairs():
         v = m1.sigma(b1), m2.sigma(b2)
@@ -339,8 +338,7 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
         gens = image_subbasis(sig.functor, space, at)
         for tried, choice in enumerate(product(*candidates)):
             gamma = CarrierMap(space.carrier, at, choice)
-            pulled = (inverse_image(gamma, g).bits for g in gens)
-            if all(_up(space.primes, x) == x for x in pulled):
+            if all(space.is_open(inverse_image(gamma, g).bits) for g in gens):
                 return CarrierMap.onto(space.carrier, choice)
             if not tried and (total := prod(map(len, candidates))) > max_size:
                 raise ResourceLimitError("mediating map search", total, max_size)

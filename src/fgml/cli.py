@@ -52,7 +52,7 @@ from .signature import (
     fuzzy_powerset_functor,
     identity_functor,
 )
-from .topology import FuzzySpace, generate_topology
+from .topology import FuzzySpace
 
 _PROP_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -157,11 +157,11 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
             _fuzzy_set_from_doc(o, carrier, lattice, f"open #{i}")
             for i, o in enumerate(doc["opens"]))
         space = FuzzySpace(carrier, lattice, opens)
-    else:
+    else:  # known by its primes; a reader of every open closes it under this guard
         subbasis = [
             _fuzzy_set_from_doc(o, carrier, lattice, f"generate_from #{i}")
             for i, o in enumerate(doc["generate_from"])]
-        space = generate_topology(carrier, lattice, subbasis, max_size)
+        space = FuzzySpace._generate(carrier, lattice, subbasis, lambda: subbasis, max_size)
 
     sigma_doc = doc["sigma"]
     if set(sigma_doc) != set(carrier.elements):
@@ -309,10 +309,9 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def _cmd_validate(args) -> int:
     lm = load_model(args.model, args.max_size)
-    _emit(args, {"valid": True, "states": len(lm.model.space.carrier),
-                 "opens": len(lm.model.space.opens)},
-          [f"valid model: {len(lm.model.space.carrier)} states, "
-           f"{len(lm.model.space.opens)} opens"])
+    states, opens = len(lm.model.space.carrier), len(lm.model.space.packed)
+    _emit(args, {"valid": True, "states": states, "opens": opens},
+          [f"valid model: {states} states, {opens} opens"])
     return 0
 
 
@@ -393,6 +392,7 @@ def _cmd_bisim(args) -> int:
 def _cmd_sig(args) -> int:
     lm = load_model(args.model, args.max_size)
     sig, space = lm.signature, lm.model.space
+    space.packed  # every open is read below: closed first, under the load's guard
     n = len(space.carrier)
     if n ** n > args.max_size:
         raise ResourceLimitError("self-map enumeration", n ** n, args.max_size)
@@ -408,11 +408,10 @@ def _cmd_sig(args) -> int:
     # inverse images keep joins, so a map is continuous iff each prime
     # pulls back to an open; only a continuous map becomes a CarrierMap
     d, last, states = space.lattice.den, n - 1, space.carrier.elements
-    primes, opens = set(space.primes), {o.bits for o in space.opens}
-    natural_ok = True
+    primes, natural_ok = set(space.primes), True
     for targets in product(range(n), repeat=n):
         back = [(last - t, last - i) for i, t in enumerate(targets)]  # its CarrierMap._back
-        if not all(_fields_along(j, d, back) in opens for j in primes):
+        if not all(space.is_open(_fields_along(j, d, back)) for j in primes):
             continue
         f = CarrierMap(space.carrier, space.carrier, tuple(states[t] for t in targets))
         for lifting in sig.liftings:

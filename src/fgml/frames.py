@@ -27,7 +27,7 @@ from typing import Hashable, Iterable, Mapping
 from .errors import MalformedFrameError, NotSoberError, PreconditionError, ResourceLimitError
 from .fuzzyset import DEFAULT_MAX_SIZE, Carrier, CarrierMap, FuzzySet, direct_image, inverse_image
 from .grades import Grade, GradeLattice
-from .topology import FuzzySpace, _t0, is_continuous, is_topology
+from .topology import FuzzySpace, is_continuous, is_t0, is_topology
 
 
 @dataclass(frozen=True)
@@ -269,9 +269,8 @@ def is_sober(space: FuzzySpace) -> bool:
     check = is_topology(space)
     if not check:
         raise PreconditionError(f"sobriety requires a topology: {check.violation}")
-    n, d, primes = len(space.carrier), space.lattice.den, space.primes
-    irreducible = set(primes)
-    if len(irreducible) > n or not _t0(primes, d):  # each j <= ... <= j is a point
+    n, d, irreducible = len(space.carrier), space.lattice.den, set(space.primes)
+    if len(irreducible) > n or not is_t0(space):  # each j <= ... <= j is a point
         return False
     ending = dict.fromkeys(irreducible, 1)  # multichains of length 1 ending at j
     for _ in range(d - 1):
@@ -329,7 +328,7 @@ def duality_check(space: FuzzySpace) -> DualityReport:
         ("eta bijective", True),  # the NotSoberError check above
         ("eta fuzzy continuous", is_continuous(eta, space, point_space)),
         ("eta open map",
-         all(direct_image(eta, o) in point_space.opens for o in space.opens)),
+         all(point_space.is_open(direct_image(eta, o).bits) for o in space.opens)),
         ("eta image equals evaluation open",
          all(direct_image(eta, o) == evaluation[o] for o in space.opens)),
         ("eta pullback recovers each open",

@@ -291,7 +291,7 @@ def validate_model(m: Model, sig: Signature) -> ModelCheck:
     for name, v in m.valuation:
         if v.carrier != m.space.carrier:
             problems.append(f"valuation of {name!r} is not on the carrier")
-        elif v not in m.space.opens:
+        elif v.lattice != m.space.lattice or not m.space.is_open(v.bits):
             problems.append(f"valuation of {name!r} is not an open: {v}")
     gens = ()
     if m.sigma.source != m.space.carrier:
@@ -301,11 +301,10 @@ def validate_model(m: Model, sig: Signature) -> ModelCheck:
             gens = image_subbasis(sig.functor, m.space, m.sigma.target)
         except (CarrierMismatchError, LatticeMismatchError) as exc:
             problems.append(f"structure map leaves the functor image: {exc}")
-    opens = m.space.opens
-    if not problems and any(inverse_image(m.sigma, o) not in opens for o in gens):
+    if not problems and not all(m.space.is_open(inverse_image(m.sigma, o).bits) for o in gens):
         # the witness of the walk over the liftings of every open, in order
         every = image_subbasis(sig.functor, m.space, m.sigma.target, every_open=True)
-        witness = next(o for o in every if inverse_image(m.sigma, o) not in opens)
+        witness = next(o for o in every if not m.space.is_open(inverse_image(m.sigma, o).bits))
         problems.append(f"structure map not continuous: pullback of {witness} is not open")
     return ModelCheck(not problems, tuple(problems))
 
@@ -604,7 +603,7 @@ def quotient_model(m: Model, sig: Signature) -> QuotientResult:
                           sum(bits >> gap & mask for gap, mask in moved.items()))
 
     q_space = FuzzySpace(q.target, lattice, frozenset(
-        image(b) for b in (o.bits for o in m.space.opens)
+        image(b) for b in m.space.packed
         if not any((b >> gap ^ b) & mask for gap, mask in same.items())))
 
     image_map = sig.functor.on_map(q, m.space, q_space)

@@ -16,8 +16,9 @@ the powerset functor, dia applied to the primes and box applied to the
 co-primes (`topology`): dia keeps joins and every open is the join of
 the primes below it, box keeps meets and every open is the meet of the
 co-primes above it. So at most n*d sets per lifting generate the image
-topology, which `on_space` builds from them. A functor without a
-subbasis of its own gives every open of `on_space`. A map f into T S is
+topology, which `on_space` generates from them and closes only when
+its opens are read. A functor without a subbasis of its own gives every
+open of `on_space`. A map f into T S is
 fuzzy continuous iff every subbasis member pulls back to an open,
 provided the source opens form a topology: inverse images keep the
 constants, meets and joins, and f factors through the values it takes.
@@ -55,7 +56,7 @@ from .fuzzyset import (
     inverse_image,
 )
 from .grades import GradeLattice
-from .topology import FuzzySpace, _coprimes, _generate, generate_topology, is_continuous
+from .topology import FuzzySpace, _coprimes, generate_topology, is_continuous
 
 
 @dataclass(frozen=True)
@@ -238,8 +239,8 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     def on_space(space: FuzzySpace) -> FuzzySpace:
         if space not in space_cache:
             at = elements(space)
-            space_cache[space] = _generate(at, lattice, subbasis(space, at, False),
-                                           lambda: subbasis(space, at, True), max_size)
+            space_cache[space] = FuzzySpace._generate(at, lattice, subbasis(space, at, False),
+                                                      lambda: subbasis(space, at, True), max_size)
         return space_cache[space]
 
     functor = FunctorInstance(
@@ -332,6 +333,4 @@ def check_characteristic(sig: Signature, space: FuzzySpace,
     image_space = sig.functor.on_space(space)
     gens = [l.apply(space, args, image_space.carrier) for l in sig.liftings
             for args in product(space.sorted_opens(), repeat=l.arity)]
-    regenerated = generate_topology(image_space.carrier, space.lattice,
-                                    gens, max_size)
-    return regenerated.opens == image_space.opens
+    return generate_topology(image_space.carrier, space.lattice, gens, max_size) == image_space

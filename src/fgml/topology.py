@@ -1,9 +1,10 @@
 """Finite fuzzy topological spaces.
 
-A space is a carrier together with an explicit finite family of fuzzy
-opens. Over a finite carrier and a finite grade chain every family of
-fuzzy sets is finite, so closure under arbitrary joins coincides with
-closure under binary joins.
+A space is a carrier together with its fuzzy opens: a declared finite
+family, or the topology a family generates, known by its primes until a
+reader needs every open. Over a finite carrier and a finite grade chain
+every family of fuzzy sets is finite, so closure under arbitrary joins
+coincides with closure under binary joins.
 
 Generation and validation work on each set's packed `bits`, where bit
 (n-1-i)*d + k-1 is set iff the grade at state i is at least k/d. The
@@ -18,7 +19,9 @@ both constants is a topology iff that closure is no larger than it.
 
 A space computes its primes (`FuzzySpace.primes`) and its `is_topology`
 verdict once, and a generated space is handed those of its generators,
-which are the same, and a verdict of yes. The primes are a join basis:
+which are the same, and a verdict of yes; it closes its packed opens only
+when they are read (`FuzzySpace.packed`), and tests one set for openness
+(`FuzzySpace.is_open`) as its own join of primes. The primes are a join basis:
 a join-preserving map, such as an inverse image, is known on every open
 once it is known on the distinct primes. The co-prime c_b of
 a topology, the join of the opens that lack bit b, is the join of the
@@ -43,50 +46,12 @@ from .fuzzyset import (
     CarrierMap,
     FuzzySet,
     Relation,
+    _fields_along,
     _from_bits,
     all_fuzzy_sets,
     inverse_image,
 )
 from .grades import GradeLattice
-
-
-@dataclass(frozen=True)
-class FuzzySpace:
-    """Carrier plus its declared family of fuzzy opens."""
-
-    carrier: Carrier
-    lattice: GradeLattice
-    opens: frozenset[FuzzySet]
-
-    def __post_init__(self):
-        for o in self.opens:  # `is` first: the opens of a load share its carrier
-            if o.carrier is not self.carrier and o.carrier != self.carrier:
-                raise CarrierMismatchError("open not on the space's carrier")
-            if o.lattice is not self.lattice and o.lattice != self.lattice:
-                raise CarrierMismatchError("open uses a foreign grade lattice")
-
-    @property
-    def bottom_open(self) -> FuzzySet:
-        return FuzzySet.empty(self.carrier, self.lattice)
-
-    @property
-    def top_open(self) -> FuzzySet:
-        return FuzzySet.full(self.carrier, self.lattice)
-
-    def sorted_opens(self) -> tuple[FuzzySet, ...]:
-        """Opens in canonical numerator-tuple order."""
-        return tuple(sorted(self.opens, key=attrgetter("bits")))
-
-    @cached_property
-    def _verdict(self) -> TopologyCheck:
-        """`is_topology`'s verdict; computed once."""
-        return _check_topology(self)
-
-    @cached_property
-    def primes(self) -> tuple[int, ...]:
-        """The packed prime of each bit, indexed by bit; computed once."""
-        return _primes((o.bits for o in self.opens),
-                       len(self.carrier) * self.lattice.den)
 
 
 @dataclass(frozen=True)
@@ -98,6 +63,120 @@ class TopologyCheck:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+class FuzzySpace:
+    """A carrier with its fuzzy opens, known by its primes.
+
+    `FuzzySpace(carrier, lattice, opens)` declares a family, a topology or
+    not, and keeps its fuzzy sets and their packed bits (`packed`). A
+    topology generated by `_generate` holds the primes of its generators,
+    which are its own, and a verdict of yes; its opens, the joins of the
+    primes, are closed when a reader first needs every open (`packed`,
+    `opens`, `sorted_opens`), under the guard it was generated with.
+    `is_open` tests one packed set without them.
+
+    Two spaces are equal iff their carriers, lattices and primes agree
+    and either both are topologies or both declare the same family. A
+    topology is fixed by its primes: each open is the join of the primes
+    of its bits (`_up`), so two topologies with the same primes have the
+    same opens, and a family that is not a topology differs from every
+    topology. The hash is over the carrier, the lattice and the primes.
+    """
+
+    def __init__(self, carrier: Carrier, lattice: GradeLattice, opens: Iterable[FuzzySet]):
+        opens = frozenset(opens)
+        for o in opens:  # `is` first: the opens of a load share its carrier
+            if o.carrier is not carrier and o.carrier != carrier:
+                raise CarrierMismatchError("open not on the space's carrier")
+            if o.lattice is not lattice and o.lattice != lattice:
+                raise CarrierMismatchError("open uses a foreign grade lattice")
+        vars(self).update(carrier=carrier, lattice=lattice, opens=opens,
+                          packed=frozenset(o.bits for o in opens))
+
+    @classmethod
+    def _generate(cls, carrier: Carrier, lattice: GradeLattice, basis: Iterable[FuzzySet],
+                  family: Callable[[], Iterable[FuzzySet]], max_size: int) -> FuzzySpace:
+        """The topology that the sets `basis` generate, known by their
+        primes, with the guard of generate_topology(carrier, lattice,
+        family(), max_size) for when its opens are read (`packed`);
+        `family()` generates the same topology and is built only past
+        max_size."""
+        primes = _primes(_start(carrier, lattice, basis), len(carrier) * lattice.den)
+        space = cls.__new__(cls)
+        vars(space).update(carrier=carrier, lattice=lattice, primes=primes,
+                           _verdict=TopologyCheck(True), _guard=(max_size, family))
+        return space
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FuzzySpace is immutable; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FuzzySpace):
+            return NotImplemented
+        ok = self._verdict.ok
+        return (self.carrier, self.lattice, self.primes, ok) == (other.carrier, other.lattice,
+                other.primes, other._verdict.ok) and (ok or self.packed == other.packed)
+
+    def __hash__(self) -> int:
+        return hash((self.carrier, self.lattice, self.primes))
+
+    @property
+    def bottom_open(self) -> FuzzySet:
+        return FuzzySet.empty(self.carrier, self.lattice)
+
+    @property
+    def top_open(self) -> FuzzySet:
+        return FuzzySet.full(self.carrier, self.lattice)
+
+    @cached_property
+    def packed(self) -> frozenset[int]:
+        """The packed opens of a generated topology, closed once. The guard
+        trips once they pass max(max_size, starting family), and reports
+        that bound + 1; the starting family is built only past max_size."""
+        max_size, family = self._guard
+        if (closed := _closure(self.primes, max_size)) is None:
+            limit = max(max_size, len(_start(self.carrier, self.lattice, family())))
+            if limit == max_size or (closed := _closure(self.primes, limit)) is None:
+                raise ResourceLimitError("topology generation", limit + 1, max_size)
+        return frozenset(closed)
+
+    @cached_property
+    def opens(self) -> frozenset[FuzzySet]:
+        """The opens as fuzzy sets; a generated topology makes them once,
+        from `packed`."""
+        return frozenset(_from_bits(self.carrier, self.lattice, p) for p in self.packed)
+
+    def sorted_opens(self) -> tuple[FuzzySet, ...]:
+        """Opens in canonical numerator-tuple order."""
+        return tuple(sorted(self.opens, key=attrgetter("bits")))
+
+    def is_open(self, bits: int) -> bool:
+        """Whether the packed set is open: a member of `packed` once that is
+        known, else, in a generated topology, the join of the primes of its
+        bits (`_up`)."""
+        return bits in self.packed if "packed" in vars(self) else _up(self.primes, bits) == bits
+
+    @cached_property
+    def _verdict(self) -> TopologyCheck:
+        """`is_topology`'s verdict on the declared family, computed once."""
+        for name, constant in (("0", 0), ("1", (1 << len(self.carrier) * self.lattice.den) - 1)):
+            if constant not in self.packed:
+                return TopologyCheck(False, f"constant-{name} fuzzy set missing")
+        if _closure(self.primes, len(self.packed)) is not None:
+            return TopologyCheck(True)
+        packed = sorted(self.packed)
+        kind, a, b = next((kind, a, b) for i, a in enumerate(packed) for b in packed[i:]
+                          for kind, c in (("meet", a & b), ("join", a | b))
+                          if c not in self.packed)
+        a, b = (_from_bits(self.carrier, self.lattice, p) for p in (a, b))
+        return TopologyCheck(False, f"{kind} of {a} and {b} not open")
+
+    @cached_property
+    def primes(self) -> tuple[int, ...]:
+        """The packed prime of each bit, indexed by bit; computed once (a
+        generated topology is handed its generators')."""
+        return _primes(self.packed, len(self.carrier) * self.lattice.den)
 
 
 def _primes(family: Iterable[int], width: int) -> tuple[int, ...]:
@@ -167,23 +246,6 @@ def is_topology(space: FuzzySpace) -> TopologyCheck:
     return space._verdict
 
 
-def _check_topology(space: FuzzySpace) -> TopologyCheck:
-    """The verdict `is_topology` returns, computed from the opens."""
-    width = len(space.carrier) * space.lattice.den
-    family = {o.bits for o in space.opens}
-    if 0 not in family:
-        return TopologyCheck(False, "constant-0 fuzzy set missing")
-    if (1 << width) - 1 not in family:
-        return TopologyCheck(False, "constant-1 fuzzy set missing")
-    if _closure(space.primes, len(family)) is not None:
-        return TopologyCheck(True)
-    packed = sorted(family)
-    kind, a, b = next((kind, a, b) for i, a in enumerate(packed) for b in packed[i:]
-                      for kind, c in (("meet", a & b), ("join", a | b)) if c not in family)
-    a, b = (_from_bits(space.carrier, space.lattice, p) for p in (a, b))
-    return TopologyCheck(False, f"{kind} of {a} and {b} not open")
-
-
 def _start(carrier: Carrier, lattice: GradeLattice, sets: Iterable[FuzzySet]) -> set[int]:
     """The two constants and the packed sets, checked to lie on the carrier."""
     found = {0, (1 << len(carrier) * lattice.den) - 1}
@@ -194,26 +256,6 @@ def _start(carrier: Carrier, lattice: GradeLattice, sets: Iterable[FuzzySet]) ->
             raise LatticeMismatchError("subbasis member uses a foreign grade lattice")
         found.add(s.bits)
     return found
-
-
-def _generate(carrier: Carrier, lattice: GradeLattice, basis: Iterable[FuzzySet],
-              family: Callable[[], Iterable[FuzzySet]], max_size: int) -> FuzzySpace:
-    """generate_topology(carrier, lattice, family(), max_size), where the
-    sets `basis` generate the same topology as `family()`. The family is
-    built only when the topology has more than max_size opens, because
-    the guard's bound is max(max_size, its starting family)."""
-    primes = _primes(_start(carrier, lattice, basis), len(carrier) * lattice.den)
-    closed = _closure(primes, max_size)
-    if closed is None:
-        limit = max(max_size, len(_start(carrier, lattice, family())))
-        closed = _closure(primes, limit) if limit > max_size else None
-        if closed is None:
-            raise ResourceLimitError("topology generation", limit + 1, max_size)
-    space = FuzzySpace(carrier, lattice,
-                       frozenset(_from_bits(carrier, lattice, p) for p in closed))
-    vars(space)["primes"] = primes  # the generators' primes are the topology's
-    vars(space)["_verdict"] = TopologyCheck(True)  # a closure is a topology
-    return space
 
 
 def generate_topology(carrier: Carrier, lattice: GradeLattice,
@@ -228,7 +270,9 @@ def generate_topology(carrier: Carrier, lattice: GradeLattice,
     max(max_size, starting family) and reports that bound + 1.
     """
     subbasis = tuple(subbasis)
-    return _generate(carrier, lattice, subbasis, lambda: subbasis, max_size)
+    space = FuzzySpace._generate(carrier, lattice, subbasis, lambda: subbasis, max_size)
+    space.packed  # closed now: the guard trips at the call
+    return space
 
 
 def discrete_space(carrier: Carrier, lattice: GradeLattice,
@@ -245,49 +289,32 @@ def indiscrete_space(carrier: Carrier, lattice: GradeLattice) -> FuzzySpace:
                                  FuzzySet.full(carrier, lattice)}))
 
 
-def _t0(primes: tuple[int, ...], d: int) -> bool:
-    """The states' chains of primes j(s,1), ..., j(s,d) are distinct."""
-    return len({tuple(primes[k:k + d]) for k in range(0, len(primes), d)}) * d == len(primes)
-
-
 def is_t0(space: FuzzySpace) -> bool:
     """Some open separates the grades of every pair of distinct states:
     the n states' chains of primes j(s,1), ..., j(s,d) are distinct."""
-    return _t0(space.primes, space.lattice.den)
+    primes, d = space.primes, space.lattice.den
+    return len({tuple(primes[k:k + d]) for k in range(0, len(primes), d)}) * d == len(primes)
 
 
 def is_continuous(f: CarrierMap, source: FuzzySpace, target: FuzzySpace) -> bool:
     """Every pullback of a target open is open in the source."""
     if f.source != source.carrier or f.target != target.carrier:
         raise CarrierMismatchError("map does not connect the two spaces")
-    return all(inverse_image(f, o) in source.opens for o in target.opens)
+    same, d = source.lattice == target.lattice, target.lattice.den
+    return all(same and source.is_open(_fields_along(o, d, f._back)) for o in target.packed)
 
 
-class _PrimeSpace(FuzzySpace):
-    """The topology that the generators generate on the carrier, known by
-    its primes, which are theirs (`_generate`): its opens, the joins of
-    the primes, are generated only when something reads them."""
-
-    def __init__(self, carrier: Carrier, lattice: GradeLattice, generators: Iterable[FuzzySet]):
-        primes = _primes((g.bits for g in generators), len(carrier) * lattice.den)
-        vars(self).update(carrier=carrier, lattice=lattice, primes=primes,
-                          _verdict=TopologyCheck(True))
-
-    @cached_property
-    def opens(self) -> frozenset[FuzzySet]:
-        closed = _closure(self.primes, 1 << len(self.primes))
-        return frozenset(_from_bits(self.carrier, self.lattice, p) for p in closed)
-
-
-def _pullback_basis(rel: Relation, left: FuzzySpace, right: FuzzySpace):
-    """The projections with their sides, and the pullbacks of both sides'
-    distinct primes, which generate the subspace topology and have its
-    primes (`subspace_topology`)."""
+def _subspace(rel: Relation, left: FuzzySpace, right: FuzzySpace, max_size: int):
+    """The projections, and the subspace topology on the pair carrier known
+    by its primes: those of the pullbacks of both sides' distinct primes
+    (`subspace_topology`), with every open pulled back only past max_size."""
     if rel.left != left.carrier or rel.right != right.carrier:
         raise CarrierMismatchError("relation does not connect the two spaces")
-    sides = tuple(zip(rel.projections(), (left, right)))
-    return sides, [inverse_image(pi, _from_bits(side.carrier, side.lattice, j))
-                   for pi, side in sides for j in sorted(set(side.primes))]
+    sides = tuple(zip(projections := rel.projections(), (left, right)))
+    basis = [inverse_image(pi, _from_bits(side.carrier, side.lattice, j))
+             for pi, side in sides for j in sorted(set(side.primes))]
+    return projections, FuzzySpace._generate(projections[0].source, left.lattice, basis, lambda: [
+        inverse_image(pi, o) for pi, side in sides for o in side.sorted_opens()], max_size)
 
 
 def subspace_topology(rel: Relation, left: FuzzySpace, right: FuzzySpace,
@@ -301,6 +328,6 @@ def subspace_topology(rel: Relation, left: FuzzySpace, right: FuzzySpace,
     are its primes. Every open is pulled back only when the topology
     passes the guard, to size it.
     """
-    sides, basis = _pullback_basis(rel, left, right)
-    return _generate(sides[0][0].source, left.lattice, basis, lambda: [
-        inverse_image(pi, o) for pi, side in sides for o in side.sorted_opens()], max_size)
+    space = _subspace(rel, left, right, max_size)[1]
+    space.packed  # closed now: the guard trips at the call
+    return space

@@ -325,6 +325,31 @@ def pullback_closed_document(d: int, n: int, seed: int, duplicate: bool = False)
                           for name, nums in props.items()}}
 
 
+def generated_chain_document(d: int, n: int) -> dict:
+    """Identity-functor document on states s0, ..., s{n-1} whose opens are
+    generated from n sets: set i has grade 1 at s_i, grade (d // 2)/d at
+    s_{i+1 mod n} (1/2 for an even d) and 0 elsewhere.
+
+    sigma is the n-cycle s_i -> s_{i+1}, which pulls set i back to set
+    i-1, so it is continuous; p is set 0, and the relation "diag" is the
+    diagonal. The topology has exponentially many opens in n, but only
+    n*d primes.
+    """
+    states = [f"s{i}" for i in range(n)]
+
+    def gen(i: int) -> dict:
+        grades = dict.fromkeys(states, 0)
+        grades[states[(i + 1) % n]] = d // 2
+        grades[states[i]] = d
+        return {s: f"{k}/{d}" for s, k in grades.items()}
+
+    return {"lattice": d, "functor": "identity", "carrier": states,
+            "generate_from": [gen(i) for i in range(n)],
+            "sigma": {s: states[(i + 1) % n] for i, s in enumerate(states)},
+            "valuation": {"p": gen(0)},
+            "relations": {"diag": [[s, s] for s in states]}}
+
+
 def eager_model(m: Model, sig: Signature) -> Model:
     """The eager path: the model with its structure map taken into the
     whole carrier of T S, so that every lifting is applied over all of

@@ -205,7 +205,8 @@ def test_am_never_builds_t_r_or_the_relation_space(monkeypatch, tmp_path):
             monkeypatch.setattr(module, "all_fuzzy_sets", _refuse)
     for module in (fgml, fgml.topology):
         monkeypatch.setattr(module, "subspace_topology", _refuse)
-    monkeypatch.setattr(fgml.topology._PrimeSpace, "opens", property(_refuse))
+    # a generated topology, such as the relation space, closes its opens only here
+    monkeypatch.setattr(fgml.topology.FuzzySpace.packed, "func", _refuse)
     for make in ("fuzzy_powerset_functor", "identity_functor"):
         def without_image(*args, _make=getattr(fgml.cli, make), **kwargs):
             functor, sig = _make(*args, **kwargs)

@@ -349,8 +349,11 @@ def _signatures(sig, binary=False):
     antitone lifting (the complement of the first lifting: `neg` for the
     identity functor), the signature's declared liftings beside that
     undeclared one, the first lifting of the complement (`dia` of it
-    sends joins to neither joins nor meets) and, if asked, a binary
-    lifting antitone in its second argument."""
+    sends joins to neither joins nor meets), if asked a binary lifting
+    antitone in its second argument, and last the meet of the first
+    lifting and the first of the complement (`dia(mu) & dia(1 - mu)`,
+    read on every open: it keeps neither joins nor meets, and its values
+    on the co-primes do not fix the partition)."""
     first = sig.liftings[0]
     yield sig
     yield Signature(sig.functor, ())
@@ -368,6 +371,9 @@ def _signatures(sig, binary=False):
             lambda space, args, at: fs_meet(
                 first.apply(space, args[:1], at),
                 fs_complement(first.apply(space, args[1:], at)))),))
+    yield Signature(sig.functor, (Lifting(
+        "both_ways", 1, sig.functor, lambda space, args, at: fs_meet(
+            first.apply(space, args, at), first.apply(space, (fs_complement(args[0]),), at))),))
 
 
 def test_classes_match_definable_opens(zoo):
@@ -398,6 +404,27 @@ def test_classes_need_the_lattice_closure():
         m = complete_powerset_model(carrier, lat, sigma_sets, valuation, sig)
         assert modal_equivalence_classes(m, sig) == definable_partition(m, sig) \
             == tuple((e,) for e in carrier)
+
+
+def test_classes_read_an_undeclared_lifting_on_every_open():
+    # p = {b, c, d} and its both-ways lift {a, b, d} are the co-primes of
+    # the topology they generate. Only the lift of their meet {b, d} sets b
+    # apart from d: it is {a, d}, as the successors of a and d meet both
+    # {b, d} and its complement, and those of b and c do not. Read on the
+    # co-primes alone, the lifting leaves b and d in one class.
+    lat = make_lattice(1)
+    carrier = Carrier(("a", "b", "c", "d"))
+
+    def crisp(*names):
+        return FuzzySet(carrier, lat, tuple(lat.grade(int(e in names)) for e in carrier))
+
+    base = fuzzy_powerset_functor(lat, ("dia",))[1]
+    sig = next(variant for variant in _signatures(base) if variant.names == ("both_ways",))
+    sigma_sets = {"a": crisp("a", "c", "d"), "b": crisp("a", "c"), "c": crisp("b"),
+                  "d": crisp("a", "c", "d")}
+    m = complete_powerset_model(carrier, lat, sigma_sets, {"p": crisp("b", "c", "d")}, sig)
+    assert modal_equivalence_classes(m, sig) == definable_partition(m, sig) \
+        == tuple((e,) for e in carrier)
 
 
 def test_binary_liftings_pull_back_old_with_new_members():
@@ -444,7 +471,7 @@ def test_property_classes_match_definable_opens():
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
-    @hypothesis.given(_random_models(st), st.integers(0, 6))
+    @hypothesis.given(_random_models(st), st.integers(0, 7))
     def check(case, variant):
         m, sig = case
         sig = list(_signatures(sig, binary=True))[variant]
@@ -506,7 +533,7 @@ def test_property_depth_labels_match_the_formula_closure():
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
-    @hypothesis.given(_random_models(st), st.integers(0, 6))
+    @hypothesis.given(_random_models(st), st.integers(0, 7))
     def check(case, variant):
         m, sig = case
         splits.append(check_depth_labels(m, list(_signatures(sig, binary=True))[variant]))

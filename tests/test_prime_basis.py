@@ -230,7 +230,8 @@ def test_one_primes_pass_per_explicit_opens_load(monkeypatch, capsys):
 
 def test_one_closure_per_space_in_duality(monkeypatch, tmp_path, capsys):
     # the load's validation decides the topology once (or the generation
-    # hands its verdict over); sobriety reads that verdict again
+    # hands its verdict over); sobriety reads that verdict again, and a
+    # generated space that is not sober refuses before any open is closed
     import fgml.topology
 
     calls = [0]
@@ -247,5 +248,5 @@ def test_one_closure_per_space_in_duality(monkeypatch, tmp_path, capsys):
                        (f"{FIXTURES}/m1_dup.json", 2), (str(generated), 2)):
         calls[0] = 0
         assert run_command(["duality", "-m", path]) == code
-        assert calls[0] == 1, path
+        assert calls[0] == (0 if path == str(generated) else 1), path
     capsys.readouterr()

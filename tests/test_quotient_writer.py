@@ -8,7 +8,9 @@ The text and `--json` outputs of `quotient` and `classes --depth 3` on
 each loadable fixture are pinned byte for byte in `golden/outputs.json`
 (`m1_dup.json` and `chain_d1n8.json` have modally equivalent states, so
 merging quotients are pinned too, and `spread_d2n6.json` merges states
-that are not adjacent, three of them in one class);
+that are not adjacent, three of them in one class), and on the generated
+chain `generated_chain_d2n8.json` so are `eval`, `classes --depth 2`,
+`validate`, the three `bisim` commands and `duality`, with any stderr;
 `python tests/test_quotient_writer.py` rewrites that file from the
 current code, for a change that means to alter those outputs.
 """
@@ -102,17 +104,30 @@ def _fixtures():
     return names
 
 
+def _commands(name: str) -> list[list[str]]:
+    """The pinned commands on one fixture: `quotient` and `classes --depth
+    3`, and on a generated chain (`modelgen.generated_chain_document`)
+    every command that reads a space, each model against itself."""
+    commands = [["quotient"], ["classes", "--depth", "3"]]
+    if name.startswith("generated_chain"):
+        commands += [["eval", "-f", "<id>(p)"], ["classes", "--depth", "2"], ["validate"],
+                     ["bisim", "greatest"], ["bisim", "check", "-r", "diag"],
+                     ["bisim", "am", "-r", "diag"], ["duality"]]
+    return commands
+
+
 def _outputs(name: str) -> dict:
-    """Exit code and stdout of each pinned command on one fixture."""
+    """Exit code, stdout and any stderr of each pinned command on one fixture."""
     path = os.path.join(FIXTURES, name)
     out = {}
-    for command in (["quotient"], ["classes", "--depth", "3"]):
+    for command in _commands(name):
         for flags in ([], ["--json"]):
-            argv = [*flags, *command, "-m", path]
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = run_command(argv)
-            out[" ".join([*flags, *command])] = [code, stdout.getvalue()]
+            other = ["-n", path] if command[0] == "bisim" else []
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run_command([*flags, *command, "-m", path, *other])
+            out[" ".join([*flags, *command])] = \
+                [code, stdout.getvalue()] + ([stderr.getvalue()] if stderr.getvalue() else [])
     return out
 
 
