@@ -11,20 +11,20 @@ The grade to which a state satisfies a formula is the value of the
 formula's evaluation at that state; disjunction over the empty list is
 the constant-0 fuzzy set.
 
-Two closures compute the definable opens: the least family holding both
+One closure computes the definable opens, the least family holding both
 constants and the valuations, closed under meet, join and each lifting
-composed with the structure map. `definable_opens` and
-`enumerate_formulas` keep a formula per member, through `_formula_closure`,
-which runs round by round and semi-naively (Bancilhon and Ramakrishnan,
-1986): a round offers only the argument tuples that use a member added by
-the round before, in the order a naive round over all members would.
-Older tuples were offered before, so the members, their order and each
-one's formula (its first offer) are the naive ones. The cross-check of
-`classes --depth K` needs only the partition by the first K rounds'
-members and runs those rounds on packed `bits` without formulas
-(`_depth_labels`); its last round offers only lifts, since a meet or join
-of members that agree at two states agrees there too and so splits no
-block.
+composed with the structure map: `_closure`, on packed vectors, round by
+round and semi-naively (Bancilhon and Ramakrishnan, 1986). A round
+offers only the argument tuples that use a member added by the round
+before, in the order a naive round over all members would. Older tuples
+were offered before, so the members, their order and each one's first
+offer are the naive ones. A member records its first offer as a kind and
+argument indices, and `definable_opens` and `enumerate_formulas` build
+its formula from that record. The cross-check of `classes --depth K`
+needs only the partition by the first K rounds' members and builds no
+formula (`_depth_labels`); its last round offers only lifts, since a meet
+or join of members that agree at two states agrees there too and so
+splits no block.
 
 `modal_equivalence_classes`, and through it `quotient_model` and the
 `classes` and `quotient` commands, need only the partition of the states
@@ -39,10 +39,12 @@ those lifts, and with the built-in liftings the family is never
 enumerated. A pointwise meet or join of sets that agree at s and t
 agrees there too, so the family splits the states exactly as its
 generators do, and once they separate every pair of states no finer
-partition exists and the rounds stop. The proof is in
-`modal_equivalence_classes`. `quotient_model` keeps an open iff it is
-saturated, that is constant on every class, read as one field compare per
-merged state, and builds a fuzzy set only for the images of those.
+partition exists and the rounds stop. A round splits the blocks only by
+its new lifts, with the step `_depth_labels` takes (`_refine`). The
+proof is in `modal_equivalence_classes`. `quotient_model` keeps an open
+iff it is saturated, that is constant on every class, read as one field
+compare per merged state, and builds a fuzzy set only for the images of
+those.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product, repeat
-from typing import Mapping, Sequence
+from itertools import product, repeat
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -333,116 +335,120 @@ def evaluate(m: Model, sig: Signature, formula: Formula) -> FuzzySet:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def _new_combos(items: list, old: int, arity: int, symmetric: bool, start: int = 0):
-    """Tuples from `product(items, repeat=arity)`, or if symmetric from
-    `combinations_with_replacement(items[start:], arity)`, in that order,
-    that use an item at index >= old; all of them when old == 0."""
+def _new_tuples(n: int, old: int, arity: int):
+    """The tuples of `product(range(n), repeat=arity)`, in its order, that
+    hold an index >= old; all of them when old == 0."""
     if old == 0:
-        yield from (combinations_with_replacement(items[start:], arity) if symmetric
-                    else product(items, repeat=arity))
+        yield from product(range(n), repeat=arity)
     elif arity:
-        for i in range(start if arity > 1 else max(start, old), len(items)):
-            for tail in _new_combos(items, old if i < old else 0, arity - 1,
-                                    symmetric, i if symmetric else 0):
-                yield (items[i], *tail)
+        for i in range(old if arity == 1 else 0, n):
+            for tail in _new_tuples(n, old if i < old else 0, arity - 1):
+                yield (i, *tail)
 
 
-def _seeds(props: Sequence[str]) -> list[Formula]:
-    """The formulas every closure starts from: both constants and the
-    propositions."""
-    return [Top(), Or(()), *map(Prop, props)]
+def _closure(models: Sequence[Model], sig: Signature, rounds: int | None = None,
+             lifts_last: bool = False):
+    """The least family of vectors over the models that holds both
+    constants and the valuations and is closed under meet, join and each
+    lifting composed with the structure maps: yields the seeds, then each
+    round's new members, as dicts from vector to first offer. At most
+    `rounds` rounds run; with `lifts_last` the last of them offers only
+    lifts.
 
-
-def _formula_closure(models: Sequence[Model], sig: Signature, seeds: Sequence[Formula],
-                     rounds: int | None = None) -> dict[tuple[FuzzySet, ...], Formula]:
-    """Least family of evaluation vectors over the models that holds the
-    seeds' and is closed under meet, join and each lifting composed with
-    the structure maps, offered in that order; each member maps to its
-    first formula. At most `rounds` rounds run."""
-    found: dict[tuple[FuzzySet, ...], Formula] = {}
-    for formula in seeds:
-        found.setdefault(tuple(evaluate(m, sig, formula) for m in models), formula)
-
-    def offers(old: int):
-        for (va, fa), (vb, fb) in _new_combos(items, old, 2, True):
-            yield tuple(map(fs_meet, va, vb)), And(fa, fb)
-            yield tuple(map(fs_join, va, vb)), Or((fa, fb))
+    A vector is the models' packed fields side by side, the first model's
+    most significant, so meet and join are one `&` and `|`; a member is
+    made a `FuzzySet` per model only to be a lifting argument. An offer is
+    (kind, argument indices) into the members in the order yielded: kind
+    "top" or "or" with none for the constants, "prop" with the name for a
+    valuation, "and" or "or" with two for a meet or join, a lifting with
+    its arity. A round offers the pairs (i <= j), meet then join, and then
+    each lifting's argument tuples in product order, that use a member the
+    round before added: in the order a naive round over all members would,
+    older tuples having been offered before, so the members, their order
+    and each one's first offer are the naive ones.
+    """
+    parts, offset = [], 0  # (model, its offset, its mask, its members as FuzzySets)
+    for m in reversed(models):
+        width = len(m.space.carrier) * m.space.lattice.den
+        parts.insert(0, (m, offset, (1 << width) - 1, []))
+        offset += width
+    seeds = {(1 << offset) - 1: ("top", ())}
+    seeds.setdefault(0, ("or", ()))
+    for name in models[0].props:
+        seeds.setdefault(sum(m.prop(name).bits << o for m, o, _, _ in parts), ("prop", name))
+    yield seeds
+    items, found, old = list(seeds), set(seeds), 0
+    for round_ in repeat(None) if rounds is None else range(rounds):
+        n, fresh = len(items), {}
+        if not (lifts_last and round_ == rounds - 1):
+            for i, a in enumerate(items):
+                for j, b in enumerate(items[max(i, old):n], max(i, old)):
+                    if (c := a & b) not in found and c not in fresh:
+                        fresh[c] = ("and", (i, j))
+                    if (c := a | b) not in found and c not in fresh:
+                        fresh[c] = ("or", (i, j))
+        for m, o, mask, sets in parts:
+            sets += [_from_bits(m.space.carrier, m.space.lattice, v >> o & mask)
+                     for v in items[len(sets):]]
         for lifting in sig.liftings:
-            for combo in _new_combos(items, old, lifting.arity, False):
-                yield (tuple(m.lift(lifting, tuple(v[i] for v, _ in combo))
-                             for i, m in enumerate(models)),
-                       Modal(lifting.name, tuple(f for _, f in combo)))
-
-    items, old = list(found.items()), 0
-    for _ in repeat(None) if rounds is None else range(rounds):
-        fresh: dict[tuple[FuzzySet, ...], Formula] = {}
-        for vector, formula in offers(old):
-            if vector not in found:
-                fresh.setdefault(vector, formula)
+            for args in _new_tuples(n, old, lifting.arity):
+                c = 0
+                for m, o, _, sets in parts:
+                    c |= m.lift(lifting, [sets[i] for i in args]).bits << o
+                if c not in found and c not in fresh:
+                    fresh[c] = (lifting, args)
         if not fresh:
-            break
+            return
+        yield fresh
         found.update(fresh)
-        old = len(items)
-        items += fresh.items()
-    return found
+        old = n
+        items += fresh
+
+
+def _formulas(batches) -> dict[int, Formula]:
+    """Each member of `_closure`'s batches with the formula of its first
+    offer, in order."""
+    members, built = [], []
+    for batch in batches:
+        members += batch
+        for kind, args in batch.values():
+            parts = () if kind == "prop" else tuple(built[i] for i in args)
+            built.append(Prop(args) if kind == "prop" else Top() if kind == "top"
+                         else And(*parts) if kind == "and" else Or(parts) if kind == "or"
+                         else Modal(kind.name, parts))
+    return dict(zip(members, built))
+
+
+def _refine(space: FuzzySpace, labels: tuple[int, ...],
+            batch: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """The state labels split by each state's grades over the packed sets
+    in `batch`, numbered in carrier order, and how many there are."""
+    d, ids = space.lattice.den, {}
+    field, batch = (1 << d) - 1, tuple(batch)
+    labels = tuple([ids.setdefault((label, tuple([b >> shift & field for b in batch])), len(ids))
+                    for label, shift in zip(labels, range((len(labels) - 1) * d, -1, -d))])
+    return labels, len(ids)
 
 
 def _depth_labels(m: Model, sig: Signature, depth: int) -> tuple[int, ...]:
-    """One label per state, equal for two states iff every member of
-    `_formula_closure([m], sig, _seeds(m.props), depth)` takes the same
-    grade at both.
+    """One label per state, equal for two states iff every member of the
+    depth-`depth` `_closure([m], sig)` takes the same grade at both.
 
-    Runs that closure's rounds semi-naively on packed `bits`, without
-    formulas: a round offers the meets and joins of the pairs, and the
-    lifts of the argument tuples, that use a member the round before
-    added. A member is made a `FuzzySet` only to be a lifting argument.
-
-    The last round offers only lifts. Let F be the family before it. If
-    every member of F takes equal grades at s and t, then so do the meet
-    and the join of two members a, b of F, since min(a(s), b(s)) =
-    min(a(t), b(t)) and max likewise. So the last round's meets and joins
-    split no block that F leaves whole, and the partition by F, its
-    meets and joins and its lifts is the partition by F and its lifts.
-    Earlier rounds stay complete, as their meets and joins are arguments
-    of later lifts. The rounds stop early once every state has a label of
-    its own, which no member can split.
+    The closure's last round offers only lifts. Let F be the family
+    before it. If every member of F takes equal grades at s and t, then
+    so do the meet and the join of two members a, b of F, since
+    min(a(s), b(s)) = min(a(t), b(t)) and max likewise. So the last
+    round's meets and joins split no block that F leaves whole, and the
+    partition by F, its meets and joins and its lifts is the partition by
+    F and its lifts. Earlier rounds stay complete, as their meets and
+    joins are arguments of later lifts. The rounds stop early once every
+    state has a label of its own, which no member can split.
     """
-    space, carrier, lattice = m.space, m.space.carrier, m.space.lattice
-    n, field = len(carrier), (1 << lattice.den) - 1
-    shifts = range((n - 1) * lattice.den, -1, -lattice.den)
-    items = list(dict.fromkeys([space.top_open.bits, 0, *(v.bits for _, v in m.valuation)]))
-    found, sets, old = set(items), [], 0
-    labels = (0,) * n
-
-    def refine(batch) -> int:  # labels split by each state's grades in batch
-        nonlocal labels
-        ids: dict[tuple, int] = {}
-        labels = tuple(ids.setdefault((label, tuple(b >> shift & field for b in batch)), len(ids))
-                       for label, shift in zip(labels, shifts))
-        return len(ids)
-
-    classes = refine(items)
-    for round_ in range(depth):
-        if classes == n:
+    labels = (0,) * len(m.space.carrier)
+    for batch in _closure([m], sig, depth, lifts_last=True):
+        labels, classes = _refine(m.space, labels, batch)
+        if classes == len(labels):
             break
-        fresh = set()
-        if round_ < depth - 1:
-            for j in range(old, len(items)):
-                b = items[j]
-                for a in items[:j + 1]:
-                    fresh.add(a & b)
-                    fresh.add(a | b)
-        sets += (_from_bits(carrier, lattice, b) for b in items[len(sets):])
-        for lifting in sig.liftings:
-            fresh.update(m.lift(lifting, args).bits
-                         for args in _new_combos(sets, old, lifting.arity, False))
-        fresh -= found
-        if not fresh:
-            break
-        found |= fresh
-        old = len(items)
-        items += fresh
-        classes = refine(fresh)
     return labels
 
 
@@ -455,8 +461,8 @@ def definable_opens(m: Model, sig: Signature) -> dict[FuzzySet, Formula]:
     callers that want the formulas; `modal_equivalence_classes` closes
     the same family without them.
     """
-    found = _formula_closure([m], sig, _seeds(m.props))
-    return {fs: formula for (fs,), formula in found.items()}
+    return {_from_bits(m.space.carrier, m.space.lattice, v): formula
+            for v, formula in _formulas(_closure([m], sig)).items()}
 
 
 def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...], ...]:
@@ -464,12 +470,13 @@ def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...]
 
     Closes the generators of the family of `definable_opens` on packed
     `bits`, without formulas. G starts as both constants and the
-    valuations. Each round groups the states by their grades over G and
-    stops if every state is alone, since no family splits them further.
-    Otherwise it lifts, for each lifting, the members of the topology G
-    generates that `topology._read_on` gives for what the lifting keeps
-    (its primes and 0, its co-primes and 1, or every member), pulls each
-    lift back along sigma and adds it to G; it stops when no lift is new.
+    valuations, and the states are grouped by their grades over G. While
+    some block holds two states, each round lifts, for each lifting, the
+    members of the topology G generates that `topology._read_on` gives
+    for what the lifting keeps (its primes and 0, its co-primes and 1, or
+    every member), pulls each lift back along sigma and adds the new ones
+    to G, splitting the blocks by their grades; it stops when no lift is
+    new. Once every state is alone no family splits them further.
 
     The partition by that fixpoint G* is the partition by the definable
     family F. Every member of G* lies in F, and so does the topology T it
@@ -487,24 +494,24 @@ def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...]
     carrier order too.
     """
     carrier, lattice = m.space.carrier, m.space.lattice
-    d, width = lattice.den, len(carrier) * lattice.den
+    width = len(carrier) * lattice.den
     found = {0, (1 << width) - 1, *(v.bits for _, v in m.valuation)}
-    while True:
-        blocks: dict[tuple[int, ...], list[str]] = {}
-        for s, shift in zip(carrier, range(width - d, -1, -d)):
-            blocks.setdefault(tuple(b >> shift & (1 << d) - 1 for b in found), []).append(s)
-        if len(blocks) == len(carrier):
-            break
+    labels, classes = _refine(m.space, (0,) * len(carrier), found)
+    while classes < len(carrier):
         primes, lifts = _primes(found, width), set()
         for lifting in sig.liftings:
             basis = [_from_bits(carrier, lattice, p)
                      for p in _read_on(lifting.keeps, primes, width)]
             lifts.update(m.lift(lifting, args).bits
                          for args in product(basis, repeat=lifting.arity))
-        if lifts <= found:
+        if not (lifts := lifts - found):
             break
         found |= lifts
-    return tuple(map(tuple, blocks.values()))
+        labels, classes = _refine(m.space, labels, lifts)
+    blocks: list[list[str]] = [[] for _ in range(classes)]
+    for s, label in zip(carrier, labels):
+        blocks[label].append(s)
+    return tuple(map(tuple, blocks))
 
 
 @dataclass(frozen=True)
@@ -642,4 +649,4 @@ def enumerate_formulas(models: Sequence[Model], sig: Signature,
         if m.props != props:
             raise PreconditionError("models value different proposition sets")
 
-    return list(_formula_closure(models, sig, _seeds(props), depth).values())
+    return list(_formulas(_closure(models, sig, depth)).values())

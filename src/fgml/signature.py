@@ -31,6 +31,7 @@ most |R| values of a candidate mediating map.
 from __future__ import annotations
 
 import weakref
+from copy import copy
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -64,25 +65,23 @@ class FunctorInstance:
     """Concrete endofunctor: `on_space(S)` is T S with its topology, its
     carrier holding every value; `on_map(f, S, S')` is T f on single values.
 
-    Optionally, `elements(S)` is the carrier of T S without its topology,
-    and `subbasis(S, at, every_open)` gives fuzzy sets on the carrier `at`
-    of values that generate the topology of `on_space(S)` read at `at`,
-    for a topology S, raising `CarrierMismatchError` for a value outside
-    T S: the generating liftings applied to a basis of S, or to every
-    open in order when `every_open` is true. Without them,
-    `image_elements` and `image_subbasis` read `on_space`.
+    Optionally, `subbasis(S, at, every_open)` gives fuzzy sets on the
+    carrier `at` of values that generate the topology of `on_space(S)`
+    read at `at`, for a topology S, raising `CarrierMismatchError` for a
+    value outside T S: the generating liftings applied to a basis of S,
+    or to every open in order when `every_open` is true. Without it,
+    `image_subbasis` reads `on_space`.
     """
 
     name: str
     on_space: Callable[[FuzzySpace], FuzzySpace]
     on_map: Callable[[CarrierMap, FuzzySpace, FuzzySpace], Callable[[Hashable], Hashable]]
     subbasis: Callable[[FuzzySpace, Carrier, bool], tuple[FuzzySet, ...]] | None = None
-    elements: Callable[[FuzzySpace], Carrier] | None = None
 
 
 def image_elements(functor: FunctorInstance, space: FuzzySpace) -> Carrier:
-    """Every value of T S: the functor's own carrier, or that of `on_space`."""
-    return functor.elements(space) if functor.elements else functor.on_space(space).carrier
+    """Every value of T S: the carrier of `on_space`."""
+    return functor.on_space(space).carrier
 
 
 def _restrict(sets: Sequence[FuzzySet], carrier: Carrier, at: Carrier) -> tuple[FuzzySet, ...]:
@@ -194,7 +193,8 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     """Fuzzy powerset functor with the requested generating signature.
 
     T S holds every lattice-valued fuzzy subset of S, enumerated only by
-    `elements` and `on_space`; the arrow part sends a subset to its
+    `on_space`, which keeps each image only while its space lives; the
+    arrow part sends a subset to its
     direct image. Diamond is dia(m)(v) = sup_s min(v(s), m(s)); box is
     box(m)(v) = inf_s max(1 - v(s), m(s)), computed as 1 - dia(1 - m)(v).
     The topology on the image is generated by the images of the
@@ -212,17 +212,12 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
         raise UnknownModalityError("at least one generating modality is required")
 
     keeps = {"dia": "joins", "box": "meets"}
-    space_cache: dict[FuzzySpace, FuzzySpace] = {}
-    image_cache: dict[FuzzySpace, Carrier] = {}
+    # each image by its space, held weakly: an entry goes when its space dies
+    images: weakref.WeakKeyDictionary[FuzzySpace, FuzzySpace] = weakref.WeakKeyDictionary()
     # per carrier of values lifted at, by identity and held weakly (an entry
     # counts only while its carrier lives; dead ones go before each new entry):
     # one row per state s packing nu(s) for every value nu, each grade k/d as often
     rows_cache: dict[int, tuple[weakref.ref, list[int], list[int]]] = {}
-
-    def elements(space: FuzzySpace) -> Carrier:
-        if space not in image_cache:
-            image_cache[space] = Carrier(all_fuzzy_sets(space.carrier, lattice, max_size))
-        return image_cache[space]
 
     def subbasis(space: FuzzySpace, at: Carrier, every_open: bool) -> tuple[FuzzySet, ...]:
         for nu in at:
@@ -237,16 +232,16 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
         return tuple(raw[m](space, (o,), at) for m in mods for o in lifted[m])  # unary
 
     def on_space(space: FuzzySpace) -> FuzzySpace:
-        if space not in space_cache:
-            at = elements(space)
-            space_cache[space] = FuzzySpace._generate(at, lattice, subbasis(space, at, False),
-                                                      lambda: subbasis(space, at, True), max_size)
-        return space_cache[space]
+        if (image := images.get(space)) is None:
+            at = Carrier(all_fuzzy_sets(space.carrier, lattice, max_size))
+            twin = copy(space)  # the image's guard reads a copy, so it does not keep space alive
+            image = images[space] = FuzzySpace._generate(
+                at, lattice, subbasis(space, at, False), lambda: subbasis(twin, at, True), max_size)
+        return image
 
     functor = FunctorInstance(
         name="fuzzy-powerset", on_space=on_space,
-        on_map=lambda f, source, target: partial(direct_image, f),
-        subbasis=subbasis, elements=elements)
+        on_map=lambda f, source, target: partial(direct_image, f), subbasis=subbasis)
 
     # min(nu(s), mu(s)) is rows[s] & consts[mu(s)] for all values nu at once
     def dia_raw(space: FuzzySpace, args: tuple[FuzzySet, ...], at: Carrier) -> FuzzySet:

@@ -210,7 +210,7 @@ def test_am_never_builds_t_r_or_the_relation_space(monkeypatch, tmp_path):
     for make in ("fuzzy_powerset_functor", "identity_functor"):
         def without_image(*args, _make=getattr(fgml.cli, make), **kwargs):
             functor, sig = _make(*args, **kwargs)
-            functor = dataclasses.replace(functor, on_space=_refuse, elements=_refuse)
+            functor = dataclasses.replace(functor, on_space=_refuse)
             return functor, Signature(functor, sig.liftings)
 
         monkeypatch.setattr(fgml.cli, make, without_image)

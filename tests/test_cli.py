@@ -147,12 +147,12 @@ def test_cli_classes_refuses_a_negative_depth(capsys, monkeypatch):
 
 
 def test_cli_classes_runs_no_formula_closure(capsys, monkeypatch):
-    # the depth-bounded oracle works on packed bits: no closure with
-    # formulas runs and no formula variant is constructed
+    # the depth-bounded oracle works on packed bits: no formula is built
+    # from the closure's offers and no formula variant is constructed
     def refuse(*args):
         raise AssertionError("classes builds formulas")
 
-    for name in ("_formula_closure", "Top", "Prop", "And", "Or", "Modal"):
+    for name in ("_formulas", "Top", "Prop", "And", "Or", "Modal"):
         monkeypatch.setattr(f"fgml.logic.{name}", refuse)
     for depth in ("2", "3"):
         assert run_command(["classes", "-m", M1, "--depth", depth]) == 0

@@ -9,9 +9,9 @@ references are the naive closure and the pairwise scan over fuzzy sets.
 Modal equivalence classes come from a formula-free closure; their
 reference is the partition read off `definable_opens`. `fgml classes
 --depth K` reads its oracle partition off `_depth_labels`, the depth-K
-closure on packed bits; its references are the partition read off the
-depth-K `_formula_closure`'s vectors and enumerating the formulas and
-evaluating each again.
+closure on packed bits whose last round only lifts; its references are
+the partition read off the formulas of `naive_enumerate_formulas` at
+depth K, and enumerating the formulas and evaluating each again.
 """
 
 import json
@@ -50,7 +50,7 @@ from fgml.cli import LoadedModel, load_document, load_model, model_to_document, 
 from fgml.errors import ResourceLimitError
 from fgml.frames import FiniteFrame
 from fgml.fuzzyset import DEFAULT_MAX_SIZE
-from fgml.logic import _depth_labels, _formula_closure, _seeds
+from fgml.logic import _depth_labels
 from fgml.topology import FuzzySpace, TopologyCheck
 
 from modelgen import (
@@ -486,13 +486,12 @@ def test_property_classes_match_definable_opens():
 
 
 def closure_partition(m, sig, depth):
-    """States grouped by their grades on every vector of the depth-bounded
-    `_formula_closure`: the oracle partition of `classes --depth` before
-    it moved onto packed bits."""
-    vectors = [v.key() for v, in _formula_closure([m], sig, _seeds(m.props), depth)]
+    """States grouped by their grades on every formula the naive closure
+    keeps at that depth: the oracle partition of `classes --depth`."""
+    values = [evaluate(m, sig, f) for f in naive_enumerate_formulas([m], sig, depth)]
     groups = {}
-    for i, s in enumerate(m.space.carrier):
-        groups.setdefault(tuple(key[i] for key in vectors), set()).add(s)
+    for s in m.space.carrier:
+        groups.setdefault(tuple(v(s) for v in values), set()).add(s)
     return {frozenset(g) for g in groups.values()}
 
 
@@ -541,6 +540,43 @@ def test_property_depth_labels_match_the_formula_closure():
     splits = []
     check()
     assert any(splits)
+
+
+def test_property_closures_match_naive():
+    # the one closure engine against both naive closures, for every
+    # signature variant: members, their order and each one's first formula
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(_random_models(st))
+    def check(case):
+        m, base = case
+        for sig in _signatures(base, binary=True):
+            assert _labelled(definable_opens(m, sig).items()) == \
+                _labelled(naive_definable_opens(m, sig).items())
+            for depth in range(4):
+                assert [str(f) for f in enumerate_formulas([m], sig, depth)] == \
+                    [str(f) for f in naive_enumerate_formulas([m], sig, depth)]
+
+    check()
+
+
+@pytest.mark.parametrize("make,sizes", [
+    (lambda: powerset_zoo(2, dens=(2,), modalities=("dia", "box")), (1, 2)),
+    (lambda: identity_zoo(5, dens=(2,)), (3, 5))], ids=["powerset", "identity"])
+def test_joint_closure_on_carriers_of_different_sizes(make, sizes):
+    # a joint vector packs each model's fields above the next one's, so on
+    # carriers of different widths each order puts the fields at other offsets
+    zoo = make()
+    pick = [next((m, sig) for m, sig in zoo if len(m.space.carrier) == n and m.props == ("p",))
+            for n in sizes]
+    (first, sig), (second, _) = pick
+    for variant in _signatures(sig, binary=True):
+        for models in ([first, second], [second, first]):
+            for depth in range(4):
+                assert [str(f) for f in enumerate_formulas(models, variant, depth)] == \
+                    [str(f) for f in naive_enumerate_formulas(models, variant, depth)]
 
 
 def enumerate_then_evaluate(m, sig, depth):

@@ -109,7 +109,7 @@ def test_validate_matches_eager_continuity_oracle():
 
 def test_functor_without_subbasis_falls_back_to_on_space():
     model, sig = powerset_zoo(2)[-1]
-    eager = dataclasses.replace(sig.functor, subbasis=None, elements=None)
+    eager = dataclasses.replace(sig.functor, subbasis=None)
     image = eager.on_space(model.space)
     at = model.sigma.target
     assert image_subbasis(eager, model.space, at) == \
@@ -180,7 +180,7 @@ def test_am_refuses_when_no_choice_is_continuous():
                                ("s2", "s0"), ("s2", "s2")])
     report = is_am_bisimulation(rel, m1, m2, sig)
     assert not report.verdict and "none assemble" in report.witnesses[0].note
-    eager = dataclasses.replace(sig.functor, subbasis=None, elements=None)
+    eager = dataclasses.replace(sig.functor, subbasis=None)
     assert is_am_bisimulation(rel, m1, m2, Signature(eager, sig.liftings)) == report
 
 

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -277,6 +279,37 @@ def test_resource_guard():
     functor, sig = fuzzy_powerset_functor(D1, ("dia",))
     with pytest.raises(ResourceLimitError):
         functor.on_space(indiscrete_space(big, D1))
+
+
+def test_images_die_with_their_spaces():
+    # on_space keeps an image, with its (d+1)^n carrier, only while its
+    # space lives; meanwhile the space gets the same image back
+    functor, _ = fuzzy_powerset_functor(D2, ("dia",))
+    images = functor.on_space.__closure__[
+        functor.on_space.__code__.co_freevars.index("images")].cell_contents
+    carrier = Carrier(tuple(f"s{i}" for i in range(5)))
+    refs = []
+    for _ in range(6):
+        space = discrete_space(carrier, D2)
+        image = functor.on_space(space)
+        assert functor.on_space(space) is image and len(image.carrier) == 3 ** 5
+        refs += [weakref.ref(space), weakref.ref(image), weakref.ref(image.carrier)]
+    assert len(images) == 1  # the last space is still alive
+    del space, image
+    gc.collect()
+    assert len(images) == 0 and all(ref() is None for ref in refs)
+
+
+def test_an_image_outliving_its_space_keeps_its_guard():
+    # past max_size the guard reads the space's every open, also once the
+    # space itself is gone: the constants and the lifted opens, 8 distinct
+    # sets, start the family, so the guard trips at 9
+    functor, _ = fuzzy_powerset_functor(D1, ("dia", "box"), max_size=4)
+    image = functor.on_space(discrete_space(XY, D1))
+    gc.collect()
+    with pytest.raises(ResourceLimitError) as exc:
+        image.packed
+    assert (exc.value.size, exc.value.limit) == (9, 4)
 
 
 def test_unknown_modality_rejected():
