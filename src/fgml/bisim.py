@@ -75,7 +75,7 @@ from .fuzzyset import (
 )
 from .grades import Grade
 from .logic import Model
-from .signature import Signature, image_subbasis
+from .signature import Signature, _pullbacks
 from .topology import FuzzySpace, _read_on, _subspace, _up
 
 
@@ -324,7 +324,7 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
     if not (identity := sig.functor.name == "identity") and sig.functor.name != "fuzzy-powerset":
         raise PreconditionError(f"no Aczel-Mendler search for the functor {sig.functor.name!r}")
     (pi1, pi2), space = _subspace(rel, m1.space, m2.space, max_size)
-    tops = []
+    d, tops = space.lattice.den, []
     for b1, b2 in rel.sorted_pairs():
         v = m1.sigma(b1), m2.sigma(b2)
         t = v if identity else fs_meet(inverse_image(pi1, v[0]), inverse_image(pi2, v[1]))
@@ -335,10 +335,10 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
 
     def search(candidates: list[list]) -> CarrierMap | None:
         at = Carrier(tuple(dict.fromkeys(t for options in candidates for t in options)))
-        gens = image_subbasis(sig.functor, space, at)
+        gens = _pullbacks(sig.functor, space, CarrierMap.identity(at))
         for tried, choice in enumerate(product(*candidates)):
             gamma = CarrierMap(space.carrier, at, choice)
-            if all(space.is_open(inverse_image(gamma, g).bits) for g in gens):
+            if all(space.is_open(_fields_along(g, d, gamma._back)) for g in gens):
                 return CarrierMap.onto(space.carrier, choice)
             if not tried and (total := prod(map(len, candidates))) > max_size:
                 raise ResourceLimitError("mediating map search", total, max_size)

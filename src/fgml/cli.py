@@ -6,6 +6,13 @@ structure map, valuation, and optional named relations and formulas.
 Grades serialize as "k/d" strings; saves are canonically ordered so
 documents diff cleanly and load/save/load is a fixpoint.
 
+A load decodes each fuzzy set straight to its packed bits
+(`_packed_from_doc`) and builds no fuzzy set per open: explicit opens
+become a declared space of packed ints and a "generate_from" subbasis a
+space known by its primes, and either makes its opens fuzzy sets only
+when a command reads them. Only sigma's values and the valuation are
+fuzzy sets, as the model holds them.
+
 Exit codes: 0 success or true verdict, 1 false verdict, 2 error.
 """
 
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 from .bisim import greatest_sigma_bisimulation, is_am_bisimulation, is_sigma_bisimulation
 from .errors import DocumentError, FgmlError, ResourceLimitError, UnknownModalityError
@@ -70,15 +78,28 @@ class LoadedModel:
     formulas: dict[str, str]
 
 
-def _fuzzy_set_from_doc(obj, carrier: Carrier, lattice: GradeLattice,
-                        what: str) -> FuzzySet:
-    table = lattice.numerators
-    if isinstance(obj, dict) and len(obj) == len(carrier):
-        try:  # canonical grades "k/d" at exactly the carrier, in one pass
-            return _from_bits(carrier, lattice,
-                              _pack([table[obj[e]] for e in carrier], lattice.den))
+def _packed_from_doc(objs: list, carrier: Carrier, lattice: GradeLattice,
+                     what: Callable[[int], str]) -> list[int]:
+    """The packed fuzzy set of each document object, in order. A list of
+    canonical objects, each a dict of "k/d" grades at exactly the
+    carrier's elements, is read in one pass per object: its grades'
+    `GradeLattice.fields` joined in carrier order are its bits in base 2.
+    Any other list is read object by object through `_checked_bits`, whose
+    first error names object i as what(i)."""
+    fields, names = lattice.fields, carrier.elements
+    if set(map(type, objs)) <= {dict} and set(map(len, objs)) <= {len(names)}:
+        try:
+            return [int("".join(map(fields.__getitem__, map(o.__getitem__, names))) or "0", 2)
+                    for o in objs]
         except (KeyError, TypeError):
             pass  # any other form goes through the checks and their errors
+    return [_checked_bits(o, carrier, lattice, what(i)) for i, o in enumerate(objs)]
+
+
+def _checked_bits(obj, carrier: Carrier, lattice: GradeLattice, what: str) -> int:
+    """The packed fuzzy set of one document object, refused with a
+    `DocumentError` naming `what` unless it maps exactly the carrier's
+    elements to grades that `GradeLattice.parse` reads."""
     if not isinstance(obj, dict):
         raise DocumentError(f"{what} must be an object mapping element to grade")
     extra = set(obj) - set(carrier.elements)
@@ -88,11 +109,10 @@ def _fuzzy_set_from_doc(obj, carrier: Carrier, lattice: GradeLattice,
     if missing:
         raise DocumentError(f"{what} is missing elements {missing}")
     try:
-        nums = [table[g] if isinstance(g := obj[e], str) and g in table
-                else lattice.parse(g).num for e in carrier]
+        nums = [lattice.parse(obj[e]).num for e in carrier]
     except (ValueError, FgmlError) as exc:
         raise DocumentError(f"{what}: {exc}") from None
-    return _from_bits(carrier, lattice, _pack(nums, lattice.den))
+    return _pack(nums, lattice.den)
 
 
 def _fuzzy_set_to_doc(fs: FuzzySet) -> dict:
@@ -153,14 +173,11 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
                             '"generate_from"')
     if "opens" in doc:
         # validate_model below checks that the opens form a topology
-        opens = frozenset(
-            _fuzzy_set_from_doc(o, carrier, lattice, f"open #{i}")
-            for i, o in enumerate(doc["opens"]))
-        space = FuzzySpace(carrier, lattice, opens)
+        space = FuzzySpace._declared(carrier, lattice, frozenset(
+            _packed_from_doc(doc["opens"], carrier, lattice, "open #{}".format)))
     else:  # known by its primes; a reader of every open closes it under this guard
-        subbasis = [
-            _fuzzy_set_from_doc(o, carrier, lattice, f"generate_from #{i}")
-            for i, o in enumerate(doc["generate_from"])]
+        subbasis = _packed_from_doc(doc["generate_from"], carrier, lattice,
+                                    "generate_from #{}".format)
         space = FuzzySpace._generate(carrier, lattice, subbasis, lambda: subbasis, max_size)
 
     sigma_doc = doc["sigma"]
@@ -172,16 +189,16 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
                 raise DocumentError(f"sigma[{e!r}] names unknown state {value!r}")
         sigma = CarrierMap(carrier, carrier, tuple(sigma_doc[e] for e in carrier))
     else:  # into the fuzzy sets sigma takes
-        sigma = CarrierMap.onto(carrier, [
-            _fuzzy_set_from_doc(sigma_doc[e], carrier, lattice, f"sigma[{e!r}]")
-            for e in carrier])
+        values = _packed_from_doc([sigma_doc[e] for e in carrier], carrier, lattice,
+                                  lambda i: f"sigma[{carrier.elements[i]!r}]")
+        sigma = CarrierMap.onto(carrier, [_from_bits(carrier, lattice, v) for v in values])
 
     valuation = {}
     for name, obj in doc["valuation"].items():
         if not _PROP_NAME.match(name):
             raise DocumentError(f"proposition name {name!r} is not an identifier")
-        valuation[name] = _fuzzy_set_from_doc(obj, carrier, lattice,
-                                              f"valuation of {name!r}")
+        (bits,) = _packed_from_doc([obj], carrier, lattice, lambda _: f"valuation of {name!r}")
+        valuation[name] = _from_bits(carrier, lattice, bits)
 
     model = Model.create(space, sigma, valuation)
     check = validate_model(model, signature)
@@ -220,12 +237,13 @@ def load_model(path: str, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
 
 
 def _document(lm: LoadedModel) -> dict:
-    """The canonical document with its fuzzy sets as they are, for `_json`."""
+    """The canonical document with its space and fuzzy sets as they are,
+    for `_json`: "opens" holds the space."""
     doc = {
         "lattice": lm.lattice.den,
         "functor": lm.functor_name,
         "carrier": list(lm.model.space.carrier.elements),
-        "opens": list(lm.model.space.sorted_opens()),
+        "opens": lm.model.space,
         "sigma": dict(zip(lm.model.space.carrier, lm.model.sigma.assignment)),
         "valuation": dict(lm.model.valuation),
     }
@@ -242,7 +260,7 @@ def _document(lm: LoadedModel) -> dict:
 def model_to_document(lm: LoadedModel) -> dict:
     """Canonical document: opens sorted by grade key, names sorted."""
     doc = _document(lm)
-    doc["opens"] = list(map(_fuzzy_set_to_doc, doc["opens"]))
+    doc["opens"] = list(map(_fuzzy_set_to_doc, doc["opens"].sorted_opens()))
     for key in ("sigma", "valuation"):
         doc[key] = {k: _fuzzy_set_to_doc(v) if isinstance(v, FuzzySet) else v
                     for k, v in doc[key].items()}
@@ -259,31 +277,37 @@ def _named_relation(lm: LoadedModel, other: LoadedModel, name: str) -> Relation:
         raise DocumentError(f"relation {name!r}: {exc}") from None
 
 
-def _fragments(fs: FuzzySet, sort: bool) -> list[tuple[int, dict[int, str]]]:
-    """For each state of fs's carrier, in carrier order or sorted by name:
+def _fragments(carrier: Carrier, lattice: GradeLattice,
+               sort: bool) -> list[tuple[int, dict[int, str]]]:
+    """For each state of the carrier, in carrier order or sorted by name:
     the mask of its field in `bits`, and the fragment `"name": "k/d"` of
     each value of the field under that mask."""
-    carrier, d, names = fs.carrier, fs.lattice.den, fs.lattice.names
+    d = lattice.den
     return [(((1 << d) - 1) << (shift := (len(carrier) - 1 - carrier.index(s)) * d),
              {((1 << k) - 1) << shift: f"{encode_basestring_ascii(s)}: \"{g}\""
-              for k, g in enumerate(names)})
+              for k, g in enumerate(lattice.names)})
             for s in (sorted(carrier.elements) if sort else carrier.elements)]
 
 
 def _json(value, sort: bool = True, indent: str = "", tables: dict | None = None) -> str:
     """json.dumps(value, indent=2, sort_keys=sort) for a value whose dicts
     have str keys, with each FuzzySet on str states written as its
-    `_fuzzy_set_to_doc`, built without the encoder's closures, which leave
-    a reference cycle behind on every call. A fuzzy set is written from its
-    bits through its carrier's `_fragments`, made once per call in `tables`."""
+    `_fuzzy_set_to_doc` and each FuzzySpace as the list of its opens in
+    bits order, built without the encoder's closures, which leave a
+    reference cycle behind on every call. A fuzzy set or an open is
+    written from its bits through its carrier's `_fragments`, made once
+    per call in `tables`, so a space's opens never become fuzzy sets."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     tables = {} if tables is None else tables
     inner = indent + "  "
-    if isinstance(value, FuzzySet):
+    if isinstance(value, (FuzzySet, FuzzySpace)):
         if (table := tables.get(key := (id(value.carrier), id(value.lattice)))) is None:
-            table = tables[key] = _fragments(value, sort)
-        items, brackets = [row[value.bits & mask] for mask, row in table], "{}"
+            table = tables[key] = _fragments(value.carrier, value.lattice, sort)
+        if isinstance(value, FuzzySet):
+            return _block([row[value.bits & mask] for mask, row in table], "{}", indent)
+        items, brackets = [_block([row[p & mask] for mask, row in table], "{}", inner)
+                           for p in sorted(value.packed)], "[]"
     elif isinstance(value, dict):
         items = [f"{encode_basestring_ascii(k)}: " + (
                      encode_basestring_ascii(v) if isinstance(v, str)
@@ -294,8 +318,14 @@ def _json(value, sort: bool = True, indent: str = "", tables: dict | None = None
         items, brackets = [_json(v, sort, inner, tables) for v in value], "[]"
     else:
         return json.dumps(value)
+    return _block(items, brackets, indent)
+
+
+def _block(items: list[str], brackets: str, indent: str) -> str:
+    """The items between the brackets, one a line, indented below `indent`."""
     if not items:
         return brackets
+    inner = indent + "  "
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
@@ -367,8 +397,8 @@ def _cmd_quotient(args) -> int:
 def _cmd_bisim(args) -> int:
     lm = load_model(args.model, args.max_size)
     ln = lm if args.other == args.model else load_model(args.other, args.max_size)
-    if (lm.lattice, lm.functor_name, lm.modalities) != \
-            (ln.lattice, ln.functor_name, ln.modalities):
+    if (lm.lattice, lm.functor_name, lm.signature.names) != \
+            (ln.lattice, ln.functor_name, ln.signature.names):
         raise DocumentError("the two models must share lattice, functor and "
                             "modalities")
     sig = lm.signature

@@ -190,11 +190,16 @@ def fs_join(a: FuzzySet, b: FuzzySet) -> FuzzySet:
 
 
 def fs_complement(a: FuzzySet) -> FuzzySet:
-    """1 - a: bit j of a field is set iff bit d-1-j of a's field is clear."""
-    d, n = a.lattice.den, len(a.carrier)
+    """1 - a."""
+    return _from_bits(a.carrier, a.lattice, _complement(a.bits, len(a.carrier), a.lattice.den))
+
+
+def _complement(bits: int, n: int, d: int) -> int:
+    """1 - x for n packed fields x: bit j of a field is set iff bit d-1-j
+    of x's field is clear."""
     low = ((1 << n * d) - 1) // ((1 << d) - 1)  # the low bit of every field
-    mirrored = sum((a.bits >> d - 1 - j & low) << j for j in range(d))
-    return _from_bits(a.carrier, a.lattice, mirrored ^ (1 << n * d) - 1)
+    mirrored = sum((bits >> d - 1 - j & low) << j for j in range(d))
+    return mirrored ^ (1 << n * d) - 1
 
 
 def _fields_along(bits: int, d: int, edges: Iterable[tuple[int, int]]) -> int:

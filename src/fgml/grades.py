@@ -69,9 +69,12 @@ class GradeLattice:
         return tuple(map(str, self.values))
 
     @cached_property
-    def numerators(self) -> dict[str, int]:
-        """The numerator k of each canonical grade string "k/d"."""
-        return {name: k for k, name in enumerate(self.names)}
+    def fields(self) -> dict[str, str]:
+        """The packed field of each canonical grade string "k/d" as d
+        binary digits, k ones below d - k zeros (`fuzzyset.FuzzySet.bits`).
+        A field is made when first looked up, so the table holds the grades
+        in use, not d + 1 strings of d digits; any other key is missing."""
+        return _Fields({f"{k}/{self.den}": k for k in range(self.den + 1)}, self.den)
 
     @property
     def bottom(self) -> Grade:
@@ -101,6 +104,20 @@ class GradeLattice:
 
     def __contains__(self, g: Grade) -> bool:
         return isinstance(g, Grade) and g.den == self.den
+
+
+class _Fields(dict):
+    """`GradeLattice.fields`, each field made from its numerator when first
+    looked up."""
+
+    def __init__(self, numerators: dict[str, int], den: int):
+        super().__init__()
+        self.numerators, self.den = numerators, den
+
+    def __missing__(self, name: str) -> str:
+        k = self.numerators[name]
+        field = self[name] = "0" * (self.den - k) + "1" * k
+        return field
 
 
 def make_lattice(d: int) -> GradeLattice:

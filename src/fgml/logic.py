@@ -43,8 +43,8 @@ partition exists and the rounds stop. A round splits the blocks only by
 its new lifts, with the step `_depth_labels` takes (`_refine`). The
 proof is in `modal_equivalence_classes`. `quotient_model` keeps an open
 iff it is saturated, that is constant on every class, read as one field
-compare per merged state, and builds a fuzzy set only for the images of
-those.
+compare per merged state, and declares the packed images of those as
+the quotient's opens, which become fuzzy sets only when read.
 """
 
 from __future__ import annotations
@@ -66,12 +66,13 @@ from .errors import (
 from .fuzzyset import (
     CarrierMap,
     FuzzySet,
+    _fields_along,
     _from_bits,
     fs_join,
     fs_meet,
     inverse_image,
 )
-from .signature import Lifting, Signature, image_subbasis
+from .signature import Lifting, Signature, _pullbacks
 from .topology import FuzzySpace, _primes, _read_on, is_continuous, is_topology
 
 
@@ -277,14 +278,14 @@ def validate_model(m: Model, sig: Signature) -> ModelCheck:
     """Topology axioms, openness of valuations, structure values in the
     functor image and continuity of the structure map into it.
 
-    Continuity is checked on the functor's subbasis of the image topology
-    read at sigma's values (`image_subbasis`), lifted from a basis of the
-    opens, once the opens are known to form a topology: an inverse image
-    keeps constants, meets and joins, so every image open pulls back to
-    an open iff every generator does. Only a negative verdict walks the
-    subbasis lifted from every open, whose first member with a pullback
-    that is not open names the witness, an image open read at sigma's
-    values.
+    Continuity is checked on the functor's subbasis of the image topology,
+    lifted from a basis of the opens and pulled back along sigma packed
+    (`signature._pullbacks`), once the opens are known to form a
+    topology: an inverse image keeps constants, meets and joins, so every
+    image open pulls back to an open iff every generator does. Only a
+    negative verdict walks the subbasis lifted from every open, read at
+    sigma's values, whose first member with a pullback that is not open
+    names the witness, the one fuzzy set the check builds.
     """
     problems: list[str] = []
     topo = is_topology(m.space)
@@ -300,14 +301,16 @@ def validate_model(m: Model, sig: Signature) -> ModelCheck:
         problems.append("structure map is not defined on the carrier")
     else:
         try:
-            gens = image_subbasis(sig.functor, m.space, m.sigma.target)
+            gens = _pullbacks(sig.functor, m.space, m.sigma)
         except (CarrierMismatchError, LatticeMismatchError) as exc:
             problems.append(f"structure map leaves the functor image: {exc}")
-    if not problems and not all(m.space.is_open(inverse_image(m.sigma, o).bits) for o in gens):
-        # the witness of the walk over the liftings of every open, in order
-        every = image_subbasis(sig.functor, m.space, m.sigma.target, every_open=True)
-        witness = next(o for o in every if not m.space.is_open(inverse_image(m.sigma, o).bits))
-        problems.append(f"structure map not continuous: pullback of {witness} is not open")
+    if not problems and not all(map(m.space.is_open, gens)):
+        # the witness of the walk over the liftings of every open, in order, read at sigma's values
+        at, d = m.sigma.target, m.space.lattice.den
+        every = _pullbacks(sig.functor, m.space, CarrierMap.identity(at), every_open=True)
+        witness = next(o for o in every if not m.space.is_open(_fields_along(o, d, m.sigma._back)))
+        problems.append("structure map not continuous: pullback of "
+                        f"{_from_bits(at, m.space.lattice, witness)} is not open")
     return ModelCheck(not problems, tuple(problems))
 
 
@@ -605,11 +608,10 @@ def quotient_model(m: Model, sig: Signature) -> QuotientResult:
     for k, rep in enumerate(reversed(reps)):  # one gap per run of consecutive representatives
         moved[shift[rep] - k * d] |= field << k * d
 
-    def image(bits: int) -> FuzzySet:
-        return _from_bits(q.target, lattice,
-                          sum(bits >> gap & mask for gap, mask in moved.items()))
+    def image(bits: int) -> int:
+        return sum(bits >> gap & mask for gap, mask in moved.items())
 
-    q_space = FuzzySpace(q.target, lattice, frozenset(
+    q_space = FuzzySpace._declared(q.target, lattice, frozenset(
         image(b) for b in m.space.packed
         if not any((b >> gap ^ b) & mask for gap, mask in same.items())))
 
@@ -626,7 +628,8 @@ def quotient_model(m: Model, sig: Signature) -> QuotientResult:
                             f"{other!r} are modally equivalent but their structure "
                             "values differ in the quotient")
     q_sigma = CarrierMap.onto(q.target, [sigma_values[rep] for rep in reps])
-    valuation = {name: image(v.bits) for name, v in m.valuation}  # definable, so saturated
+    valuation = {name: _from_bits(q.target, lattice, image(v.bits))  # definable, so saturated
+                 for name, v in m.valuation}
     quotient = Model.create(q_space, q_sigma, valuation)
     return QuotientResult(True, model=quotient, quotient_map=q, classes=classes)
 

@@ -9,23 +9,26 @@ sup-min composition, box is its De Morgan dual; the topology on the
 image space is generated by the chosen liftings' images, so the
 built-in signatures are characteristic by construction.
 
-A subbasis of the image topology of a topology S, read at any carrier
-of values, comes without building the image, and from a basis of S, not
-from every open: the distinct primes of S for the identity functor; for
-the powerset functor, dia applied to the primes and box applied to the
-co-primes (`topology`): dia keeps joins and every open is the join of
-the primes below it, box keeps meets and every open is the meet of the
-co-primes above it. So at most n*d sets per lifting generate the image
-topology, which `on_space` generates from them and closes only when
-its opens are read. A functor without a subbasis of its own gives every
-open of `on_space`. A map f into T S is
-fuzzy continuous iff every subbasis member pulls back to an open,
-provided the source opens form a topology: inverse images keep the
-constants, meets and joins, and f factors through the values it takes.
-This is exact for every signature. Only `sig check` enumerates the
-(d+1)^n carrier of the powerset image, under the size guard; `bisim am`
-reads the subbasis of a relation space, known by its primes, at the at
-most |R| values of a candidate mediating map.
+A subbasis of the image topology of a topology S, pulled back along any
+map f into T S, comes packed on f's source (`_pullbacks`), without
+building the image, and from a basis of S, not from every open: the
+distinct primes of S for the identity functor; for the powerset functor,
+dia applied to the primes and box applied to the co-primes (`topology`):
+dia keeps joins and every open is the join of the primes below it, box
+keeps meets and every open is the meet of the co-primes above it. The
+pullback of dia(mu) is the join over the states t of row_t & const[mu(t)],
+where row_t packs f(x)(t) over the source elements x, and box's the meet
+of the complement rows joined with the same constants (`_lift`). So
+at most n*d sets per lifting generate the image topology, which
+`on_space` generates from them and closes only when its opens are read.
+A functor without a subbasis of its own gives every open of `on_space`.
+A map f into T S is fuzzy continuous iff every subbasis member pulls
+back to an open, provided the source opens form a topology: inverse
+images keep the constants, meets and joins, and f factors through the
+values it takes. This is exact for every signature. Only `sig check`
+enumerates the (d+1)^n carrier of the powerset image, under the size
+guard; `bisim am` reads the subbasis of a relation space, known by its
+primes, at the at most |R| values of a candidate mediating map.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ from .fuzzyset import (
     Carrier,
     CarrierMap,
     FuzzySet,
+    _complement,
+    _fields_along,
     _from_bits,
     _pack,
     all_fuzzy_sets,
@@ -65,18 +70,19 @@ class FunctorInstance:
     """Concrete endofunctor: `on_space(S)` is T S with its topology, its
     carrier holding every value; `on_map(f, S, S')` is T f on single values.
 
-    Optionally, `subbasis(S, at, every_open)` gives fuzzy sets on the
-    carrier `at` of values that generate the topology of `on_space(S)`
-    read at `at`, for a topology S, raising `CarrierMismatchError` for a
-    value outside T S: the generating liftings applied to a basis of S,
-    or to every open in order when `every_open` is true. Without it,
-    `image_subbasis` reads `on_space`.
+    Optionally, `subbasis(S, f, every_open)` gives, for a topology S and
+    a map f whose target holds values of T S, the packed pullbacks along
+    f, on f's source, of fuzzy sets that generate the topology of
+    `on_space(S)` read at f's target, raising `CarrierMismatchError` for a
+    target value outside T S: the generating liftings applied to a basis
+    of S, or to every open in order when `every_open` is true. Without
+    it, `_pullbacks` reads `on_space`.
     """
 
     name: str
     on_space: Callable[[FuzzySpace], FuzzySpace]
     on_map: Callable[[CarrierMap, FuzzySpace, FuzzySpace], Callable[[Hashable], Hashable]]
-    subbasis: Callable[[FuzzySpace, Carrier, bool], tuple[FuzzySet, ...]] | None = None
+    subbasis: Callable[[FuzzySpace, CarrierMap, bool], list[int]] | None = None
 
 
 def image_elements(functor: FunctorInstance, space: FuzzySpace) -> Carrier:
@@ -84,29 +90,37 @@ def image_elements(functor: FunctorInstance, space: FuzzySpace) -> Carrier:
     return functor.on_space(space).carrier
 
 
-def _restrict(sets: Sequence[FuzzySet], carrier: Carrier, at: Carrier) -> tuple[FuzzySet, ...]:
-    """The fuzzy sets on `carrier` read at the elements of `at`, which must
-    lie in it, through one map."""
-    if at is carrier or at == carrier:  # an identity model's sigma goes into S
-        return tuple(sets)
-    restrict = CarrierMap(at, carrier, at.elements)
-    return tuple(inverse_image(restrict, fs) for fs in sets)
+def _along(packed: Iterable[int], carrier: Carrier, f: CarrierMap, d: int) -> list[int]:
+    """The packed sets on `carrier` pulled back along f, whose target must
+    lie in `carrier`: one `_fields_along` pass each."""
+    if f.target == carrier:  # a map into the states themselves
+        back = f._back
+    else:
+        for t in f.target:
+            if t not in carrier:
+                raise CarrierMismatchError(f"{t!r} is not in the target carrier")
+        last, top = len(carrier) - 1, len(f.source) - 1
+        back = [(last - carrier.index(t), top - i) for i, t in enumerate(f.assignment)]
+    return [_fields_along(p, d, back) for p in packed]
+
+
+def _pullbacks(functor: FunctorInstance, space: FuzzySpace, f: CarrierMap,
+               every_open: bool = False) -> list[int]:
+    """A subbasis of T S's topology pulled back along f, a map into T S,
+    packed on f's source: the functor's own, on a basis of S or on every
+    open of S, or every open of `on_space(space)` in bits order."""
+    if functor.subbasis is not None:
+        return functor.subbasis(space, f, every_open)
+    image = functor.on_space(space)
+    return _along(sorted(image.packed), image.carrier, f, space.lattice.den)
 
 
 def image_subbasis(functor: FunctorInstance, space: FuzzySpace, at: Carrier,
                    every_open: bool = False) -> tuple[FuzzySet, ...]:
-    """A subbasis of T S's topology read at the values in `at`: the
-    functor's own, on a basis of S or on every open of S, or every open
-    of `on_space(space)`."""
-    if functor.subbasis is not None:
-        return functor.subbasis(space, at, every_open)
-    image = functor.on_space(space)
-    return _restrict(image.sorted_opens(), image.carrier, at)
-
-
-def _basis(space: FuzzySpace, packed: Iterable[int]) -> list[FuzzySet]:
-    """The distinct packed sets on the space in bits order."""
-    return [_from_bits(space.carrier, space.lattice, p) for p in sorted(set(packed))]
+    """A subbasis of T S's topology read at the values in `at`, as fuzzy
+    sets: `_pullbacks` along the identity of `at`."""
+    return tuple(_from_bits(at, space.lattice, g)
+                 for g in _pullbacks(functor, space, CarrierMap.identity(at), every_open))
 
 
 @dataclass(frozen=True)
@@ -172,17 +186,19 @@ class Signature:
 
 def identity_functor() -> tuple[FunctorInstance, Signature]:
     """T S = S and T f = f, with the identity lifting named "id"; the
-    image subbasis is the distinct primes, or the opens, read at the
-    given states."""
+    image subbasis is the distinct primes, or the opens, pulled back
+    along the given map into the states."""
 
-    def subbasis(space: FuzzySpace, at: Carrier, every_open: bool) -> tuple[FuzzySet, ...]:
-        opens = space.sorted_opens() if every_open else _basis(space, space.primes)
-        return _restrict(opens, space.carrier, at)
+    def subbasis(space: FuzzySpace, f: CarrierMap, every_open: bool) -> list[int]:
+        packed = space.packed if every_open else set(space.primes)
+        return _along(sorted(packed), space.carrier, f, space.lattice.den)
 
     functor = FunctorInstance(name="identity", on_space=lambda space: space,
                               on_map=lambda f, source, target: f, subbasis=subbasis)
-    lifting = Lifting("id", 1, functor,
-                      lambda space, args, at: _restrict(args, space.carrier, at)[0], keeps="joins")
+    # an identity model's sigma goes into S, so its lifts are read at the states themselves
+    lifting = Lifting("id", 1, functor, lambda space, args, at: args[0] if at == space.carrier
+                      else inverse_image(CarrierMap(at, space.carrier, at.elements), args[0]),
+                      keeps="joins")
     return functor, Signature(functor, (lifting,))
 
 
@@ -196,13 +212,13 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     `on_space`, which keeps each image only while its space lives; the
     arrow part sends a subset to its
     direct image. Diamond is dia(m)(v) = sup_s min(v(s), m(s)); box is
-    box(m)(v) = inf_s max(1 - v(s), m(s)), computed as 1 - dia(1 - m)(v).
+    box(m)(v) = inf_s max(1 - v(s), m(s)), which is 1 - dia(1 - m)(v).
     The topology on the image is generated by the images of the
     requested modalities over all opens, which makes the returned
-    signature characteristic for the functor; `subbasis` returns, at the
-    given values and without generating the topology, dia's images of
-    the primes and box's of the co-primes, which generate it too, or
-    the images of every open.
+    signature characteristic for the functor; `subbasis` returns, pulled
+    back along the given map and without generating the topology, dia's
+    images of the primes and box's of the co-primes, which generate it
+    too, or the images of every open.
     """
     mods = tuple(modalities)
     for m in mods:
@@ -216,54 +232,82 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     images: weakref.WeakKeyDictionary[FuzzySpace, FuzzySpace] = weakref.WeakKeyDictionary()
     # per carrier of values lifted at, by identity and held weakly (an entry
     # counts only while its carrier lives; dead ones go before each new entry):
-    # one row per state s packing nu(s) for every value nu, each grade k/d as often
-    rows_cache: dict[int, tuple[weakref.ref, list[int], list[int]]] = {}
+    # its `_rows`
+    rows_cache: dict[int, tuple[weakref.ref, tuple[list[int], list[int], int]]] = {}
 
-    def subbasis(space: FuzzySpace, at: Carrier, every_open: bool) -> tuple[FuzzySet, ...]:
-        for nu in at:
+    def subbasis(space: FuzzySpace, f: CarrierMap, every_open: bool) -> list[int]:
+        for nu in f.target:
             if not (isinstance(nu, FuzzySet) and (nu.carrier, nu.lattice) == (space.carrier, lattice)):
                 raise CarrierMismatchError(f"{nu} is not a fuzzy set on the space")
         if every_open:
-            lifted = dict.fromkeys(mods, space.sorted_opens())
+            lifted = dict.fromkeys(mods, space.packed)
         else:  # dia keeps joins and box meets: a join basis and a meet basis
             width = len(space.carrier) * lattice.den
-            lifted = {m: _basis(space, space.primes if keeps[m] == "joins"
-                                else _coprimes(space.primes, width)) for m in mods}
-        return tuple(raw[m](space, (o,), at) for m in mods for o in lifted[m])  # unary
+            lifted = {m: set(space.primes if keeps[m] == "joins" else _coprimes(space.primes, width))
+                      for m in mods}
+        rows = _rows(f.assignment, len(space.carrier), lattice.den, "box" in mods)
+        return [_lift(m, rows, mu, lattice.den) for m in mods for mu in sorted(lifted[m])]
 
     def on_space(space: FuzzySpace) -> FuzzySpace:
         if (image := images.get(space)) is None:
-            at = Carrier(all_fuzzy_sets(space.carrier, lattice, max_size))
+            every = CarrierMap.identity(Carrier(all_fuzzy_sets(space.carrier, lattice, max_size)))
             twin = copy(space)  # the image's guard reads a copy, so it does not keep space alive
             image = images[space] = FuzzySpace._generate(
-                at, lattice, subbasis(space, at, False), lambda: subbasis(twin, at, True), max_size)
+                every.target, lattice, subbasis(space, every, False),
+                lambda: subbasis(twin, every, True), max_size)
         return image
 
     functor = FunctorInstance(
         name="fuzzy-powerset", on_space=on_space,
         on_map=lambda f, source, target: partial(direct_image, f), subbasis=subbasis)
 
-    # min(nu(s), mu(s)) is rows[s] & consts[mu(s)] for all values nu at once
-    def dia_raw(space: FuzzySpace, args: tuple[FuzzySet, ...], at: Carrier) -> FuzzySet:
-        (mu,) = args
-        alive, rows, consts = rows_cache.get(id(at), (None, None, None))
-        if alive is None or alive() is not at:
-            for key in [key for key, (ref, _, _) in rows_cache.items() if ref() is None]:
-                del rows_cache[key]
-            d, keys = lattice.den, [nu.key() for nu in at]
-            low = _pack([1] * len(at), d)
-            rows = [_pack((key[s] for key in keys), d) for s in range(len(space.carrier))]
-            consts = [low * ((1 << k) - 1) for k in range(d + 1)]
-            rows_cache[id(at)] = (weakref.ref(at), rows, consts)
-        bits = 0
-        for row, k in zip(rows, mu.key()):
-            bits |= row & consts[k]
-        return _from_bits(at, lattice, bits)
+    def lifting(kind: str) -> Callable[[FuzzySpace, tuple[FuzzySet, ...], Carrier], FuzzySet]:
+        def raw(space: FuzzySpace, args: tuple[FuzzySet, ...], at: Carrier) -> FuzzySet:
+            (mu,) = args
+            alive, rows = rows_cache.get(id(at), (None, None))
+            if alive is None or alive() is not at:
+                for key in [key for key, (ref, _) in rows_cache.items() if ref() is None]:
+                    del rows_cache[key]
+                rows = _rows(at.elements, len(space.carrier), lattice.den, "box" in mods)
+                rows_cache[id(at)] = (weakref.ref(at), rows)
+            return _from_bits(at, lattice, _lift(kind, rows, mu.bits, lattice.den))
+        return raw
 
-    raw = {"dia": dia_raw, "box": lambda space, args, at: fs_complement(
-        dia_raw(space, tuple(map(fs_complement, args)), at))}
-    liftings = tuple(Lifting(m, 1, functor, raw[m], keeps[m]) for m in mods)
+    liftings = tuple(Lifting(m, 1, functor, lifting(m), keeps[m]) for m in mods)
     return functor, Signature(functor, liftings)
+
+
+def _rows(values: Sequence[FuzzySet], n: int, d: int,
+          box: bool) -> tuple[list[int], list[int], int]:
+    """For fuzzy sets on n states: the row of each state t, counted from
+    the last, packing nu(t) for every value nu in order; for `box`, its
+    complement, packing 1 - nu(t); and the low bit of every field of a row."""
+    field, rows = (1 << d) - 1, [0] * n
+    for nu in values:
+        bits = nu.bits
+        for p in range(n):
+            rows[p] = rows[p] << d | bits >> p * d & field
+    return (rows, [_complement(r, len(values), d) for r in rows] if box else [],
+            _pack([1] * len(values), d))
+
+
+def _lift(kind: str, rows: tuple[list[int], list[int], int], mu: int, d: int) -> int:
+    """dia or box of the packed set mu at every value of `_rows`.
+    dia(mu)(nu) = sup_t min(nu(t), mu(t)) is the join over t of t's row
+    meeting the constant mu(t), low * (mu's field at t); box(mu)(nu) =
+    inf_t max(1 - nu(t), mu(t)) = 1 - dia(1 - mu)(nu) is the meet over t
+    of t's complement row joining it."""
+    plain, complements, low = rows
+    field = (1 << d) - 1
+    if kind == "dia":
+        out = 0
+        for p, row in enumerate(plain):
+            out |= row & low * (mu >> p * d & field)
+        return out
+    out = low * field
+    for p, row in enumerate(complements):
+        out &= row | low * (mu >> p * d & field)
+    return out
 
 
 def dual_lifting(l: Lifting) -> Lifting:

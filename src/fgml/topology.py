@@ -17,10 +17,12 @@ and of Birkhoff's representation. So the generated topology is the joins
 of at most n*d primes, swept in one prime at a time, and a family holding
 both constants is a topology iff that closure is no larger than it.
 
-A space computes its primes (`FuzzySpace.primes`) and its `is_topology`
-verdict once, and a generated space is handed those of its generators,
-which are the same, and a verdict of yes; it closes its packed opens only
-when they are read (`FuzzySpace.packed`), and tests one set for openness
+A space holds its opens as packed ints and makes them fuzzy sets only
+when a reader asks for them (`FuzzySpace.opens`). It computes its primes
+(`FuzzySpace.primes`) and its `is_topology` verdict once, and a generated
+space is handed those of its generators, which are the same, and a
+verdict of yes; it closes its packed opens only when they are read
+(`FuzzySpace.packed`), and tests one set for openness
 (`FuzzySpace.is_open`) as its own join of primes. The primes are a join basis:
 a join-preserving map, such as an inverse image, is known on every open
 once it is known on the distinct primes. The co-prime c_b of
@@ -49,7 +51,6 @@ from .fuzzyset import (
     _fields_along,
     _from_bits,
     all_fuzzy_sets,
-    inverse_image,
 )
 from .grades import GradeLattice
 
@@ -69,12 +70,13 @@ class FuzzySpace:
     """A carrier with its fuzzy opens, known by its primes.
 
     `FuzzySpace(carrier, lattice, opens)` declares a family, a topology or
-    not, and keeps its fuzzy sets and their packed bits (`packed`). A
-    topology generated by `_generate` holds the primes of its generators,
-    which are its own, and a verdict of yes; its opens, the joins of the
-    primes, are closed when a reader first needs every open (`packed`,
-    `opens`, `sorted_opens`), under the guard it was generated with.
-    `is_open` tests one packed set without them.
+    not, and keeps only its packed bits (`packed`), as `_declared` does for
+    packed sets; its opens are made fuzzy sets when first read (`opens`,
+    `sorted_opens`). A topology generated by `_generate` holds the primes
+    of its generators, which are its own, and a verdict of yes; its opens,
+    the joins of the primes, are closed when a reader first needs every
+    open (`packed`, `opens`, `sorted_opens`), under the guard it was
+    generated with. `is_open` tests one packed set without them.
 
     Two spaces are equal iff their carriers, lattices and primes agree
     and either both are topologies or both declare the same family. A
@@ -85,26 +87,33 @@ class FuzzySpace:
     """
 
     def __init__(self, carrier: Carrier, lattice: GradeLattice, opens: Iterable[FuzzySet]):
-        opens = frozenset(opens)
-        for o in opens:  # `is` first: the opens of a load share its carrier
+        packed = set()
+        for o in opens:
             if o.carrier is not carrier and o.carrier != carrier:
                 raise CarrierMismatchError("open not on the space's carrier")
             if o.lattice is not lattice and o.lattice != lattice:
                 raise CarrierMismatchError("open uses a foreign grade lattice")
-        vars(self).update(carrier=carrier, lattice=lattice, opens=opens,
-                          packed=frozenset(o.bits for o in opens))
+            packed.add(o.bits)
+        vars(self).update(carrier=carrier, lattice=lattice, packed=frozenset(packed))
 
     @classmethod
-    def _generate(cls, carrier: Carrier, lattice: GradeLattice, basis: Iterable[FuzzySet],
-                  family: Callable[[], Iterable[FuzzySet]], max_size: int) -> FuzzySpace:
-        """The topology that the sets `basis` generate, known by their
-        primes, with the guard of generate_topology(carrier, lattice,
-        family(), max_size) for when its opens are read (`packed`);
-        `family()` generates the same topology and is built only past
-        max_size."""
-        primes = _primes(_start(carrier, lattice, basis), len(carrier) * lattice.den)
+    def _declared(cls, carrier: Carrier, lattice: GradeLattice, packed: frozenset[int]) -> FuzzySpace:
+        """The space declaring the packed sets, each one field of
+        lattice.den bits per carrier element, as its opens."""
         space = cls.__new__(cls)
-        vars(space).update(carrier=carrier, lattice=lattice, primes=primes,
+        vars(space).update(carrier=carrier, lattice=lattice, packed=packed)
+        return space
+
+    @classmethod
+    def _generate(cls, carrier: Carrier, lattice: GradeLattice, basis: Iterable[int],
+                  family: Callable[[], Iterable[int]], max_size: int) -> FuzzySpace:
+        """The topology that the packed sets `basis` generate, known by
+        their primes, with the guard of generate_topology for the packed
+        family `family()` for when its opens are read (`packed`); `family()`
+        generates the same topology and is built only past max_size."""
+        space = cls.__new__(cls)
+        vars(space).update(carrier=carrier, lattice=lattice,
+                           primes=_primes(basis, len(carrier) * lattice.den),
                            _verdict=TopologyCheck(True), _guard=(max_size, family))
         return space
 
@@ -136,15 +145,15 @@ class FuzzySpace:
         that bound + 1; the starting family is built only past max_size."""
         max_size, family = self._guard
         if (closed := _closure(self.primes, max_size)) is None:
-            limit = max(max_size, len(_start(self.carrier, self.lattice, family())))
+            limit = max(max_size, len({0, (1 << len(self.carrier) * self.lattice.den) - 1,
+                                       *family()}))
             if limit == max_size or (closed := _closure(self.primes, limit)) is None:
                 raise ResourceLimitError("topology generation", limit + 1, max_size)
         return frozenset(closed)
 
     @cached_property
     def opens(self) -> frozenset[FuzzySet]:
-        """The opens as fuzzy sets; a generated topology makes them once,
-        from `packed`."""
+        """The opens as fuzzy sets, made once from `packed` when first read."""
         return frozenset(_from_bits(self.carrier, self.lattice, p) for p in self.packed)
 
     def sorted_opens(self) -> tuple[FuzzySet, ...]:
@@ -246,18 +255,6 @@ def is_topology(space: FuzzySpace) -> TopologyCheck:
     return space._verdict
 
 
-def _start(carrier: Carrier, lattice: GradeLattice, sets: Iterable[FuzzySet]) -> set[int]:
-    """The two constants and the packed sets, checked to lie on the carrier."""
-    found = {0, (1 << len(carrier) * lattice.den) - 1}
-    for s in sets:
-        if s.carrier != carrier:
-            raise CarrierMismatchError("subbasis member not on the given carrier")
-        if s.lattice != lattice:
-            raise LatticeMismatchError("subbasis member uses a foreign grade lattice")
-        found.add(s.bits)
-    return found
-
-
 def generate_topology(carrier: Carrier, lattice: GradeLattice,
                       subbasis: Iterable[FuzzySet],
                       max_size: int = DEFAULT_MAX_SIZE) -> FuzzySpace:
@@ -269,8 +266,14 @@ def generate_topology(carrier: Carrier, lattice: GradeLattice,
     arbitrary joins. The guard trips once the family passes
     max(max_size, starting family) and reports that bound + 1.
     """
-    subbasis = tuple(subbasis)
-    space = FuzzySpace._generate(carrier, lattice, subbasis, lambda: subbasis, max_size)
+    packed = set()
+    for s in subbasis:
+        if s.carrier != carrier:
+            raise CarrierMismatchError("subbasis member not on the given carrier")
+        if s.lattice != lattice:
+            raise LatticeMismatchError("subbasis member uses a foreign grade lattice")
+        packed.add(s.bits)
+    space = FuzzySpace._generate(carrier, lattice, packed, lambda: packed, max_size)
     space.packed  # closed now: the guard trips at the call
     return space
 
@@ -310,11 +313,12 @@ def _subspace(rel: Relation, left: FuzzySpace, right: FuzzySpace, max_size: int)
     (`subspace_topology`), with every open pulled back only past max_size."""
     if rel.left != left.carrier or rel.right != right.carrier:
         raise CarrierMismatchError("relation does not connect the two spaces")
-    sides = tuple(zip(projections := rel.projections(), (left, right)))
-    basis = [inverse_image(pi, _from_bits(side.carrier, side.lattice, j))
-             for pi, side in sides for j in sorted(set(side.primes))]
+    if left.lattice != right.lattice:
+        raise LatticeMismatchError("subbasis member uses a foreign grade lattice")
+    sides, d = tuple(zip(projections := rel.projections(), (left, right))), left.lattice.den
+    basis = [_fields_along(j, d, pi._back) for pi, side in sides for j in set(side.primes)]
     return projections, FuzzySpace._generate(projections[0].source, left.lattice, basis, lambda: [
-        inverse_image(pi, o) for pi, side in sides for o in side.sorted_opens()], max_size)
+        _fields_along(o, d, pi._back) for pi, side in sides for o in side.packed], max_size)
 
 
 def subspace_topology(rel: Relation, left: FuzzySpace, right: FuzzySpace,

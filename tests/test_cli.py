@@ -9,8 +9,8 @@ import pytest
 
 from fgml.cli import (
     LoadedModel,
-    _fuzzy_set_from_doc,
     _fuzzy_set_to_doc,
+    _packed_from_doc,
     _json,
     load_document,
     load_model,
@@ -350,6 +350,12 @@ def _parsed_fuzzy_set(obj, carrier, lattice, what):
     return FuzzySet(carrier, lattice, grades)
 
 
+def _decoded(obj, carrier, lattice, what):
+    """The loader's decoder on one object, as a fuzzy set."""
+    (bits,) = _packed_from_doc([obj], carrier, lattice, lambda _: what)
+    return _from_bits(carrier, lattice, bits)
+
+
 def _outcome(read, obj, carrier, lattice):
     try:
         return read(obj, carrier, lattice, "open #0")
@@ -368,7 +374,7 @@ def test_grade_table_reads_every_form_as_parse_does():
 
     def check(first, second):
         obj = {"s": first, "t": second}
-        assert _outcome(_fuzzy_set_from_doc, obj, carrier, lattice) == \
+        assert _outcome(_decoded, obj, carrier, lattice) == \
             _outcome(_parsed_fuzzy_set, obj, carrier, lattice)
 
     for form in GRADE_FORMS:

@@ -36,8 +36,8 @@ def zoo(request):
 
 def _generated(space: FuzzySpace) -> FuzzySpace:
     """The topology the space's opens generate, known by its primes only."""
-    opens = space.sorted_opens()
-    return FuzzySpace._generate(space.carrier, space.lattice, opens, lambda: opens,
+    packed = sorted(space.packed)
+    return FuzzySpace._generate(space.carrier, space.lattice, packed, lambda: packed,
                                 DEFAULT_MAX_SIZE)
 
 
