@@ -5,36 +5,57 @@ R[mu] <= eta and R^-1[eta] <= mu. Direct images keep joins and do not
 raise meets, so the coherent pairs are closed under componentwise join
 and meet, and (0, 0) and (1, 1) are coherent: packed mu << w2 | eta on
 S1 + S2, they form a topology, whose primes and co-primes are bases
-(`topology`). The least coherent pair holding a bit of mu is reached
-from the prime j of that bit by eta := up2(eta | R[mu]), mu :=
-up1(mu | R^-1[eta]), where up(x) is the least open above x, the join of
-the primes of x's bits: every step is forced on any coherent pair above
-(j, 0), and the fixpoint is coherent. So the fixpoints from the distinct
-primes of both sides are the primes of the coherent pairs, at most
-(n1 + n2)*d of them. Every coherent pair is the join of the primes of
-its bits, (0, 0) for none; so a lifting that keeps joins (`Lifting.keeps`)
-gives a related pair equal grades on every coherent pair iff it does on
-the primes and (0, 0), its join basis. Dually every coherent pair is the
-meet of the co-primes of the bits it lacks, (1, 1) for none, which is
-the meet basis of a lifting that keeps meets. Pullbacks along sigma keep
-both joins and meets. A lifting that declares nothing, or takes more
-than one argument, is read on every coherent tuple; that tuple path
-reads the coherent pairs as the closure of their primes
-(`topology._read_on`), the same pairs in the same order as
-`coherent_pairs`, so it too needs both spaces to be topologies, as a
+(`topology`). Its prime for a bit b is the least coherent pair holding
+b, and it is found by reachability (`_coherent_primes`). Give each bit
+a step: its prime on its own side, and its moves, the same bit of the
+field of each state related to its state on the other side. A coherent
+pair holding b holds its step, since its side is open and the other
+side holds the relation's image of it. Both the primes and the images
+keep joins, so the union of the steps of the bits reachable from b is
+coherent: each side is a union of primes, so open, and holds the moves
+of its bits. So the least coherent pair holding b is that union, one
+walk over the bits in which each bit is visited once, and there are at
+most (n1 + n2)*d distinct primes. Every coherent pair is the join of
+the primes of its bits, (0, 0) for none; so a lifting that keeps joins
+(`Lifting.keeps`) gives a related pair equal grades on every coherent
+pair iff it does on the primes and (0, 0), its join basis. Dually every
+coherent pair is the meet of the co-primes of the bits it lacks, (1, 1)
+for none, which is the meet basis of a lifting that keeps meets.
+Pullbacks along sigma keep both joins and meets. A lifting that
+declares nothing, or takes more than one argument, is read on every
+coherent tuple; that tuple path reads the coherent pairs as the closure
+of their primes (`topology._read_on`), the same pairs in the same order
+as `coherent_pairs`, so it too needs both spaces to be topologies, as a
 validated model's are.
 
-Both Sigma checks read one sweep, `_disagreements`: it lifts each basis
-member, or each coherent tuple, of the relation once and gives each
-related pair the lifting rows on which its two numerators differ.
-`is_sigma_bisimulation` decides its verdict on the bases; only a
-negative one walks every coherent tuple and turns those rows into
-witnesses, building `Grade`s only for them. `greatest_sigma_bisimulation`
-refines from the prop-agreeing relation, dropping every pair with a
-basis row, one sweep per round: deleting a pair can only enlarge the
-coherent set, so surviving pairs are re-tested against a strictly
-stronger condition each round and the loop terminates in at most
-|B1|x|B2| rounds.
+Both Sigma checks lift each row of one table (`_table`), a lifting and a
+tuple of coherent pairs, on packed ints, through each model's packed
+lift along sigma (`Model._lifted`), and give each state its signature:
+its fields over the rows. A related pair agrees on every row iff its
+two signatures are equal. `is_sigma_bisimulation` reads its verdict on
+the bases this way; only a negative one walks every coherent tuple and
+turns the rows on which a pair differs into witnesses, building fuzzy
+sets and `Grade`s only for them.
+
+`greatest_sigma_bisimulation` refines joint state labels, shared by the
+states of both models; its relation is always the kernel K = {(b1, b2) :
+label1(b1) = label2(b2)}. The first labels are the states' valuation
+fields, and their kernel is the prop-agreeing pairs. A round reads the
+coherent pairs of K, a state moving to the states of the other side
+with its label, and drops the pairs of K whose signatures differ. The
+result is {label1 = label2 and signature1 = signature2}: the kernel of
+the labels (label, signature), which every state is given. So each
+relation is a kernel, the moves come from the label classes, and no
+`Relation` is built until the end. Deleting a pair can only enlarge the
+coherent set, so each surviving relation contains every
+Sigma-bisimulation. The refinement stops at a round that splits no
+label: K is left as it is, so its pairs agree on every basis row, K is
+a Sigma-bisimulation and so the greatest. A round that drops no pair
+splits only labels that one side alone holds, which move nowhere, so
+the round after it reads the same table and splits nothing. Each round
+but the last splits a label, and there are at most n1 + n2 labels, so
+at most n1 + n2 rounds run, where dropping pairs from a relation could
+take |B1| x |B2|.
 
 The Aczel-Mendler check builds neither T R nor the opens of the
 relation space R. Every candidate structure value of a related pair
@@ -50,12 +71,14 @@ search is held to the guard only once that choice fails.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from math import prod
+from typing import Sequence
 
-from .errors import LatticeMismatchError, PreconditionError, ResourceLimitError
+from .errors import CarrierMismatchError, LatticeMismatchError, PreconditionError, ResourceLimitError
 from .fuzzyset import (
     DEFAULT_MAX_SIZE,
     Carrier,
@@ -74,9 +97,9 @@ from .fuzzyset import (
     relation_preimage,
 )
 from .grades import Grade
-from .logic import Model
+from .logic import Model, _refine
 from .signature import Signature, _pullbacks
-from .topology import FuzzySpace, _read_on, _subspace, _up
+from .topology import FuzzySpace, _read_on, _subspace
 
 
 def is_coherent(rel: Relation, mu: FuzzySet, eta: FuzzySet) -> bool:
@@ -93,7 +116,7 @@ def coherent_pairs(rel: Relation, space1: FuzzySpace, space2: FuzzySpace
     coherent iff their pullbacks to the pair carrier are equal, so the
     opens of space2 are bucketed by pullback and each mu meets its bucket.
     The Sigma checks read the same pairs, in the same order, as the
-    closure of the coherent primes (`_coherent_basis`).
+    closure of the coherent primes (`_coherent_primes`).
     """
     if space1.lattice != space2.lattice:
         raise LatticeMismatchError("the two spaces use different grade lattices")
@@ -167,110 +190,134 @@ def _prop_witnesses(rel: Relation, m1: Model, m2: Model) -> list[BisimWitness]:
             if (g1 := m1.prop(name)(b1)) != (g2 := m2.prop(name)(b2))]
 
 
-def _coherent_basis(rel: Relation, space1: FuzzySpace, space2: FuzzySpace,
-                    kinds: set[str | None]) -> dict[str | None, list[tuple[FuzzySet, FuzzySet]]]:
-    """The coherent pairs, in canonical order, that a lifting keeping each
-    of `kinds` is read on (`topology._read_on`): the join basis under
-    "joins", the meet basis under "meets", every coherent pair under None.
+def _coherent_primes(space1: FuzzySpace, space2: FuzzySpace,
+                     right_of: Sequence[int], left_of: Sequence[int]) -> tuple[int, ...]:
+    """The prime of each bit of the packed pairs mu << w2 | eta in the
+    topology of the coherent pairs, indexed by bit: the least coherent
+    pair that holds the bit.
 
-    From each distinct prime j of either side, eta := up2(eta | R[mu])
-    and mu := up1(mu | R^-1[eta]) rise to the least coherent pair above
-    (j, 0) or (0, j), where up(x) is the join of the primes of x's bits.
-    These pairs, packed mu << w2 | eta, are the primes of the coherent
-    pairs; sorted packed pairs are in `coherent_pairs`' order.
+    right_of[i] holds the low bit of the field of each state of S2
+    related to the state of S1 at field position i, counted from the
+    least significant, and left_of the same the other way. A bit's step
+    is its prime on its own side and its moves, the same bit of each
+    related field on the other side; a coherent pair that holds the bit
+    holds its step. The union of the steps of the bits reachable from a
+    bit is coherent, as each of its sides is a union of primes and holds
+    the moves of its bits, so it is the bit's prime. One walk per bit,
+    lowest bit first, so that the known prime of a lower bit is added
+    whole.
     """
-    d, lattice = space1.lattice.den, space1.lattice
-    w2 = len(space2.carrier) * d
-    width = len(space1.carrier) * d + w2
-
-    packed = {0}
-    for mu, eta in [(j, 0) for j in set(space1.primes)] + [(0, j) for j in set(space2.primes)]:
-        last = None
-        while last != (mu, eta):
-            last = mu, eta
-            eta = _up(space2.primes, eta | _fields_along(mu, d, rel._edges))
-            mu = _up(space1.primes, mu | _fields_along(eta, d, rel._back))
-        packed.add(mu << w2 | eta)
-    return {kind: [(_from_bits(space1.carrier, lattice, p >> w2),
-                    _from_bits(space2.carrier, lattice, p & (1 << w2) - 1))
-                   for p in sorted(_read_on(kind, packed, width))] for kind in kinds}
+    (p1, p2), d = (space1.primes, space2.primes), space1.lattice.den
+    step = [j | left_of[b // d] << b % d << len(p2) for b, j in enumerate(p2)]
+    step += [j << len(p2) | right_of[b // d] << b % d for b, j in enumerate(p1)]
+    primes = [0] * len(step)
+    for b, out in enumerate(step):
+        seen = 0
+        while todo := out & ~seen:
+            c = (todo & -todo).bit_length() - 1
+            seen |= primes[c] or 1 << c
+            out |= primes[c] or step[c]
+        primes[b] = out
+    return tuple(primes)
 
 
-def _disagreements(rel: Relation, m1: Model, m2: Model, sig: Signature,
-                   max_tuples: int, basis: bool = True):
-    """Each related pair in canonical order, with the rows of the lifting
-    table on which its two numerators differ.
+def _moves(rel: Relation, d: int) -> tuple[list[int], list[int]]:
+    """The moves of `_coherent_primes` along a relation."""
+    right_of, left_of = [0] * len(rel.left), [0] * len(rel.right)
+    for i, j in rel._edges:
+        right_of[i] |= 1 << j * d
+        left_of[j] |= 1 << i * d
+    return right_of, left_of
 
-    The table is built once: a row per lifting and tuple of coherent
-    pairs, with the numerators of the two sides' lifts pulled back along
-    sigma1 and sigma2. A pair's rows are (lifting, left opens, right
-    opens, left numerator, right numerator), in table order. With
-    `basis`, a lifting that declares what it keeps is read on that basis
-    of the coherent pairs, so a pair has a row iff it has one in the full
-    table; every other lifting, and every lifting without `basis`, is
-    read on every coherent tuple, under the guard.
-    """
-    read = [l.keeps if basis else None for l in sig.liftings]
-    bases = _coherent_basis(rel, m1.space, m2.space, set(read)) if read else {}
-    table = []
-    for lifting, kind in zip(sig.liftings, read):
-        pairs = bases[kind]
-        if kind is None and (total := len(pairs) ** lifting.arity) > max_tuples:
+
+def _table(m1: Model, m2: Model, sig: Signature, primes: tuple[int, ...], basis: bool,
+           max_tuples: int) -> tuple[list[tuple], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The rows (lifting, packed left opens, packed right opens), one per
+    lifting and tuple of the coherent pairs with these primes that
+    `topology._read_on` gives it, in sorted packed order, and each
+    state's signature on either side: its fields, over the rows, of the
+    packed lifts along its sigma (`Model._lifted`). Without `basis`, or
+    for a lifting that keeps neither, every coherent tuple, under the
+    guard."""
+    d, w2 = m1.space.lattice.den, len(m2.space.primes)
+    mask, members, rows, lefts, rights = (1 << w2) - 1, {}, [], [], []
+    for lifting in sig.liftings:
+        if (kind := lifting.keeps if basis else None) not in members:
+            members[kind] = sorted(_read_on(kind, primes, len(primes)))
+        if kind is None and (total := len(members[kind]) ** lifting.arity) > max_tuples:
             raise ResourceLimitError("coherent tuple enumeration", total, max_tuples)
-        for combo in product(pairs, repeat=lifting.arity):
-            mus, etas = tuple(mu for mu, _ in combo), tuple(eta for _, eta in combo)
-            left = m1.lift(lifting, mus).key()
-            right = left if m1 is m2 and mus == etas else m2.lift(lifting, etas).key()
-            table.append((lifting, mus, etas, left, right))
-    for b1, b2 in rel.sorted_pairs():
-        i1, i2 = m1.space.carrier.index(b1), m2.space.carrier.index(b2)
-        yield (b1, b2), [(lifting, mus, etas, left[i1], right[i2])
-                         for lifting, mus, etas, left, right in table
-                         if left[i1] != right[i2]]
+        lift1, lift2 = m1._lifted(lifting), m2._lifted(lifting)
+        for combo in product(members[kind], repeat=lifting.arity):
+            mus, etas = tuple(p >> w2 for p in combo), tuple(p & mask for p in combo)
+            rows.append((lifting, mus, etas))
+            lefts.append(left := lift1(*mus))
+            rights.append(left if lift1 is lift2 and mus == etas else lift2(*etas))
+    return rows, *([tuple([v >> shift & (1 << d) - 1 for v in lifts])
+                    for shift in range(len(m.space.primes) - d, -1, -d)]
+                   for m, lifts in ((m1, lefts), (m2, rights)))
 
 
 def is_sigma_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
                           max_tuples: int = DEFAULT_MAX_SIZE) -> BisimReport:
     """Prop agreement plus equal lifting grades over every coherent tuple.
 
-    The verdict is read on the bases; only a negative one walks every
-    coherent tuple, for the witnesses in table order.
+    The verdict is read on the bases: a related pair agrees on every
+    basis row iff its two signatures are equal. Only a negative verdict
+    walks every coherent tuple, for the witnesses in table order.
     """
     _require_shared_props(m1, m2)
+    (c1, c2), lattice = (m1.space.carrier, m2.space.carrier), m1.space.lattice
+    if (rel.left, rel.right) != (c1, c2):
+        raise CarrierMismatchError("relation does not connect the two spaces")
     witnesses = _prop_witnesses(rel, m1, m2)
-    if not witnesses and not any(rows for _, rows in _disagreements(
-            rel, m1, m2, sig, max_tuples)):
-        return BisimReport(True)
-    grades = m1.space.lattice.values
-    witnesses += [
-        BisimWitness(pair, lifting=lifting.name, left_opens=mus, right_opens=etas,
-                     left_grade=grades[k1], right_grade=grades[k2])
-        for pair, rows in _disagreements(rel, m1, m2, sig, max_tuples, basis=False)
-        for lifting, mus, etas, k1, k2 in rows]
+    primes = _coherent_primes(m1.space, m2.space, *_moves(rel, lattice.den))
+    if not witnesses:
+        _, sigs1, sigs2 = _table(m1, m2, sig, primes, True, max_tuples)
+        if all(sigs1[c1.index(b1)] == sigs2[c2.index(b2)] for b1, b2 in rel.pairs):
+            return BisimReport(True)
+    rows, sigs1, sigs2 = _table(m1, m2, sig, primes, False, max_tuples)
+    for b1, b2 in rel.sorted_pairs():
+        witnesses += [
+            BisimWitness((b1, b2), None, lifting.name,
+                         tuple(_from_bits(c1, lattice, p) for p in mus),
+                         tuple(_from_bits(c2, lattice, p) for p in etas),
+                         lattice.values[k1.bit_length()], lattice.values[k2.bit_length()])
+            for (lifting, mus, etas), k1, k2 in zip(rows, sigs1[c1.index(b1)], sigs2[c2.index(b2)])
+            if k1 != k2]
     return BisimReport(False, tuple(witnesses))
 
 
 def greatest_sigma_bisimulation(m1: Model, m2: Model, sig: Signature,
                                 max_tuples: int = DEFAULT_MAX_SIZE) -> Relation:
-    """Refinement to the greatest Sigma-bisimulation.
+    """Refinement to the greatest Sigma-bisimulation, on joint state labels.
 
-    Start from all prop-agreeing pairs; repeatedly delete pairs whose
-    lifting grades disagree on some coherent tuple of the current
-    relation, read on the bases. Each surviving relation contains every
-    Sigma-bisimulation, and the fixpoint is itself one, so it is the
-    greatest.
+    Each round's relation is the kernel {(b1, b2) : label1(b1) =
+    label2(b2)} of labels shared by both carriers, starting from the
+    states' valuation fields, whose kernel is the prop-agreeing pairs. A
+    round moves each state to the states of the other side with its
+    label, reads the coherent pairs of the kernel on those moves, and
+    relabels every state by (label, signature). It drops exactly the
+    related pairs whose signatures differ, so the next relation, {label1
+    = label2 and signature1 = signature2}, is the kernel of the new
+    labels (the module docstring has the proof and the round bound). One
+    `Relation` is built, at the end.
     """
     _require_shared_props(m1, m2)
-    carrier1, carrier2 = m1.space.carrier, m2.space.carrier
-    props = [(v.key(), m2.prop(name).key()) for name, v in m1.valuation]
-    rel = Relation.of(carrier1, carrier2, (
-        (b1, b2) for (i1, b1), (i2, b2) in product(enumerate(carrier1), enumerate(carrier2))
-        if all(left[i1] == right[i2] for left, right in props)))
+    (c1, c2), d, ids = (m1.space.carrier, m2.space.carrier), m1.space.lattice.den, {}
+    labels = [_refine((0,) * len(m.space.carrier), d, [v.bits for _, v in m.valuation], ids)
+              for m in (m1, m2)]
     while True:
-        dropped = {p for p, rows in _disagreements(rel, m1, m2, sig, max_tuples) if rows}
-        if not dropped:
-            return rel
-        rel = Relation.of(carrier1, carrier2, rel.pairs - dropped)
+        count, ids, masks = len(ids), {}, [defaultdict(int), defaultdict(int)]
+        for mask, side in zip(masks, labels):
+            for pos, label in enumerate(reversed(side)):
+                mask[label] |= 1 << pos * d
+        primes = _coherent_primes(m1.space, m2.space, *(
+            [masks[1 - k][label] for label in reversed(labels[k])] for k in (0, 1)))
+        _, *sigs = _table(m1, m2, sig, primes, True, max_tuples)
+        labels = [[ids.setdefault(key, len(ids)) for key in zip(*side)] for side in zip(labels, sigs)]
+        if len(ids) == count:
+            return Relation.of(c1, c2, ((b1, b2) for b1, l1 in zip(c1, labels[0])
+                                        for b2, l2 in zip(c2, labels[1]) if l1 == l2))
 
 
 def _candidates(tops: list[FuzzySet], pi1: CarrierMap, pi2: CarrierMap,

@@ -403,10 +403,9 @@ def _cmd_bisim(args) -> int:
                             "modalities")
     sig = lm.signature
     if args.mode == "greatest":
-        rel = greatest_sigma_bisimulation(lm.model, ln.model, sig, args.max_size)
-        pairs = [list(p) for p in rel.sorted_pairs()]
-        _emit(args, {"pairs": pairs},
-              [f"{a} {b}" for a, b in rel.sorted_pairs()] or ["(empty)"])
+        pairs = greatest_sigma_bisimulation(lm.model, ln.model, sig, args.max_size).sorted_pairs()
+        _emit(args, {"pairs": [list(p) for p in pairs]},
+              [f"{a} {b}" for a, b in pairs] or ["(empty)"])
         return 0
     rel = _named_relation(lm, ln, args.relation)
     if args.mode == "check":

@@ -309,8 +309,7 @@ class Relation:
 
     def sorted_pairs(self) -> tuple[tuple[Hashable, Hashable], ...]:
         """Pairs in left-major carrier order; the canonical enumeration."""
-        order_l = {e: i for i, e in enumerate(self.left.elements)}
-        order_r = {e: i for i, e in enumerate(self.right.elements)}
+        order_l, order_r = self.left._index, self.right._index
         return tuple(sorted(self.pairs, key=lambda p: (order_l[p[0]], order_r[p[1]])))
 
     def pair_carrier(self) -> Carrier:

@@ -53,7 +53,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -261,8 +261,22 @@ class Model:
         raise UnboundPropositionError(f"no valuation for proposition {name!r}")
 
     def lift(self, lifting: Lifting, args: Sequence[FuzzySet]) -> FuzzySet:
-        """sigma^-1(lambda(args)), the lifting read at sigma's values only."""
-        return inverse_image(self.sigma, lifting.apply(self.space, args, self.sigma.target))
+        """sigma^-1(lambda(args)), the lifting read at sigma's values only:
+        the model's packed lift (`_lifted`) of the checked arguments."""
+        bits = self._lifted(lifting)(*(a.bits for a in lifting._checked(self.space, args)))
+        return _from_bits(self.sigma.source, self.space.lattice, bits)
+
+    def _lifted(self, lifting: Lifting) -> Callable[..., int]:
+        """The packed lift along sigma, from packed arguments to the packed
+        sigma^-1(lambda(args)), made once per lifting and shared by every
+        reader of the model: the lifting's own kernel (`Lifting._packed`),
+        or for one without, `apply` on the arguments made fuzzy sets."""
+        lifts, (space, sigma) = vars(self).setdefault("_lifts", {}), (self.space, self.sigma)
+        if (lift := lifts.get(lifting)) is None:
+            lift = lifts[lifting] = lifting._packed(space, sigma) if lifting._packed else (
+                lambda *args: inverse_image(sigma, lifting.apply(space, [
+                    _from_bits(space.carrier, space.lattice, a) for a in args], sigma.target)).bits)
+        return lift
 
 
 @dataclass(frozen=True)
@@ -359,8 +373,9 @@ def _closure(models: Sequence[Model], sig: Signature, rounds: int | None = None,
     lifts.
 
     A vector is the models' packed fields side by side, the first model's
-    most significant, so meet and join are one `&` and `|`; a member is
-    made a `FuzzySet` per model only to be a lifting argument. An offer is
+    most significant, so meet and join are one `&` and `|`, and each
+    model lifts its own fields through its packed lift (`Model._lifted`).
+    An offer is
     (kind, argument indices) into the members in the order yielded: kind
     "top" or "or" with none for the constants, "prop" with the name for a
     valuation, "and" or "or" with two for a meet or join, a lifting with
@@ -370,15 +385,15 @@ def _closure(models: Sequence[Model], sig: Signature, rounds: int | None = None,
     older tuples having been offered before, so the members, their order
     and each one's first offer are the naive ones.
     """
-    parts, offset = [], 0  # (model, its offset, its mask, its members as FuzzySets)
+    parts, offset = [], 0  # (model, its offset, its mask)
     for m in reversed(models):
         width = len(m.space.carrier) * m.space.lattice.den
-        parts.insert(0, (m, offset, (1 << width) - 1, []))
+        parts.insert(0, (m, offset, (1 << width) - 1))
         offset += width
     seeds = {(1 << offset) - 1: ("top", ())}
     seeds.setdefault(0, ("or", ()))
     for name in models[0].props:
-        seeds.setdefault(sum(m.prop(name).bits << o for m, o, _, _ in parts), ("prop", name))
+        seeds.setdefault(sum(m.prop(name).bits << o for m, o, _ in parts), ("prop", name))
     yield seeds
     items, found, old = list(seeds), set(seeds), 0
     for round_ in repeat(None) if rounds is None else range(rounds):
@@ -390,14 +405,12 @@ def _closure(models: Sequence[Model], sig: Signature, rounds: int | None = None,
                         fresh[c] = ("and", (i, j))
                     if (c := a | b) not in found and c not in fresh:
                         fresh[c] = ("or", (i, j))
-        for m, o, mask, sets in parts:
-            sets += [_from_bits(m.space.carrier, m.space.lattice, v >> o & mask)
-                     for v in items[len(sets):]]
         for lifting in sig.liftings:
+            lifts = [(m._lifted(lifting), o, mask) for m, o, mask in parts]
             for args in _new_tuples(n, old, lifting.arity):
                 c = 0
-                for m, o, _, sets in parts:
-                    c |= m.lift(lifting, [sets[i] for i in args]).bits << o
+                for lift, o, mask in lifts:
+                    c |= lift(*[items[i] >> o & mask for i in args]) << o
                 if c not in found and c not in fresh:
                     fresh[c] = (lifting, args)
         if not fresh:
@@ -422,15 +435,15 @@ def _formulas(batches) -> dict[int, Formula]:
     return dict(zip(members, built))
 
 
-def _refine(space: FuzzySpace, labels: tuple[int, ...],
-            batch: Iterable[int]) -> tuple[tuple[int, ...], int]:
-    """The state labels split by each state's grades over the packed sets
-    in `batch`, numbered in carrier order, and how many there are."""
-    d, ids = space.lattice.den, {}
+def _refine(labels: Sequence[int], d: int, batch: Iterable[int],
+            ids: dict) -> tuple[int, ...]:
+    """The state labels split by each state's fields over the packed sets
+    in `batch`: the state gets the number that `ids` gives (label,
+    fields), a new one in carrier order for a pair not seen before. The
+    carriers refined through one `ids` share their labels."""
     field, batch = (1 << d) - 1, tuple(batch)
-    labels = tuple([ids.setdefault((label, tuple([b >> shift & field for b in batch])), len(ids))
-                    for label, shift in zip(labels, range((len(labels) - 1) * d, -1, -d))])
-    return labels, len(ids)
+    return tuple([ids.setdefault((label, tuple([b >> shift & field for b in batch])), len(ids))
+                  for label, shift in zip(labels, range((len(labels) - 1) * d, -1, -d))])
 
 
 def _depth_labels(m: Model, sig: Signature, depth: int) -> tuple[int, ...]:
@@ -449,8 +462,8 @@ def _depth_labels(m: Model, sig: Signature, depth: int) -> tuple[int, ...]:
     """
     labels = (0,) * len(m.space.carrier)
     for batch in _closure([m], sig, depth, lifts_last=True):
-        labels, classes = _refine(m.space, labels, batch)
-        if classes == len(labels):
+        labels = _refine(labels, m.space.lattice.den, batch, ids := {})
+        if len(ids) == len(labels):
             break
     return labels
 
@@ -496,22 +509,21 @@ def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...]
     Classes are ordered by first member in carrier order; members keep
     carrier order too.
     """
-    carrier, lattice = m.space.carrier, m.space.lattice
-    width = len(carrier) * lattice.den
+    carrier, d = m.space.carrier, m.space.lattice.den
+    width = len(carrier) * d
     found = {0, (1 << width) - 1, *(v.bits for _, v in m.valuation)}
-    labels, classes = _refine(m.space, (0,) * len(carrier), found)
-    while classes < len(carrier):
+    labels = _refine((0,) * len(carrier), d, found, ids := {})
+    while len(ids) < len(carrier):
         primes, lifts = _primes(found, width), set()
         for lifting in sig.liftings:
-            basis = [_from_bits(carrier, lattice, p)
-                     for p in _read_on(lifting.keeps, primes, width)]
-            lifts.update(m.lift(lifting, args).bits
-                         for args in product(basis, repeat=lifting.arity))
+            lift = m._lifted(lifting)
+            lifts.update(lift(*args) for args in product(
+                _read_on(lifting.keeps, primes, width), repeat=lifting.arity))
         if not (lifts := lifts - found):
             break
         found |= lifts
-        labels, classes = _refine(m.space, labels, lifts)
-    blocks: list[list[str]] = [[] for _ in range(classes)]
+        labels = _refine(labels, d, lifts, ids := {})
+    blocks: list[list[str]] = [[] for _ in range(len(ids))]
     for s, label in zip(carrier, labels):
         blocks[label].append(s)
     return tuple(map(tuple, blocks))

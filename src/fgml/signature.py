@@ -21,6 +21,9 @@ where row_t packs f(x)(t) over the source elements x, and box's the meet
 of the complement rows joined with the same constants (`_lift`). So
 at most n*d sets per lifting generate the image topology, which
 `on_space` generates from them and closes only when its opens are read.
+The same rows over a structure map's values give the lift of any packed
+mu pulled back along it, which is how every reader of a model reads a
+built-in lifting (`Lifting._packed`).
 A functor without a subbasis of its own gives every open of `on_space`.
 A map f into T S is fuzzy continuous iff every subbasis member pulls
 back to an open, provided the source opens form a topology: inverse
@@ -90,18 +93,28 @@ def image_elements(functor: FunctorInstance, space: FuzzySpace) -> Carrier:
     return functor.on_space(space).carrier
 
 
-def _along(packed: Iterable[int], carrier: Carrier, f: CarrierMap, d: int) -> list[int]:
-    """The packed sets on `carrier` pulled back along f, whose target must
-    lie in `carrier`: one `_fields_along` pass each."""
+def _back(carrier: Carrier, f: CarrierMap) -> Sequence[tuple[int, int]]:
+    """The edges of `_fields_along` that pull a packed set on `carrier`
+    back along f, whose target must lie in `carrier`."""
     if f.target == carrier:  # a map into the states themselves
-        back = f._back
-    else:
-        for t in f.target:
-            if t not in carrier:
-                raise CarrierMismatchError(f"{t!r} is not in the target carrier")
-        last, top = len(carrier) - 1, len(f.source) - 1
-        back = [(last - carrier.index(t), top - i) for i, t in enumerate(f.assignment)]
-    return [_fields_along(p, d, back) for p in packed]
+        return f._back
+    for t in f.target:
+        if t not in carrier:
+            raise CarrierMismatchError(f"{t!r} is not in the target carrier")
+    last, top = len(carrier) - 1, len(f.source) - 1
+    return [(last - carrier.index(t), top - i) for i, t in enumerate(f.assignment)]
+
+
+def _lifted_basis(kernels: Iterable[tuple[str, Callable]], space: FuzzySpace, f: CarrierMap,
+                  every_open: bool) -> list[int]:
+    """For each (keeps, packed kernel) of a generating lifting, the packed
+    lifts along f (`Lifting._packed`) of the basis of S it keeps, in bits
+    order: the distinct primes for joins, the co-primes for meets; or of
+    every open."""
+    width = len(space.carrier) * space.lattice.den
+    return [lift(mu) for keeps, kernel in kernels for lift in [kernel(space, f)]
+            for mu in sorted(space.packed if every_open else set(
+                space.primes if keeps == "joins" else _coprimes(space.primes, width)))]
 
 
 def _pullbacks(functor: FunctorInstance, space: FuzzySpace, f: CarrierMap,
@@ -111,8 +124,9 @@ def _pullbacks(functor: FunctorInstance, space: FuzzySpace, f: CarrierMap,
     open of S, or every open of `on_space(space)` in bits order."""
     if functor.subbasis is not None:
         return functor.subbasis(space, f, every_open)
-    image = functor.on_space(space)
-    return _along(sorted(image.packed), image.carrier, f, space.lattice.den)
+    image, d = functor.on_space(space), space.lattice.den
+    back = _back(image.carrier, f)
+    return [_fields_along(p, d, back) for p in sorted(image.packed)]
 
 
 def image_subbasis(functor: FunctorInstance, space: FuzzySpace, at: Carrier,
@@ -136,6 +150,10 @@ class Lifting:
     on that basis (`topology._read_on`): the Sigma-bisimulation checks on
     one of the coherent pairs (`bisim`), modal equivalence on one of the
     definable opens (`logic`). None, the default, claims nothing.
+
+    `_packed`, set only by the built-in functors, is the lifting's packed
+    kernel: `_packed(space, sigma)` maps packed arguments to the packed
+    sigma^-1(lambda(args)), which `Model._lifted` reads.
     """
 
     name: str
@@ -143,6 +161,7 @@ class Lifting:
     functor: FunctorInstance
     _raw: Callable[[FuzzySpace, tuple[FuzzySet, ...], Carrier], FuzzySet]
     keeps: str | None = None
+    _packed: Callable[[FuzzySpace, CarrierMap], Callable[..., int]] | None = None
 
     def __post_init__(self):
         if self.keeps not in (None, "joins", "meets"):
@@ -150,10 +169,8 @@ class Lifting:
         if self.keeps and self.arity != 1:
             raise ValueError("only a unary lifting declares what it keeps")
 
-    def apply(self, space: FuzzySpace, args: Sequence[FuzzySet],
-              at: Carrier | None = None) -> FuzzySet:
-        """The lifting's values at each element of `at`, a carrier of
-        values of T S; all of T S when omitted."""
+    def _checked(self, space: FuzzySpace, args: Sequence[FuzzySet]) -> tuple[FuzzySet, ...]:
+        """The arguments, as many as the arity and each on the space's carrier."""
         args = tuple(args)
         if len(args) != self.arity:
             raise ArityMismatchError(
@@ -161,9 +178,14 @@ class Lifting:
         for a in args:
             if a.carrier != space.carrier:
                 raise CarrierMismatchError("lifting argument not on the space's carrier")
-        if at is None:
-            at = image_elements(self.functor, space)
-        return self._raw(space, args, at)
+        return args
+
+    def apply(self, space: FuzzySpace, args: Sequence[FuzzySet],
+              at: Carrier | None = None) -> FuzzySet:
+        """The lifting's values at each element of `at`, a carrier of
+        values of T S; all of T S when omitted."""
+        return self._raw(space, self._checked(space, args),
+                         image_elements(self.functor, space) if at is None else at)
 
 
 @dataclass(frozen=True)
@@ -187,18 +209,20 @@ class Signature:
 def identity_functor() -> tuple[FunctorInstance, Signature]:
     """T S = S and T f = f, with the identity lifting named "id"; the
     image subbasis is the distinct primes, or the opens, pulled back
-    along the given map into the states."""
+    along the given map into the states, and so is the packed lift of
+    "id" along a structure map."""
 
-    def subbasis(space: FuzzySpace, f: CarrierMap, every_open: bool) -> list[int]:
-        packed = space.packed if every_open else set(space.primes)
-        return _along(sorted(packed), space.carrier, f, space.lattice.den)
+    def pullback(space: FuzzySpace, sigma: CarrierMap) -> Callable[[int], int]:
+        d, back = space.lattice.den, _back(space.carrier, sigma)
+        return lambda mu: _fields_along(mu, d, back)
 
     functor = FunctorInstance(name="identity", on_space=lambda space: space,
-                              on_map=lambda f, source, target: f, subbasis=subbasis)
+                              on_map=lambda f, source, target: f,
+                              subbasis=partial(_lifted_basis, [("joins", pullback)]))
     # an identity model's sigma goes into S, so its lifts are read at the states themselves
     lifting = Lifting("id", 1, functor, lambda space, args, at: args[0] if at == space.carrier
                       else inverse_image(CarrierMap(at, space.carrier, at.elements), args[0]),
-                      keeps="joins")
+                      "joins", pullback)
     return functor, Signature(functor, (lifting,))
 
 
@@ -218,7 +242,9 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     signature characteristic for the functor; `subbasis` returns, pulled
     back along the given map and without generating the topology, dia's
     images of the primes and box's of the co-primes, which generate it
-    too, or the images of every open.
+    too, or the images of every open. The packed lift of dia or box
+    along a structure map is `_lift` on the rows of sigma's values, the
+    lift and its pullback in one pass.
     """
     mods = tuple(modalities)
     for m in mods:
@@ -227,26 +253,24 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     if not mods:
         raise UnknownModalityError("at least one generating modality is required")
 
-    keeps = {"dia": "joins", "box": "meets"}
     # each image by its space, held weakly: an entry goes when its space dies
     images: weakref.WeakKeyDictionary[FuzzySpace, FuzzySpace] = weakref.WeakKeyDictionary()
-    # per carrier of values lifted at, by identity and held weakly (an entry
-    # counts only while its carrier lives; dead ones go before each new entry):
-    # its `_rows`
-    rows_cache: dict[int, tuple[weakref.ref, tuple[list[int], list[int], int]]] = {}
+    # the `_rows` of each carrier of values lifted at, by identity, while it lives
+    rows_cache: dict[int, tuple[list[int], list[int], int]] = {}
+
+    def packed(kind: str, space: FuzzySpace, sigma: CarrierMap) -> Callable[[int], int]:
+        rows = _rows(sigma.assignment, len(space.carrier), lattice.den, kind == "box")
+        return lambda mu: _lift(kind, rows, mu, lattice.den)
+
+    # each modality's (keeps, packed kernel): the subbasis reads these, not the
+    # liftings, which refer to the functor, so that no cycle keeps the functor alive
+    kernels = [({"dia": "joins", "box": "meets"}[m], partial(packed, m)) for m in mods]
 
     def subbasis(space: FuzzySpace, f: CarrierMap, every_open: bool) -> list[int]:
         for nu in f.target:
             if not (isinstance(nu, FuzzySet) and (nu.carrier, nu.lattice) == (space.carrier, lattice)):
                 raise CarrierMismatchError(f"{nu} is not a fuzzy set on the space")
-        if every_open:
-            lifted = dict.fromkeys(mods, space.packed)
-        else:  # dia keeps joins and box meets: a join basis and a meet basis
-            width = len(space.carrier) * lattice.den
-            lifted = {m: set(space.primes if keeps[m] == "joins" else _coprimes(space.primes, width))
-                      for m in mods}
-        rows = _rows(f.assignment, len(space.carrier), lattice.den, "box" in mods)
-        return [_lift(m, rows, mu, lattice.den) for m in mods for mu in sorted(lifted[m])]
+        return _lifted_basis(kernels, space, f, every_open)
 
     def on_space(space: FuzzySpace) -> FuzzySpace:
         if (image := images.get(space)) is None:
@@ -263,17 +287,14 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
 
     def lifting(kind: str) -> Callable[[FuzzySpace, tuple[FuzzySet, ...], Carrier], FuzzySet]:
         def raw(space: FuzzySpace, args: tuple[FuzzySet, ...], at: Carrier) -> FuzzySet:
-            (mu,) = args
-            alive, rows = rows_cache.get(id(at), (None, None))
-            if alive is None or alive() is not at:
-                for key in [key for key, (ref, _) in rows_cache.items() if ref() is None]:
-                    del rows_cache[key]
-                rows = _rows(at.elements, len(space.carrier), lattice.den, "box" in mods)
-                rows_cache[id(at)] = (weakref.ref(at), rows)
-            return _from_bits(at, lattice, _lift(kind, rows, mu.bits, lattice.den))
+            if (rows := rows_cache.get(id(at))) is None:
+                rows = rows_cache[id(at)] = _rows(at.elements, len(space.carrier), lattice.den,
+                                                  "box" in mods)
+                weakref.finalize(at, rows_cache.pop, id(at))
+            return _from_bits(at, lattice, _lift(kind, rows, args[0].bits, lattice.den))
         return raw
 
-    liftings = tuple(Lifting(m, 1, functor, lifting(m), keeps[m]) for m in mods)
+    liftings = tuple(Lifting(m, 1, functor, lifting(m), *kernel) for m, kernel in zip(mods, kernels))
     return functor, Signature(functor, liftings)
 
 

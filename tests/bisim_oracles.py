@@ -1,6 +1,12 @@
 """Brute-force bisimulation oracles, used only by the tests.
 
-The full-table Sigma checks lift every coherent tuple for every lifting,
+The basis oracles are the library's earlier Sigma checks:
+`alternating_coherent_basis` reaches the least coherent pair above each
+distinct prime by alternating images and `_up`s until nothing changes,
+`basis_sigma_check` lifts each basis pair as fuzzy sets through
+`Model.lift`, and `pair_dropping_greatest` rebuilds the relation each
+round without the pairs that disagree on a basis row. The full-table
+Sigma checks lift every coherent tuple for every lifting,
 with no basis: `full_table_sigma_check` lists every disagreeing tuple as
 a witness and `full_table_greatest` refines on that table. The
 Aczel-Mendler oracle `image_am_search` builds T R and every open of the
@@ -37,8 +43,88 @@ from fgml import (
 )
 from fgml.bisim import AmBisimReport, _prop_witnesses, _require_shared_props
 from fgml.errors import PreconditionError, ResourceLimitError
-from fgml.fuzzyset import DEFAULT_MAX_SIZE
+from fgml.fuzzyset import DEFAULT_MAX_SIZE, _fields_along, _from_bits
 from fgml.signature import check_monotone, image_elements, image_subbasis
+from fgml.topology import _read_on, _up
+
+
+def alternating_coherent_basis(rel: Relation, space1: FuzzySpace, space2: FuzzySpace,
+                               kinds) -> dict:
+    """The coherent pairs, in canonical order, that a lifting keeping each
+    of `kinds` is read on: from each distinct prime j of either side,
+    eta := up2(eta | R[mu]) and mu := up1(mu | R^-1[eta]) until neither
+    moves, which is the least coherent pair above (j, 0) or (0, j)."""
+    d, lattice = space1.lattice.den, space1.lattice
+    w2 = len(space2.carrier) * d
+    width = len(space1.carrier) * d + w2
+    packed = {0}
+    for mu, eta in [(j, 0) for j in set(space1.primes)] + [(0, j) for j in set(space2.primes)]:
+        last = None
+        while last != (mu, eta):
+            last = mu, eta
+            eta = _up(space2.primes, eta | _fields_along(mu, d, rel._edges))
+            mu = _up(space1.primes, mu | _fields_along(eta, d, rel._back))
+        packed.add(mu << w2 | eta)
+    return {kind: [(_from_bits(space1.carrier, lattice, p >> w2),
+                    _from_bits(space2.carrier, lattice, p & (1 << w2) - 1))
+                   for p in sorted(_read_on(kind, packed, width))] for kind in kinds}
+
+
+def _basis_table(rel: Relation, m1: Model, m2: Model, sig: Signature, max_tuples: int,
+                 basis: bool = True):
+    """Each related pair in canonical order with the rows (lifting, left
+    opens, right opens, left numerator, right numerator) on which it
+    disagrees: a declared lifting on its basis when `basis`, any other on
+    every coherent tuple, under the tuple guard."""
+    read = [l.keeps if basis else None for l in sig.liftings]
+    bases = alternating_coherent_basis(rel, m1.space, m2.space, set(read)) if read else {}
+    table = []
+    for lifting, kind in zip(sig.liftings, read):
+        pairs = bases[kind]
+        if kind is None and (total := len(pairs) ** lifting.arity) > max_tuples:
+            raise ResourceLimitError("coherent tuple enumeration", total, max_tuples)
+        for combo in product(pairs, repeat=lifting.arity):
+            mus, etas = tuple(mu for mu, _ in combo), tuple(eta for _, eta in combo)
+            table.append((lifting, mus, etas, m1.lift(lifting, mus).key(),
+                          m2.lift(lifting, etas).key()))
+    for b1, b2 in rel.sorted_pairs():
+        i1, i2 = m1.space.carrier.index(b1), m2.space.carrier.index(b2)
+        yield (b1, b2), [(lifting, mus, etas, left[i1], right[i2])
+                         for lifting, mus, etas, left, right in table
+                         if left[i1] != right[i2]]
+
+
+def basis_sigma_check(rel: Relation, m1: Model, m2: Model, sig: Signature,
+                      max_tuples: int = DEFAULT_MAX_SIZE) -> BisimReport:
+    """The verdict on the bases, and for a negative one the prop witnesses
+    and then a witness per related pair and disagreeing row of every
+    coherent tuple, in table order."""
+    _require_shared_props(m1, m2)
+    witnesses = _prop_witnesses(rel, m1, m2)
+    if not witnesses and not any(rows for _, rows in _basis_table(rel, m1, m2, sig, max_tuples)):
+        return BisimReport(True)
+    grades = m1.space.lattice.values
+    witnesses += [
+        BisimWitness(pair, lifting=lifting.name, left_opens=mus, right_opens=etas,
+                     left_grade=grades[k1], right_grade=grades[k2])
+        for pair, rows in _basis_table(rel, m1, m2, sig, max_tuples, basis=False)
+        for lifting, mus, etas, k1, k2 in rows]
+    return BisimReport(False, tuple(witnesses))
+
+
+def pair_dropping_greatest(m1: Model, m2: Model, sig: Signature,
+                           max_tuples: int = DEFAULT_MAX_SIZE) -> Relation:
+    """From the prop-agreeing pairs, drop every pair with a disagreeing
+    basis row, rebuilding the relation each round, until none has one."""
+    _require_shared_props(m1, m2)
+    c1, c2 = m1.space.carrier, m2.space.carrier
+    rel = Relation.of(c1, c2, [(b1, b2) for b1 in c1 for b2 in c2
+                               if all(m1.prop(p)(b1) == m2.prop(p)(b2) for p in m1.props)])
+    while True:
+        dropped = {p for p, rows in _basis_table(rel, m1, m2, sig, max_tuples) if rows}
+        if not dropped:
+            return rel
+        rel = Relation.of(c1, c2, rel.pairs - dropped)
 
 
 def _full_table(rel: Relation, m1: Model, m2: Model, sig: Signature, max_tuples: int):

@@ -18,7 +18,7 @@ from fgml import (
     is_sigma_bisimulation,
     make_lattice,
 )
-from fgml.errors import LatticeMismatchError, PreconditionError
+from fgml.errors import CarrierMismatchError, LatticeMismatchError, PreconditionError
 from fgml.signature import Lifting, Signature
 from fgml.topology import generate_topology, indiscrete_space
 
@@ -329,6 +329,18 @@ def test_every_check_refuses_models_it_cannot_compare():
                       lambda: is_am_bisimulation(diag, other, m, sig)):
             with pytest.raises(error, match=message):
                 check()
+
+
+def test_relation_on_other_carriers_is_refused():
+    # a relation must connect the two models' carriers, as for `bisim am`,
+    # also when every pair it holds names states of both models
+    _, sig = identity_functor()
+    m = complete_identity_model(XY, D2, ("x", "y"), {"p": FuzzySet.constant(XY, D2, D2.top)}, sig)
+    for left, right in ((Carrier(("x",)), XY), (XY, Carrier(("x", "y", "z")))):
+        rel = Relation.of(left, right, [("x", "x")])
+        for check in (is_sigma_bisimulation, is_am_bisimulation):
+            with pytest.raises(CarrierMismatchError, match="relation does not connect"):
+                check(rel, m, m, sig)
 
 
 # ------------------------------------------------------------------ suites

@@ -1,6 +1,9 @@
-"""The Sigma checks on the bases of the coherent pairs against the full
-table of `bisim_oracles`: the greatest Sigma-bisimulation, both verdicts
-and the witness lists, over zoo models and models on random topologies."""
+"""The Sigma checks on the bases of the coherent pairs against the
+oracles of `bisim_oracles`: the coherent bases against the alternating
+fixpoint, and the greatest Sigma-bisimulation, both verdicts and the
+witness lists against the full table and against the pair-dropping
+refinement on fuzzy-set lifts, over zoo models and models on random
+topologies."""
 
 import random
 from functools import cache
@@ -22,13 +25,20 @@ from fgml import (
     is_sigma_bisimulation,
     make_lattice,
 )
-from fgml.bisim import _coherent_basis
+from fgml.bisim import _coherent_primes, _moves
 from fgml.cli import load_model, run_command
 from fgml.errors import ResourceLimitError
-from fgml.fuzzyset import fs_complement
+from fgml.fuzzyset import _from_bits, fs_complement
 from fgml.signature import Lifting, Signature, dual_lifting
+from fgml.topology import _read_on
 
-from bisim_oracles import full_table_greatest, full_table_sigma_check
+from bisim_oracles import (
+    alternating_coherent_basis,
+    basis_sigma_check,
+    full_table_greatest,
+    full_table_sigma_check,
+    pair_dropping_greatest,
+)
 from modelgen import (
     FIXTURES,
     complete_identity_model,
@@ -81,6 +91,20 @@ def _pool():
             pool.append((sig, models))
     return [(sig, m1, m2) for sig, models in pool for m1, m2 in product(models, repeat=2)
             if m1.space.lattice == m2.space.lattice and m1.props == m2.props]
+
+
+def _coherent_basis(rel, space1, space2, kinds):
+    """The bases of the coherent primes that `bisim` walks to, decoded in
+    packed order as `alternating_coherent_basis` gives them, which they
+    must equal."""
+    d, lattice = space1.lattice.den, space1.lattice
+    primes = _coherent_primes(space1, space2, *_moves(rel, d))
+    w2 = len(space2.carrier) * d
+    bases = {kind: [(_from_bits(space1.carrier, lattice, p >> w2),
+                     _from_bits(space2.carrier, lattice, p & (1 << w2) - 1))
+                    for p in sorted(_read_on(kind, primes, len(primes)))] for kind in kinds}
+    assert bases == alternating_coherent_basis(rel, space1, space2, kinds)
+    return bases
 
 
 def _spans(basis, op):
@@ -183,6 +207,50 @@ def _neg(sig):
     first = sig.liftings[0]
     return Lifting("neg", 1, sig.functor,
                    lambda space, args, at: fs_complement(first.apply(space, args, at)))
+
+
+def _but(sig):
+    """A binary lifting, the first lifting of its first argument met with
+    the complement of the first lifting of its second: antitone in the
+    second argument, declaring nothing."""
+    first = sig.liftings[0]
+    return Lifting("but", 2, sig.functor, lambda space, args, at: fs_meet(
+        first.apply(space, args[:1], at), fs_complement(first.apply(space, args[1:], at))))
+
+
+def test_property_refinement_matches_the_pair_dropping_oracle():
+    # distinct models, each signature with its duals, beside the antitone
+    # `neg` or the binary `but`: the coherent bases equal the alternating
+    # fixpoint's (`_coherent_basis` asserts it), the greatest relation the
+    # pair-dropping refinement's, and each check its verdict and witnesses
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cases = [(sig, m1, m2) for sig, m1, m2 in _pool() if m1 != m2]
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(cases), st.integers(0, 3), st.data())
+    def check(case, pick, data):
+        sig, m1, m2 = case
+        extra = (tuple(map(dual_lifting, sig.liftings)), (_neg(sig),), (_but(sig),), ())[pick]
+        variant = Signature(sig.functor, sig.liftings + extra)
+        full = list(product(m1.space.carrier, m2.space.carrier))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)))
+        rel = Relation.of(m1.space.carrier, m2.space.carrier,
+                          [p for p, k in zip(full, keep) if k])
+        _coherent_basis(rel, m1.space, m2.space, {"joins", "meets", None})
+        greatest = greatest_sigma_bisimulation(m1, m2, variant, 10 ** 6)
+        assert greatest == pair_dropping_greatest(m1, m2, variant, 10 ** 6)
+        for r in (rel, greatest):
+            report = is_sigma_bisimulation(r, m1, m2, variant, 10 ** 6)
+            oracle = basis_sigma_check(r, m1, m2, variant, 10 ** 6)
+            assert (report.verdict, report.witnesses) == (oracle.verdict, oracle.witnesses)
+            seen.add((sig.functor.name, report.verdict))
+        seen.add((sig.functor.name, "split") if 0 < len(greatest) < len(full) else None)
+
+    check()
+    for functor in ("identity", "fuzzy-powerset"):
+        assert {(functor, True), (functor, False), (functor, "split")} <= seen
 
 
 def _variants(sig):

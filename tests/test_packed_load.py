@@ -203,3 +203,37 @@ def test_bisim_reads_the_signature_not_its_spelling(fixture, spelled, tmp_path):
         for first, second in ((omitted, spelled_out), (spelled_out, omitted)):
             argv = ["bisim", mode[0], "-m", str(first), "-n", str(second), *mode[1:]]
             assert run_command(argv) == 0, argv
+
+
+@pytest.mark.parametrize("name", ["chain", "discrete"])
+def test_bisim_and_classes_make_no_set_past_the_load(name, tmp_path, monkeypatch, capsys):
+    """`bisim greatest`, a positive `bisim check`, `classes --depth 3`
+    and `quotient` read every lifting through the models' packed lifts:
+    the first three make no more fuzzy sets than `validate`, which makes
+    only the load's (sigma's values and the valuation), and `quotient`
+    adds only its own model's: a valuation per proposition and, for the
+    powerset functor, each state's structure value moved to the classes
+    (counted at `fuzzyset._init`)."""
+    doc = _explicit_documents()[name]
+    path = str(tmp_path / f"{name}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    made, init = [0], fuzzyset._init
+
+    def counting_init(*args):
+        made[0] += 1
+        init(*args)
+
+    def count(argv):
+        made[0] = 0
+        assert run_command(argv + ["-m", path]) == 0, (argv, capsys.readouterr().err)
+        return made[0]
+
+    monkeypatch.setattr(fuzzyset, "_init", counting_init)
+    validate = count(["validate"])
+    for argv in (["bisim", "greatest", "-n", path], ["bisim", "check", "-n", path, "-r", "diag"],
+                 ["classes", "--depth", "3"]):
+        assert count(argv) <= validate, argv
+    own = len(doc["valuation"]) + (len(doc["carrier"]) if doc["functor"] != "identity" else 0)
+    for argv in (["quotient"], ["--json", "quotient"]):
+        assert count(argv) <= validate + own, argv
