@@ -238,12 +238,15 @@ def _table(m1: Model, m2: Model, sig: Signature, primes: tuple[int, ...], basis:
     state's signature on either side: its fields, over the rows, of the
     packed lifts along its sigma (`Model._lifted`). Without `basis`, or
     for a lifting that keeps neither, every coherent tuple, under the
-    guard."""
+    guard, which refuses as soon as the coherent pairs pass it, before
+    they are all closed, reporting its bound + 1."""
     d, w2 = m1.space.lattice.den, len(m2.space.primes)
     mask, members, rows, lefts, rights = (1 << w2) - 1, {}, [], [], []
     for lifting in sig.liftings:
         if (kind := lifting.keeps if basis else None) not in members:
-            members[kind] = sorted(_read_on(kind, primes, len(primes)))
+            if (found := _read_on(kind, primes, len(primes), max_tuples)) is None:
+                raise ResourceLimitError("coherent tuple enumeration", max_tuples + 1, max_tuples)
+            members[kind] = sorted(found)
         if kind is None and (total := len(members[kind]) ** lifting.arity) > max_tuples:
             raise ResourceLimitError("coherent tuple enumeration", total, max_tuples)
         lift1, lift2 = m1._lifted(lifting), m2._lifted(lifting)

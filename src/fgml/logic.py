@@ -268,14 +268,12 @@ class Model:
 
     def _lifted(self, lifting: Lifting) -> Callable[..., int]:
         """The packed lift along sigma, from packed arguments to the packed
-        sigma^-1(lambda(args)), made once per lifting and shared by every
-        reader of the model: the lifting's own kernel (`Lifting._packed`),
-        or for one without, `apply` on the arguments made fuzzy sets."""
-        lifts, (space, sigma) = vars(self).setdefault("_lifts", {}), (self.space, self.sigma)
+        sigma^-1(lambda(args)): the lifting's kernel along sigma
+        (`Lifting.kernel`), made once per lifting and shared by every
+        reader of the model."""
+        lifts = vars(self).setdefault("_lifts", {})
         if (lift := lifts.get(lifting)) is None:
-            lift = lifts[lifting] = lifting._packed(space, sigma) if lifting._packed else (
-                lambda *args: inverse_image(sigma, lifting.apply(space, [
-                    _from_bits(space.carrier, space.lattice, a) for a in args], sigma.target)).bits)
+            lift = lifts[lifting] = lifting.kernel(self.space, self.sigma)
         return lift
 
 

@@ -22,8 +22,14 @@ of the complement rows joined with the same constants (`_lift`). So
 at most n*d sets per lifting generate the image topology, which
 `on_space` generates from them and closes only when its opens are read.
 The same rows over a structure map's values give the lift of any packed
-mu pulled back along it, which is how every reader of a model reads a
-built-in lifting (`Lifting._packed`).
+mu pulled back along it.
+
+A lifting is one packed kernel (`Lifting.kernel`): for a space S and a
+map f into values of T S, it maps packed arguments on S to the packed
+f^-1(lambda(args)) on f's source. Every reader reads it so: a model
+along its sigma (`Model._lifted`), `apply` along the identity of the
+carrier of values it is read at, `sig check` once per lifting and
+carrier, and the image subbasis along the map it is pulled back along.
 A functor without a subbasis of its own gives every open of `on_space`.
 A map f into T S is fuzzy continuous iff every subbasis member pulls
 back to an open, provided the source opens form a topology: inverse
@@ -60,12 +66,9 @@ from .fuzzyset import (
     _pack,
     all_fuzzy_sets,
     direct_image,
-    fs_complement,
-    fs_leq,
-    inverse_image,
 )
 from .grades import GradeLattice
-from .topology import FuzzySpace, _coprimes, generate_topology, is_continuous
+from .topology import FuzzySpace, _coprimes, is_continuous
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ def _back(carrier: Carrier, f: CarrierMap) -> Sequence[tuple[int, int]]:
 def _lifted_basis(kernels: Iterable[tuple[str, Callable]], space: FuzzySpace, f: CarrierMap,
                   every_open: bool) -> list[int]:
     """For each (keeps, packed kernel) of a generating lifting, the packed
-    lifts along f (`Lifting._packed`) of the basis of S it keeps, in bits
+    lifts along f (`Lifting.kernel`) of the basis of S it keeps, in bits
     order: the distinct primes for joins, the co-primes for meets; or of
     every open."""
     width = len(space.carrier) * space.lattice.den
@@ -139,7 +142,10 @@ def image_subbasis(functor: FunctorInstance, space: FuzzySpace, at: Carrier,
 
 @dataclass(frozen=True)
 class Lifting:
-    """n-ary modal lifting: opens on S to a fuzzy set on values of T S.
+    """n-ary modal lifting: opens on S to a fuzzy set on values of T S,
+    given by its packed kernel alone. `kernel(space, f)`, for a map f into
+    values of T S, maps packed arguments on S to the packed
+    f^-1(lambda(args)) on f's source.
 
     Outputs are opens of the image space whenever the lifting belongs to
     the generating signature; derived duals may fall outside the image
@@ -150,18 +156,13 @@ class Lifting:
     on that basis (`topology._read_on`): the Sigma-bisimulation checks on
     one of the coherent pairs (`bisim`), modal equivalence on one of the
     definable opens (`logic`). None, the default, claims nothing.
-
-    `_packed`, set only by the built-in functors, is the lifting's packed
-    kernel: `_packed(space, sigma)` maps packed arguments to the packed
-    sigma^-1(lambda(args)), which `Model._lifted` reads.
     """
 
     name: str
     arity: int
     functor: FunctorInstance
-    _raw: Callable[[FuzzySpace, tuple[FuzzySet, ...], Carrier], FuzzySet]
+    kernel: Callable[[FuzzySpace, CarrierMap], Callable[..., int]]
     keeps: str | None = None
-    _packed: Callable[[FuzzySpace, CarrierMap], Callable[..., int]] | None = None
 
     def __post_init__(self):
         if self.keeps not in (None, "joins", "meets"):
@@ -183,9 +184,11 @@ class Lifting:
     def apply(self, space: FuzzySpace, args: Sequence[FuzzySet],
               at: Carrier | None = None) -> FuzzySet:
         """The lifting's values at each element of `at`, a carrier of
-        values of T S; all of T S when omitted."""
-        return self._raw(space, self._checked(space, args),
-                         image_elements(self.functor, space) if at is None else at)
+        values of T S; all of T S when omitted: the kernel along the
+        identity of `at`."""
+        at = image_elements(self.functor, space) if at is None else at
+        bits = (a.bits for a in self._checked(space, args))
+        return _from_bits(at, space.lattice, self.kernel(space, CarrierMap.identity(at))(*bits))
 
 
 @dataclass(frozen=True)
@@ -209,8 +212,8 @@ class Signature:
 def identity_functor() -> tuple[FunctorInstance, Signature]:
     """T S = S and T f = f, with the identity lifting named "id"; the
     image subbasis is the distinct primes, or the opens, pulled back
-    along the given map into the states, and so is the packed lift of
-    "id" along a structure map."""
+    along the given map into the states, and the kernel of "id" is that
+    pullback."""
 
     def pullback(space: FuzzySpace, sigma: CarrierMap) -> Callable[[int], int]:
         d, back = space.lattice.den, _back(space.carrier, sigma)
@@ -219,11 +222,7 @@ def identity_functor() -> tuple[FunctorInstance, Signature]:
     functor = FunctorInstance(name="identity", on_space=lambda space: space,
                               on_map=lambda f, source, target: f,
                               subbasis=partial(_lifted_basis, [("joins", pullback)]))
-    # an identity model's sigma goes into S, so its lifts are read at the states themselves
-    lifting = Lifting("id", 1, functor, lambda space, args, at: args[0] if at == space.carrier
-                      else inverse_image(CarrierMap(at, space.carrier, at.elements), args[0]),
-                      "joins", pullback)
-    return functor, Signature(functor, (lifting,))
+    return functor, Signature(functor, (Lifting("id", 1, functor, pullback, "joins"),))
 
 
 def fuzzy_powerset_functor(lattice: GradeLattice,
@@ -242,9 +241,9 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     signature characteristic for the functor; `subbasis` returns, pulled
     back along the given map and without generating the topology, dia's
     images of the primes and box's of the co-primes, which generate it
-    too, or the images of every open. The packed lift of dia or box
-    along a structure map is `_lift` on the rows of sigma's values, the
-    lift and its pullback in one pass.
+    too, or the images of every open. The kernel of dia or box along a
+    map f is `_lift` on the rows of f's values, the lift and its pullback
+    in one pass.
     """
     mods = tuple(modalities)
     for m in mods:
@@ -255,16 +254,14 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
 
     # each image by its space, held weakly: an entry goes when its space dies
     images: weakref.WeakKeyDictionary[FuzzySpace, FuzzySpace] = weakref.WeakKeyDictionary()
-    # the `_rows` of each carrier of values lifted at, by identity, while it lives
-    rows_cache: dict[int, tuple[list[int], list[int], int]] = {}
 
-    def packed(kind: str, space: FuzzySpace, sigma: CarrierMap) -> Callable[[int], int]:
-        rows = _rows(sigma.assignment, len(space.carrier), lattice.den, kind == "box")
+    def kernel(kind: str, space: FuzzySpace, f: CarrierMap) -> Callable[[int], int]:
+        rows = _rows(f.assignment, len(space.carrier), lattice.den, kind == "box")
         return lambda mu: _lift(kind, rows, mu, lattice.den)
 
-    # each modality's (keeps, packed kernel): the subbasis reads these, not the
+    # each modality's (keeps, kernel): the subbasis reads these, not the
     # liftings, which refer to the functor, so that no cycle keeps the functor alive
-    kernels = [({"dia": "joins", "box": "meets"}[m], partial(packed, m)) for m in mods]
+    kernels = [({"dia": "joins", "box": "meets"}[m], partial(kernel, m)) for m in mods]
 
     def subbasis(space: FuzzySpace, f: CarrierMap, every_open: bool) -> list[int]:
         for nu in f.target:
@@ -284,18 +281,8 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     functor = FunctorInstance(
         name="fuzzy-powerset", on_space=on_space,
         on_map=lambda f, source, target: partial(direct_image, f), subbasis=subbasis)
-
-    def lifting(kind: str) -> Callable[[FuzzySpace, tuple[FuzzySet, ...], Carrier], FuzzySet]:
-        def raw(space: FuzzySpace, args: tuple[FuzzySet, ...], at: Carrier) -> FuzzySet:
-            if (rows := rows_cache.get(id(at))) is None:
-                rows = rows_cache[id(at)] = _rows(at.elements, len(space.carrier), lattice.den,
-                                                  "box" in mods)
-                weakref.finalize(at, rows_cache.pop, id(at))
-            return _from_bits(at, lattice, _lift(kind, rows, args[0].bits, lattice.den))
-        return raw
-
-    liftings = tuple(Lifting(m, 1, functor, lifting(m), *kernel) for m, kernel in zip(mods, kernels))
-    return functor, Signature(functor, liftings)
+    return functor, Signature(functor, tuple(
+        Lifting(m, 1, functor, k, keeps) for m, (keeps, k) in zip(mods, kernels)))
 
 
 def _rows(values: Sequence[FuzzySet], n: int, d: int,
@@ -333,13 +320,17 @@ def _lift(kind: str, rows: tuple[list[int], list[int], int], mu: int, d: int) ->
 
 def dual_lifting(l: Lifting) -> Lifting:
     """Pointwise complement of the lifting applied to complemented arguments;
-    the complement swaps joins and meets, and so what the dual keeps."""
+    the complement swaps joins and meets, and so what the dual keeps. A
+    pullback keeps complements, so the dual's kernel complements the
+    arguments over S and the result over f's source."""
 
-    def raw(space: FuzzySpace, args: tuple[FuzzySet, ...], at: Carrier) -> FuzzySet:
-        return fs_complement(l.apply(space, tuple(fs_complement(a) for a in args), at))
+    def kernel(space: FuzzySpace, f: CarrierMap) -> Callable[..., int]:
+        lift, n, d = l.kernel(space, f), len(space.carrier), space.lattice.den
+        return lambda *args: _complement(lift(*(_complement(a, n, d) for a in args)),
+                                         len(f.source), d)
 
     swap = {"joins": "meets", "meets": "joins", None: None}
-    return Lifting(f"dual_{l.name}", l.arity, l.functor, raw, swap[l.keeps])
+    return Lifting(f"dual_{l.name}", l.arity, l.functor, kernel, swap[l.keeps])
 
 
 @dataclass(frozen=True)
@@ -351,46 +342,55 @@ class LiftingCheck:
         return self.ok
 
 
+def _lifted_table(l: Lifting, space: FuzzySpace, f: CarrierMap,
+                  opens: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """Each tuple of the packed opens, in order, with its packed lift
+    along f: one kernel for the lifting and f."""
+    lift = l.kernel(space, f)
+    return [(args, lift(*args)) for args in product(opens, repeat=l.arity)]
+
+
+def _strs(space: FuzzySpace, args: Sequence[int]) -> tuple[str, ...]:
+    return tuple(str(_from_bits(space.carrier, space.lattice, a)) for a in args)
+
+
 def check_monotone(l: Lifting, space: FuzzySpace) -> LiftingCheck:
     """Pointwise order preservation over every comparable open tuple; the
-    lifting is applied once per tuple, at all of T S."""
+    lifting is read once per tuple, at all of T S, on packed ints."""
     at = image_elements(l.functor, space)
-    table = [(args, l.apply(space, args, at))
-             for args in product(space.sorted_opens(), repeat=l.arity)]
+    table = _lifted_table(l, space, CarrierMap.identity(at), sorted(space.packed))
     for lo, lo_value in table:
         for hi, hi_value in table:
-            if all(fs_leq(a, b) for a, b in zip(lo, hi)) \
-                    and not fs_leq(lo_value, hi_value):
+            if not any(a & ~b for a, b in zip(lo, hi)) and lo_value & ~hi_value:
                 return LiftingCheck(
-                    False,
-                    f"{l.name} not monotone on "
-                    f"{tuple(map(str, lo))} <= {tuple(map(str, hi))}")
+                    False, f"{l.name} not monotone on {_strs(space, lo)} <= {_strs(space, hi)}")
     return LiftingCheck(True)
 
 
 def check_natural(l: Lifting, f: CarrierMap, source: FuzzySpace,
                   target: FuzzySpace) -> LiftingCheck:
     """Naturality square for one continuous map, on every open tuple, at
-    all of T S."""
+    all of T S: the lift at T S of the pulled-back opens against the lift
+    along T f, each one kernel, on packed ints."""
     if not is_continuous(f, source, target):
         raise DiscontinuousMapError("check_natural requires a fuzzy continuous map")
     at = image_elements(l.functor, source)
     image_map = CarrierMap(at, image_elements(l.functor, target),
                            tuple(map(l.functor.on_map(f, source, target), at)))
-    for args in product(target.sorted_opens(), repeat=l.arity):
-        lhs = l.apply(source, tuple(inverse_image(f, a) for a in args), at)
-        rhs = inverse_image(image_map, l.apply(target, args, image_map.target))
-        if lhs != rhs:
-            return LiftingCheck(
-                False,
-                f"{l.name} naturality fails on opens {tuple(map(str, args))}")
+    lhs, d = l.kernel(source, CarrierMap.identity(at)), target.lattice.den
+    for args, rhs in _lifted_table(l, target, image_map, sorted(target.packed)):
+        if lhs(*(_fields_along(a, d, f._back) for a in args)) != rhs:
+            return LiftingCheck(False, f"{l.name} naturality fails on opens {_strs(target, args)}")
     return LiftingCheck(True)
 
 
 def check_characteristic(sig: Signature, space: FuzzySpace,
                          max_size: int = DEFAULT_MAX_SIZE) -> bool:
-    """The liftings' images over opens generate exactly the image topology."""
+    """The liftings' images over opens generate exactly the image topology,
+    under the guard of `generate_topology`."""
     image_space = sig.functor.on_space(space)
-    gens = [l.apply(space, args, image_space.carrier) for l in sig.liftings
-            for args in product(space.sorted_opens(), repeat=l.arity)]
-    return generate_topology(image_space.carrier, space.lattice, gens, max_size) == image_space
+    every = CarrierMap.identity(image_space.carrier)
+    gens = {v for l in sig.liftings for _, v in _lifted_table(l, space, every, sorted(space.packed))}
+    generated = FuzzySpace._generate(image_space.carrier, space.lattice, gens, lambda: gens, max_size)
+    generated.packed  # closed now: the guard trips here
+    return generated == image_space

@@ -230,18 +230,19 @@ def _up(primes: tuple[int, ...], x: int) -> int:
     return out
 
 
-def _read_on(keeps: str | None, primes: Iterable[int], width: int) -> set[int]:
+def _read_on(keeps: str | None, primes: Iterable[int], width: int,
+             limit: int | None = None) -> set[int] | None:
     """The packed members of the topology with these primes on which a
     lifting that keeps `keeps` is read. One that keeps "joins" is known on
     the distinct primes and 0, as every open is the join of the primes
     below it (0 for none); one that keeps "meets" on the co-primes and 1,
     as every open is the meet of the co-primes above it (1 for none); any
-    other lifting on every open."""
+    other lifting on every open, or None once they pass `limit`."""
     if keeps == "joins":
         return set(primes) | {0}
     if keeps == "meets":
         return set(_coprimes(primes, width)) | {(1 << width) - 1}
-    return _closure(primes, 1 << width)
+    return _closure(primes, 1 << width if limit is None else limit)
 
 
 def is_topology(space: FuzzySpace) -> TopologyCheck:

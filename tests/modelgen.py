@@ -16,6 +16,7 @@ from fgml import (
     Carrier,
     CarrierMap,
     FuzzySet,
+    Lifting,
     Modal,
     Model,
     Or,
@@ -36,7 +37,7 @@ from fgml import (
     validate_model,
 )
 from fgml.frames import FiniteFrame
-from fgml.fuzzyset import DEFAULT_MAX_SIZE
+from fgml.fuzzyset import DEFAULT_MAX_SIZE, _from_bits
 from fgml.topology import FuzzySpace
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
@@ -357,6 +358,21 @@ def eager_model(m: Model, sig: Signature) -> Model:
     image = image_elements(sig.functor, m.space)
     return Model(m.space, CarrierMap(m.space.carrier, image, m.sigma.assignment),
                  m.valuation)
+
+
+def fuzzy_lifting(name: str, arity: int, functor, raw, keeps=None) -> Lifting:
+    """A lifting given on fuzzy sets: `raw(space, args, at)` is its value
+    at each element of `at`, a carrier of values of T S. Its kernel makes
+    the packed arguments fuzzy sets, reads `raw` at f's target and pulls
+    the result back along f."""
+
+    def kernel(space: FuzzySpace, f: CarrierMap):
+        def lift(*args: int) -> int:
+            sets = tuple(_from_bits(space.carrier, space.lattice, a) for a in args)
+            return inverse_image(f, raw(space, sets, f.target)).bits
+        return lift
+
+    return Lifting(name, arity, functor, kernel, keeps)
 
 
 def all_maps(source: Carrier, target: Carrier) -> list[CarrierMap]:

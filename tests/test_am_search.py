@@ -12,8 +12,10 @@ topology read at those values.
 """
 
 import dataclasses
+import gc
 import json
 import re
+import weakref
 from itertools import product
 
 import pytest
@@ -220,21 +222,19 @@ def test_am_never_builds_t_r_or_the_relation_space(monkeypatch, tmp_path):
     assert expected.count(0) >= 3
 
 
-def test_dia_rows_die_with_their_carrier_of_values():
-    """`dia` keeps its rows per carrier of values it is read at, by
-    identity, only while that carrier lives: repeated library checks,
-    and `apply` at one carrier that lives and at a new one each time,
-    leave one entry."""
+def test_carriers_of_values_die_once_apply_returns():
+    """A lifting keeps nothing of the carrier of values it is read at: each
+    carrier that `apply` reads `dia` at, between repeated library checks,
+    can be collected once `apply` returns."""
     m, sig = next((m, sig) for m, sig in powerset_zoo(2, dens=(2,)) if len(m.space.carrier) == 2)
-    dia = sig.lifting("dia")._raw
-    rows_cache = dia.__closure__[dia.__code__.co_freevars.index("rows_cache")].cell_contents
     rels = list(relations(m.space.carrier, m.space.carrier))
     assert len(rels) == 16
-    sizes, at = [], Carrier(m.sigma.target.elements)  # `at` lives through the loop
-    for _ in range(4):
-        for rel in rels:
-            is_am_bisimulation(rel, m, m, sig)
-            sig.lifting("dia").apply(m.space, [m.space.top_open], at)
-            sig.lifting("dia").apply(m.space, [m.space.top_open], Carrier(at.elements))
-        sizes.append(len(rows_cache))
-    assert sizes == [1] * 4, sizes
+    dia, refs = sig.lifting("dia"), []
+    for rel in rels:
+        is_am_bisimulation(rel, m, m, sig)
+        at = Carrier(m.sigma.target.elements)
+        assert dia.apply(m.space, [m.space.top_open], at).carrier is at
+        refs.append(weakref.ref(at))
+        del at
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(rels)

@@ -19,7 +19,7 @@ from fgml import (
     make_lattice,
 )
 from fgml.errors import CarrierMismatchError, LatticeMismatchError, PreconditionError
-from fgml.signature import Lifting, Signature
+from fgml.signature import Signature
 from fgml.topology import generate_topology, indiscrete_space
 
 from bisim_oracles import (
@@ -30,6 +30,7 @@ from bisim_oracles import (
 from modelgen import (
     complete_identity_model,
     duplicate_state,
+    fuzzy_lifting,
     identity_zoo,
     m1_model,
     powerset_zoo,
@@ -365,8 +366,7 @@ def test_am_suite_requires_monotone():
     functor, _ = identity_functor()
     from fgml.fuzzyset import fs_complement
 
-    antitone = Lifting("neg", 1, functor,
-                       lambda space, args, at: fs_complement(args[0]))
+    antitone = fuzzy_lifting("neg", 1, functor, lambda space, args, at: fs_complement(args[0]))
     sig = Signature(functor, (antitone,))
     carrier = Carrier(("a",))
     vp = FuzzySet.constant(carrier, D2, D2.grade(2))

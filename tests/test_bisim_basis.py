@@ -5,7 +5,13 @@ witness lists against the full table and against the pair-dropping
 refinement on fuzzy-set lifts, over zoo models and models on random
 topologies."""
 
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
+import time
 from functools import cache
 from itertools import product
 from operator import and_, or_
@@ -43,6 +49,8 @@ from modelgen import (
     FIXTURES,
     complete_identity_model,
     complete_powerset_model,
+    fuzzy_lifting,
+    generated_chain_document,
     identity_zoo,
     powerset_zoo,
 )
@@ -205,8 +213,8 @@ def _neg(sig):
     """The antitone complement of the first lifting, which declares
     nothing and so takes the full table."""
     first = sig.liftings[0]
-    return Lifting("neg", 1, sig.functor,
-                   lambda space, args, at: fs_complement(first.apply(space, args, at)))
+    return fuzzy_lifting("neg", 1, sig.functor,
+                         lambda space, args, at: fs_complement(first.apply(space, args, at)))
 
 
 def _but(sig):
@@ -214,7 +222,7 @@ def _but(sig):
     the complement of the first lifting of its second: antitone in the
     second argument, declaring nothing."""
     first = sig.liftings[0]
-    return Lifting("but", 2, sig.functor, lambda space, args, at: fs_meet(
+    return fuzzy_lifting("but", 2, sig.functor, lambda space, args, at: fs_meet(
         first.apply(space, args[:1], at), fs_complement(first.apply(space, args[1:], at))))
 
 
@@ -289,12 +297,12 @@ def test_keeps_is_declared_not_named():
     _, both = fuzzy_powerset_functor(make_lattice(2), ("dia", "box"))
     assert [l.keeps for l in both.liftings] == ["joins", "meets"]
     assert [dual_lifting(l).keeps for l in both.liftings] == ["meets", "joins"]
-    by_hand = Lifting("dia", 1, functor, sig.liftings[0]._raw)
+    by_hand = Lifting("dia", 1, functor, sig.liftings[0].kernel)
     assert by_hand.keeps is None
     with pytest.raises(ValueError):
-        Lifting("pair", 2, functor, sig.liftings[0]._raw, keeps="joins")
+        Lifting("pair", 2, functor, sig.liftings[0].kernel, keeps="joins")
     with pytest.raises(ValueError):
-        Lifting("id", 1, functor, sig.liftings[0]._raw, keeps="both")
+        Lifting("id", 1, functor, sig.liftings[0].kernel, keeps="both")
 
 
 def test_basis_answers_where_the_tuple_guard_refused(capsys):
@@ -309,6 +317,42 @@ def test_basis_answers_where_the_tuple_guard_refused(capsys):
     path = f"{FIXTURES}/dia_d2n5.json"
     assert run_command(["--max-size", "16", "bisim", "greatest", "-m", path, "-n", path]) == 0
     assert capsys.readouterr().out.split("\n")[:-1] == [f"{a} {b}" for a, b in greatest.sorted_pairs()]
+
+
+def test_tuple_guard_refuses_before_every_pair_is_closed(tmp_path, capsys):
+    # a negative `bisim check` lists witnesses on every coherent pair; the
+    # guard refuses once their closure passes it, not after closing them
+    # all (1.7 million pairs at n = 8, out of memory at n = 10)
+    def chain(n: int) -> str:
+        doc = generated_chain_document(2, n)
+        doc["relations"]["pair"] = [["s0", "s1"]]
+        path = tmp_path / f"chain{n}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    argv = ["bisim", "check", "-r", "pair", "-m", chain(10), "-n", chain(10)]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    limit = (1 << 30, 1 << 30)  # a run that closes every pair fails here, not the machine
+    proc = subprocess.run([sys.executable, "-m", "fgml", *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    assert proc.returncode == 2
+    assert "coherent tuple enumeration needs 4097 entries" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    start = time.perf_counter()
+    assert run_command(argv) == 2
+    assert time.perf_counter() - start < 1
+    capsys.readouterr()
+    # past the default guard at n = 5; a raised one lists the oracle's witnesses
+    lm = load_model(path := chain(5))
+    m, sig = lm.model, lm.signature
+    rel = Relation.of(m.space.carrier, m.space.carrier, lm.relations["pair"])
+    report = is_sigma_bisimulation(rel, m, m, sig, 10 ** 5)
+    assert report.witnesses == basis_sigma_check(rel, m, m, sig, 10 ** 5).witnesses
+    assert run_command(["bisim", "check", "-r", "pair", "-m", path, "-n", path]) == 2
+    assert run_command(["--max-size", str(10 ** 5), "bisim", "check", "-r", "pair",
+                        "-m", path, "-n", path]) == 1
+    assert capsys.readouterr().out == str(report) + "\n"
 
 
 def test_same_document_is_loaded_once(monkeypatch, capsys):

@@ -24,7 +24,6 @@ from fgml import (
     Carrier,
     FuzzySet,
     Grade,
-    Lifting,
     Modal,
     Or,
     Prop,
@@ -56,6 +55,7 @@ from fgml.topology import FuzzySpace, TopologyCheck
 from modelgen import (
     complete_identity_model,
     complete_powerset_model,
+    fuzzy_lifting,
     identity_zoo,
     powerset_zoo,
     pullback_closed_document,
@@ -358,20 +358,20 @@ def _signatures(sig, binary=False):
     yield sig
     yield Signature(sig.functor, ())
     yield Signature(sig.functor, sig.liftings + tuple(map(dual_lifting, sig.liftings)))
-    neg = Lifting("neg", 1, sig.functor,
-                  lambda space, args, at: fs_complement(first.apply(space, args, at)))
+    neg = fuzzy_lifting("neg", 1, sig.functor,
+                        lambda space, args, at: fs_complement(first.apply(space, args, at)))
     yield Signature(sig.functor, (neg,))
     yield Signature(sig.functor, sig.liftings + (neg,))
-    yield Signature(sig.functor, (Lifting(
+    yield Signature(sig.functor, (fuzzy_lifting(
         "of_not", 1, sig.functor,
         lambda space, args, at: first.apply(space, (fs_complement(args[0]),), at)),))
     if binary:
-        yield Signature(sig.functor, (Lifting(
+        yield Signature(sig.functor, (fuzzy_lifting(
             "but", 2, sig.functor,
             lambda space, args, at: fs_meet(
                 first.apply(space, args[:1], at),
                 fs_complement(first.apply(space, args[1:], at)))),))
-    yield Signature(sig.functor, (Lifting(
+    yield Signature(sig.functor, (fuzzy_lifting(
         "both_ways", 1, sig.functor, lambda space, args, at: fs_meet(
             first.apply(space, args, at), first.apply(space, (fs_complement(args[0]),), at))),))
 

@@ -22,16 +22,17 @@ from fgml import (
     fs_join,
     fs_leq,
     fs_meet,
+    dual_lifting,
     fuzzy_powerset_functor,
     inverse_image,
     make_lattice,
     relation_image,
     relation_preimage,
 )
-from fgml.fuzzyset import all_fuzzy_sets
+from fgml.fuzzyset import _from_bits, all_fuzzy_sets
 from fgml.grades import Grade, complement, join, meet
 
-from modelgen import identity_zoo, powerset_zoo
+from modelgen import fuzzy_lifting, identity_zoo, powerset_zoo
 
 
 def ref_meet(a, b):
@@ -54,24 +55,26 @@ def ref_subsets(n, lattice):
     return list(product(lattice.values, repeat=n))
 
 
+def ref_dia_at(nu, mu, lattice):
+    g = lattice.bottom
+    for a, b in zip(nu, mu):
+        g = join(g, meet(a, b))
+    return g
+
+
+def ref_box_at(nu, mu, lattice):
+    g = lattice.top
+    for a, b in zip(nu, mu):
+        g = meet(g, join(complement(a), b))
+    return g
+
+
 def ref_dia(mu, n, lattice):
-    out = []
-    for nu in ref_subsets(n, lattice):
-        g = lattice.bottom
-        for a, b in zip(nu, mu):
-            g = join(g, meet(a, b))
-        out.append(g)
-    return tuple(out)
+    return tuple(ref_dia_at(nu, mu, lattice) for nu in ref_subsets(n, lattice))
 
 
 def ref_box(mu, n, lattice):
-    out = []
-    for nu in ref_subsets(n, lattice):
-        g = lattice.top
-        for a, b in zip(nu, mu):
-            g = meet(g, join(complement(a), b))
-        out.append(g)
-    return tuple(out)
+    return tuple(ref_box_at(nu, mu, lattice) for nu in ref_subsets(n, lattice))
 
 
 def ref_direct_image(f, a, lattice):
@@ -209,6 +212,46 @@ def test_structure_map_pullbacks_match_reference(zoo):
         for o in image.sorted_opens():
             _same(inverse_image(sigma, o), m.space.carrier, m.space.lattice,
                   ref_inverse_image(sigma, o.grades))
+
+
+def _ref_lift(name, mu, space):
+    """The reference lift of the grades mu at every value of T S, in the
+    carrier order of `on_space`: mu itself for "id"."""
+    n, lattice = len(space.carrier), space.lattice
+    return mu if name == "id" else {"dia": ref_dia, "box": ref_box}[name](mu, n, lattice)
+
+
+def _by_hand(lifting):
+    """The lifting rebuilt on fuzzy sets from the reference, through the
+    test adapter `fuzzy_lifting`: its grade at each value read at."""
+    def raw(space, args, at):
+        mu, lattice = args[0].grades, space.lattice
+        if lifting.name == "id":
+            return FuzzySet(at, lattice, tuple(mu[space.carrier.index(s)] for s in at))
+        ref = {"dia": ref_dia_at, "box": ref_box_at}[lifting.name]
+        return FuzzySet(at, lattice, tuple(ref(nu.grades, mu, lattice) for nu in at))
+    return fuzzy_lifting(f"{lifting.name}_by_hand", 1, lifting.functor, raw, lifting.keeps)
+
+
+def test_kernels_along_sigma_match_the_reference_lift(zoo):
+    """Each lifting's kernel along sigma, its dual's and its rebuilt
+    `fuzzy_lifting`'s, against the pullback along sigma of the reference
+    lift at all of T S (for the dual, of the complement of the reference
+    lift of the complement)."""
+    for m, sig in zoo:
+        space, lattice = m.space, m.space.lattice
+        image = sig.functor.on_space(space)
+        sigma = CarrierMap(space.carrier, image.carrier, m.sigma.assignment)
+        for lifting in sig.liftings:
+            kernels = [lifting.kernel(space, m.sigma), _by_hand(lifting).kernel(space, m.sigma)]
+            dual = dual_lifting(lifting).kernel(space, m.sigma)
+            for mu in space.sorted_opens():
+                want = ref_inverse_image(sigma, _ref_lift(lifting.name, mu.grades, space))
+                for kernel in kernels:
+                    assert _from_bits(space.carrier, lattice, kernel(mu.bits)).grades == want
+                dual_want = ref_inverse_image(sigma, ref_complement(
+                    _ref_lift(lifting.name, ref_complement(mu.grades), space)))
+                assert _from_bits(space.carrier, lattice, dual(mu.bits)).grades == dual_want
 
 
 @pytest.mark.parametrize("d, n", [(1, 0), (1, 4), (2, 3), (3, 3), (4, 2)])

@@ -4,13 +4,15 @@ The quotient topology keeps the images of the saturated opens; the
 reference is the filter over `direct_image` and `inverse_image` objects
 (`modelgen.oracle_quotient_opens`). Grades are written through a table of
 strings indexed by numerator; the reference is `str` of each `Grade`.
-The text and `--json` outputs of `quotient` and `classes --depth 3` on
-each loadable fixture are pinned byte for byte in `golden/outputs.json`
+The text and `--json` outputs of `quotient`, `classes --depth 3` and
+`sig check`, at the default and a raised guard, on each loadable fixture
+are pinned byte for byte in `golden/outputs.json`
 (`m1_dup.json` and `chain_d1n8.json` have modally equivalent states, so
 merging quotients are pinned too, and `spread_d2n6.json` merges states
 that are not adjacent, three of them in one class), and on the generated
 chain `generated_chain_d2n8.json` so are `eval`, `classes --depth 2`,
-`validate`, the three `bisim` commands and `duality`, with any stderr;
+`validate`, the three `bisim` commands and `duality`, with any stderr,
+and on `m1.json` the negative `bisim check -r cross` with its witnesses;
 `python tests/test_quotient_writer.py` rewrites that file from the
 current code, for a change that means to alter those outputs.
 """
@@ -105,10 +107,15 @@ def _fixtures():
 
 
 def _commands(name: str) -> list[list[str]]:
-    """The pinned commands on one fixture: `quotient` and `classes --depth
-    3`, and on a generated chain (`modelgen.generated_chain_document`)
-    every command that reads a space, each model against itself."""
-    commands = [["quotient"], ["classes", "--depth", "3"]]
+    """The pinned commands on one fixture: `quotient`, `classes --depth
+    3` and `sig check`, the last also under a raised guard; the negative
+    `bisim check -r cross` on `m1.json`; and on a generated chain
+    (`modelgen.generated_chain_document`) every command that reads a
+    space, each model against itself."""
+    commands = [["quotient"], ["classes", "--depth", "3"], ["sig", "check"],
+                ["--max-size", "100000", "sig", "check"]]
+    if name == "m1.json":
+        commands.append(["bisim", "check", "-r", "cross"])
     if name.startswith("generated_chain"):
         commands += [["eval", "-f", "<id>(p)"], ["classes", "--depth", "2"], ["validate"],
                      ["bisim", "greatest"], ["bisim", "check", "-r", "diag"],

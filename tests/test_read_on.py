@@ -30,7 +30,7 @@ def _cases():
 
 def _undeclared(sig):
     """The same liftings, declaring nothing, so read on every open."""
-    return Signature(sig.functor, tuple(Lifting(l.name, l.arity, l.functor, l._raw)
+    return Signature(sig.functor, tuple(Lifting(l.name, l.arity, l.functor, l.kernel)
                                         for l in sig.liftings))
 
 

@@ -20,8 +20,10 @@ from fgml import (
 )
 from fgml.errors import DiscontinuousMapError, ResourceLimitError, UnknownModalityError
 from fgml.fuzzyset import all_fuzzy_sets
-from fgml.signature import Lifting, Signature
+from fgml.signature import Signature
 from fgml.topology import discrete_space, indiscrete_space
+
+from modelgen import fuzzy_lifting
 
 D1 = make_lattice(1)
 D2 = make_lattice(2)
@@ -124,7 +126,7 @@ def test_antitone_lifting_reported():
     functor, sig = identity_functor()
     from fgml.fuzzyset import fs_complement
 
-    antitone = Lifting("neg", 1, functor, lambda space, args, at: fs_complement(args[0]))
+    antitone = fuzzy_lifting("neg", 1, functor, lambda space, args, at: fs_complement(args[0]))
     space = discrete_space(XY, D2)
     check = check_monotone(antitone, space)
     assert not check.ok
@@ -186,7 +188,7 @@ def test_broken_lifting_fails_naturality():
         first = args[0](space.carrier.elements[0])
         return FuzzySet.constant(good.carrier, D2, first)
 
-    lifting = Lifting("broken", 1, functor, broken)
+    lifting = fuzzy_lifting("broken", 1, functor, broken)
     space = generate_topology(XY, D2, [fs(XY, D2, 2, 1), fs(XY, D2, 1, 2)])
     swap = CarrierMap(XY, XY, ("y", "x"))
     assert is_continuous(swap, space, space)
