@@ -243,14 +243,11 @@ def _table(m1: Model, m2: Model, sig: Signature, primes: tuple[int, ...], basis:
     d, w2 = m1.space.lattice.den, len(m2.space.primes)
     mask, members, rows, lefts, rights = (1 << w2) - 1, {}, [], [], []
     for lifting in sig.liftings:
-        if (kind := lifting.keeps if basis else None) not in members:
-            if (found := _read_on(kind, primes, len(primes), max_tuples)) is None:
-                raise ResourceLimitError("coherent tuple enumeration", max_tuples + 1, max_tuples)
-            members[kind] = sorted(found)
-        if kind is None and (total := len(members[kind]) ** lifting.arity) > max_tuples:
-            raise ResourceLimitError("coherent tuple enumeration", total, max_tuples)
+        if (key := (lifting.keeps if basis else None, lifting.arity)) not in members:
+            members[key] = sorted(_read_on(key[0], primes, len(primes), max_tuples,
+                                           lifting.arity, "coherent tuple enumeration"))
         lift1, lift2 = m1._lifted(lifting), m2._lifted(lifting)
-        for combo in product(members[kind], repeat=lifting.arity):
+        for combo in product(members[key], repeat=lifting.arity):
             mus, etas = tuple(p >> w2 for p in combo), tuple(p & mask for p in combo)
             rows.append((lifting, mus, etas))
             lefts.append(left := lift1(*mus))

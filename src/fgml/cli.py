@@ -339,7 +339,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def _cmd_validate(args) -> int:
     lm = load_model(args.model, args.max_size)
-    states, opens = len(lm.model.space.carrier), len(lm.model.space.packed)
+    states, opens = len(lm.model.space.carrier), lm.model.space.count_opens()
     _emit(args, {"valid": True, "states": states, "opens": opens},
           [f"valid model: {states} states, {opens} opens"])
     return 0
@@ -357,7 +357,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_classes(args) -> int:
     lm = load_model(args.model, args.max_size)
-    classes = modal_equivalence_classes(lm.model, lm.signature)
+    classes = modal_equivalence_classes(lm.model, lm.signature, args.max_size)
     lines = [" ".join(cls) for cls in classes]
     if args.depth:
         labels = dict(zip(lm.model.space.carrier,
@@ -377,7 +377,7 @@ def _cmd_classes(args) -> int:
 
 def _cmd_quotient(args) -> int:
     lm = load_model(args.model, args.max_size)
-    result = quotient_model(lm.model, lm.signature)
+    result = quotient_model(lm.model, lm.signature, args.max_size)
     if not result:
         _emit(args, {"ok": False, "failure": result.failure},
               [f"quotient failed: {result.failure}"])

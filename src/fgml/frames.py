@@ -14,7 +14,9 @@ join-irreducibles are the space's distinct primes (see `topology`), so
 sobriety counts their multichains. A point space's carrier holds each
 point as its tuple of numerators in element order, and its opens are
 exactly the evaluation opens h -> h(a), which points keep closed under
-meets and joins.
+meets and joins. The duality check reads a space's point space on the
+join basis of its opens, the distinct primes and 0: every map it
+compares keeps joins, so it is known there (`duality_check`).
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from math import comb
 from typing import Hashable, Iterable, Mapping
 
 from .errors import MalformedFrameError, NotSoberError, PreconditionError, ResourceLimitError
-from .fuzzyset import DEFAULT_MAX_SIZE, Carrier, CarrierMap, FuzzySet, direct_image, inverse_image
+from .fuzzyset import DEFAULT_MAX_SIZE, Carrier, CarrierMap, FuzzySet, _fields_along, _pack
 from .grades import Grade, GradeLattice
-from .topology import FuzzySpace, is_continuous, is_t0, is_topology
+from .topology import FuzzySpace, _primes, _up, is_t0, is_topology
 
 
 @dataclass(frozen=True)
@@ -310,27 +312,63 @@ class DualityReport:
 
 
 def duality_check(space: FuzzySpace) -> DualityReport:
-    """Verify the state-to-point map is a fuzzy homeomorphism.
+    """Verify the state-to-point map eta is a fuzzy homeomorphism.
 
     Checks, one line each: bijectivity, fuzzy continuity, openness of
-    direct images, and that each open's direct image is exactly the
-    evaluation open of that open in the point space. A space that is
-    not sober raises NotSoberError. On a sober space the points are the
-    states' numerator tuples over the opens, sorted.
+    direct images, that each open's direct image is exactly the
+    evaluation open of that open in the point space, and that its
+    pullback is the open again. A space that is not sober raises
+    NotSoberError; sobriety is eta's bijectivity.
+
+    The lines are read on the join basis B of the opens, the distinct
+    primes and 0 (`topology`), on packed ints (`_eta_lines`). Each open is
+    the join of the members of B below it, and each map a line reads
+    keeps joins: the direct and inverse images along eta, and the
+    evaluation o -> (h -> h(o)), as every point h keeps joins. Two maps
+    that keep joins and agree on B agree on every open; one that keeps
+    joins and sends B into a family closed under joins, as the opens of
+    either space are, sends every open there. So each line holds on every
+    open iff it holds on B. For the same reason a point is fixed by its
+    grades at B, which name it, and the point space's opens, the
+    evaluation opens, are the joins of those of B: the topology they
+    generate. Sobriety makes the space T0, so the names separate the
+    states, and the points are the states' names, sorted.
     """
     if not is_sober(space):
         raise NotSoberError("duality_check requires a sober space")
-    opens = space.sorted_opens()
-    states = tuple(zip(*(o.key() for o in opens)))
-    evaluation, point_space = _point_space(opens, sorted(states), space.lattice)
-    eta = CarrierMap(space.carrier, point_space.carrier, states)
+    return _eta_lines(space, *_state_names(space))
+
+
+def _state_names(space: FuzzySpace) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The packed join basis of the opens, the distinct primes and 0 in
+    int order, and each state's name: its numerators there, in carrier
+    order."""
+    basis, n, d = sorted({0, *space.primes}), len(space.carrier), space.lattice.den
+    return basis, [tuple((b >> shift & (1 << d) - 1).bit_length() for b in basis)
+                   for shift in range((n - 1) * d, -1, -d)]
+
+
+def _eta_lines(space: FuzzySpace, basis: list[int],
+               names: list[tuple[int, ...]]) -> DualityReport:
+    """The five lines of `duality_check` for the map eta from state i to
+    the point named names[i], its numerators at the packed join basis
+    `basis`. The point space's carrier is the names, sorted; the
+    evaluation open of a member b of the basis holds h(b) at each point
+    h, and an open of the point space is its own join of the primes of
+    the evaluation opens."""
+    n, d = len(space.carrier), space.lattice.den
+    points = sorted(names)
+    position = {h: n - 1 - k for k, h in enumerate(points)}
+    forward = [(n - 1 - i, position[h]) for i, h in enumerate(names)]  # eta's edges
+    back = [(j, i) for i, j in forward]
+    evaluation = [_pack([h[k] for h in points], d) for k in range(len(basis))]
+    images = [_fields_along(b, d, forward) for b in basis]
+    pullbacks = [_fields_along(e, d, back) for e in evaluation]
+    point_primes = _primes(evaluation, n * d)
     return DualityReport((
         ("eta bijective", True),  # the NotSoberError check above
-        ("eta fuzzy continuous", is_continuous(eta, space, point_space)),
-        ("eta open map",
-         all(point_space.is_open(direct_image(eta, o).bits) for o in space.opens)),
-        ("eta image equals evaluation open",
-         all(direct_image(eta, o) == evaluation[o] for o in space.opens)),
-        ("eta pullback recovers each open",
-         all(inverse_image(eta, evaluation[o]) == o for o in space.opens)),
+        ("eta fuzzy continuous", all(_up(space.primes, p) == p for p in pullbacks)),
+        ("eta open map", all(_up(point_primes, x) == x for x in images)),
+        ("eta image equals evaluation open", images == evaluation),
+        ("eta pullback recovers each open", pullbacks == basis),
     ))

@@ -34,11 +34,11 @@ valuations, every modal pullback), and every open of a topology is the
 join of the primes below it and the meet of the co-primes above it. So
 a lifting that keeps joins is known on the family once it is known on
 the primes and 0, one that keeps meets on the co-primes and 1, and any
-other on every member (`topology._read_on`): the generators need only
-those lifts, and with the built-in liftings the family is never
-enumerated. A pointwise meet or join of sets that agree at s and t
-agrees there too, so the family splits the states exactly as its
-generators do, and once they separate every pair of states no finer
+other on every member (`topology._read_on`), under the guard: the
+generators need only those lifts, and with the built-in liftings the
+family is never enumerated. A pointwise meet or join of sets that agree
+at s and t agrees there too, so the family splits the states exactly as
+its generators do, and once they separate every pair of states no finer
 partition exists and the rounds stop. A round splits the blocks only by
 its new lifts, with the step `_depth_labels` takes (`_refine`). The
 proof is in `modal_equivalence_classes`. `quotient_model` keeps an open
@@ -64,6 +64,7 @@ from .errors import (
     UnboundPropositionError,
 )
 from .fuzzyset import (
+    DEFAULT_MAX_SIZE,
     CarrierMap,
     FuzzySet,
     _fields_along,
@@ -479,7 +480,8 @@ def definable_opens(m: Model, sig: Signature) -> dict[FuzzySet, Formula]:
             for v, formula in _formulas(_closure([m], sig)).items()}
 
 
-def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...], ...]:
+def modal_equivalence_classes(m: Model, sig: Signature,
+                              max_size: int = DEFAULT_MAX_SIZE) -> tuple[tuple[str, ...], ...]:
     """Partition of the carrier by agreement on every definable open.
 
     Closes the generators of the family of `definable_opens` on packed
@@ -504,6 +506,10 @@ def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...]
     join of members that agree at two states agrees there too, so G*
     splits the states as F does.
 
+    A lifting that keeps neither is read on every member, and on every
+    tuple of members for one of another arity, under the guard: it
+    refuses once the members, or their tuples, pass max_size.
+
     Classes are ordered by first member in carrier order; members keep
     carrier order too.
     """
@@ -514,9 +520,10 @@ def modal_equivalence_classes(m: Model, sig: Signature) -> tuple[tuple[str, ...]
     while len(ids) < len(carrier):
         primes, lifts = _primes(found, width), set()
         for lifting in sig.liftings:
+            members = _read_on(lifting.keeps, primes, width, max_size, lifting.arity,
+                               "definable open enumeration")
             lift = m._lifted(lifting)
-            lifts.update(lift(*args) for args in product(
-                _read_on(lifting.keeps, primes, width), repeat=lifting.arity))
+            lifts.update(lift(*args) for args in product(members, repeat=lifting.arity))
         if not (lifts := lifts - found):
             break
         found |= lifts
@@ -585,7 +592,7 @@ class QuotientResult:
         return self.ok
 
 
-def quotient_model(m: Model, sig: Signature) -> QuotientResult:
+def quotient_model(m: Model, sig: Signature, max_size: int = DEFAULT_MAX_SIZE) -> QuotientResult:
     """Collapse modally equivalent states.
 
     Class representatives name the quotient states; the topology is the
@@ -601,8 +608,10 @@ def quotient_model(m: Model, sig: Signature) -> QuotientResult:
     state's field equals its representative's. Then q(o) is o at the
     representatives, which come first in their classes and so in carrier
     order: the fields of a run of consecutive ones move down together.
+    The classes are those of `modal_equivalence_classes`, under the
+    guard max_size.
     """
-    classes = modal_equivalence_classes(m, sig)
+    classes = modal_equivalence_classes(m, sig, max_size)
     reps = tuple(cls[0] for cls in classes)
     rep_of = {s: cls[0] for cls in classes for s in cls}
     q = CarrierMap.onto(m.space.carrier, [rep_of[s] for s in m.space.carrier])  # onto reps

@@ -32,6 +32,27 @@ bits it lacks: the co-primes are a meet basis, for the maps that keep
 meets. So a subspace pulls back the primes of each side, not every open,
 and every reader of a lifting reads it on the basis it keeps (`_read_on`),
 or on every open when it keeps neither.
+
+A generated topology counts its opens without closing them
+(`FuzzySpace.count_opens`). The opens are a finite distributive lattice
+whose join-irreducibles are the distinct primes, so by Birkhoff's
+representation o -> {primes below o} is a bijection from the opens onto
+the down-sets of the distinct primes under inclusion, with inverse the
+join. `_down_sets` counts those down-sets of a remaining set P of primes
+by I(P) = I(P - x) + I(P - down(x)) for a maximal x: a down-set without x
+is a down-set of P - x, and one with x is down(x) joined to a down-set of
+P - down(x), and both are bijections. Where the comparability graph of P
+falls apart, a down-set is one down-set of each component, so I(P) is
+the product of their counts. Counting down-sets is #P-complete in
+general (Provan and Ball, "The complexity of counting cuts and of
+computing the probability that a graph is connected", SIAM J. Comput.
+1983), so the memo of counts by remaining set is bounded by the guard.
+That memo never holds more entries than there are opens. By induction,
+the entries reached from R, 0 included, number at most I(R): R's two
+parts A and B reach at most I(A) + I(B) - 1, as both reach 0, and R adds
+one, which makes I(R) for a sum and at most I(A) * I(B) for a product,
+as both counts are then at least 2. So the count answers under any guard
+the closure answers under.
 """
 
 from __future__ import annotations
@@ -39,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import attrgetter, or_
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .errors import CarrierMismatchError, LatticeMismatchError, ResourceLimitError
 from .fuzzyset import (
@@ -53,6 +74,8 @@ from .fuzzyset import (
     all_fuzzy_sets,
 )
 from .grades import GradeLattice
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -76,7 +99,8 @@ class FuzzySpace:
     of its generators, which are its own, and a verdict of yes; its opens,
     the joins of the primes, are closed when a reader first needs every
     open (`packed`, `opens`, `sorted_opens`), under the guard it was
-    generated with. `is_open` tests one packed set without them.
+    generated with. `is_open` tests one packed set without them, and
+    `count_opens` counts them without closing them.
 
     Two spaces are equal iff their carriers, lattices and primes agree
     and either both are topologies or both declare the same family. A
@@ -140,16 +164,22 @@ class FuzzySpace:
 
     @cached_property
     def packed(self) -> frozenset[int]:
-        """The packed opens of a generated topology, closed once. The guard
-        trips once they pass max(max_size, starting family), and reports
+        """The packed opens of a generated topology, closed once under the
+        guard (`_guarded`)."""
+        return frozenset(self._guarded("topology generation", _closure))
+
+    def _guarded(self, what: str, run: Callable[[tuple[int, ...], int], T | None]) -> T:
+        """run(primes, limit), which gives None once its work passes the
+        limit, under the guard of a generated topology: the guard trips
+        once the work passes max(max_size, starting family), and reports
         that bound + 1; the starting family is built only past max_size."""
         max_size, family = self._guard
-        if (closed := _closure(self.primes, max_size)) is None:
+        if (out := run(self.primes, max_size)) is None:
             limit = max(max_size, len({0, (1 << len(self.carrier) * self.lattice.den) - 1,
                                        *family()}))
-            if limit == max_size or (closed := _closure(self.primes, limit)) is None:
-                raise ResourceLimitError("topology generation", limit + 1, max_size)
-        return frozenset(closed)
+            if limit == max_size or (out := run(self.primes, limit)) is None:
+                raise ResourceLimitError(what, limit + 1, max_size)
+        return out
 
     @cached_property
     def opens(self) -> frozenset[FuzzySet]:
@@ -159,6 +189,15 @@ class FuzzySpace:
     def sorted_opens(self) -> tuple[FuzzySet, ...]:
         """Opens in canonical numerator-tuple order."""
         return tuple(sorted(self.opens, key=attrgetter("bits")))
+
+    def count_opens(self) -> int:
+        """How many opens there are: `packed`'s size once that is known,
+        else, in a generated topology, the down-sets of its distinct primes
+        (`_down_sets`), whose memo the guard bounds as it bounds `packed`
+        (`_guarded`)."""
+        if "packed" in vars(self):
+            return len(self.packed)
+        return self._guarded("open count", _down_sets)
 
     def is_open(self, bits: int) -> bool:
         """Whether the packed set is open: a member of `packed` once that is
@@ -220,6 +259,49 @@ def _closure(primes: Iterable[int], limit: int) -> set[int] | None:
     return found
 
 
+def _down_sets(primes: Iterable[int], limit: int) -> int | None:
+    """The number of down-sets of the distinct primes under inclusion.
+
+    The remaining primes are a bitmask over the distinct primes in int
+    order, which extends inclusion, so the top one left is maximal. A
+    remaining set whose lowest prime's component is not all of it is the
+    product of that component and the rest; a connected one is the sum
+    over its top prime x of the sets without x and without down(x). The
+    counts are memoized by remaining set and taken in post-order from a
+    stack, where a tuple marks a set whose parts are pushed above it; None
+    once the memo holds more than `limit` entries."""
+    distinct = sorted(set(primes))
+    linked = [1 << i for i in range(len(distinct))]  # the comparable primes of each
+    for i, p in enumerate(distinct):
+        for k in range(i):  # a smaller int is never above p
+            if not distinct[k] & ~p:
+                linked[i] |= 1 << k
+                linked[k] |= 1 << i
+    full = (1 << len(distinct)) - 1
+    counts, todo = {0: 1}, [full]
+    while todo:
+        if type(rest := todo.pop()) is tuple:  # its parts are counted
+            rest, a, b, joined = rest
+            counts[rest] = counts[a] + counts[b] if joined else counts[a] * counts[b]
+            if len(counts) > limit:
+                return None
+            continue
+        if rest in counts:
+            continue
+        part = grow = rest & -rest  # the component of the lowest remaining prime
+        while grow:
+            b = grow.bit_length() - 1
+            new = linked[b] & rest & ~part
+            part, grow = part | new, grow ^ 1 << b | new
+        if part == rest:  # connected: the top prime x is maximal, so down(x) is its links
+            x = rest.bit_length() - 1
+            a, b = rest ^ 1 << x, rest & ~linked[x]
+        else:
+            a, b = part, rest ^ part
+        todo += ((rest, a, b, part == rest), a, b)
+    return counts[full]
+
+
 def _up(primes: tuple[int, ...], x: int) -> int:
     """The least open above the packed set x, the join of the primes of its
     bits; x is open iff it is its own `_up`."""
@@ -230,19 +312,26 @@ def _up(primes: tuple[int, ...], x: int) -> int:
     return out
 
 
-def _read_on(keeps: str | None, primes: Iterable[int], width: int,
-             limit: int | None = None) -> set[int] | None:
+def _read_on(keeps: str | None, primes: Iterable[int], width: int, limit: int, arity: int,
+             what: str) -> set[int]:
     """The packed members of the topology with these primes on which a
-    lifting that keeps `keeps` is read. One that keeps "joins" is known on
-    the distinct primes and 0, as every open is the join of the primes
-    below it (0 for none); one that keeps "meets" on the co-primes and 1,
-    as every open is the meet of the co-primes above it (1 for none); any
-    other lifting on every open, or None once they pass `limit`."""
+    lifting of this arity that keeps `keeps` is read. One that keeps
+    "joins" is known on the distinct primes and 0, as every open is the
+    join of the primes below it (0 for none); one that keeps "meets" on
+    the co-primes and 1, as every open is the meet of the co-primes above
+    it (1 for none); any other lifting on every open, under the guard: a
+    `ResourceLimitError` for `what` once the opens pass `limit`, reporting
+    limit + 1 before they are all closed, or once their tuples of this
+    arity do, reporting the tuple count."""
     if keeps == "joins":
         return set(primes) | {0}
     if keeps == "meets":
         return set(_coprimes(primes, width)) | {(1 << width) - 1}
-    return _closure(primes, 1 << width if limit is None else limit)
+    if (found := _closure(primes, limit)) is None:
+        raise ResourceLimitError(what, limit + 1, limit)
+    if (total := len(found) ** arity) > limit:
+        raise ResourceLimitError(what, total, limit)
+    return found
 
 
 def is_topology(space: FuzzySpace) -> TopologyCheck:

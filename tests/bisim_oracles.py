@@ -67,7 +67,8 @@ def alternating_coherent_basis(rel: Relation, space1: FuzzySpace, space2: FuzzyS
         packed.add(mu << w2 | eta)
     return {kind: [(_from_bits(space1.carrier, lattice, p >> w2),
                     _from_bits(space2.carrier, lattice, p & (1 << w2) - 1))
-                   for p in sorted(_read_on(kind, packed, width))] for kind in kinds}
+                   for p in sorted(_read_on(kind, packed, width, 1 << width, 1, "oracle"))]
+            for kind in kinds}
 
 
 def _basis_table(rel: Relation, m1: Model, m2: Model, sig: Signature, max_tuples: int,

@@ -478,3 +478,39 @@ def oracle_partition(model: Model, sig: Signature, depth: int):
     for s in model.space.carrier:
         groups.setdefault(tuple(v(s) for v in values), []).append(s)
     return {frozenset(g) for g in groups.values()}
+
+
+def crisp_discrete_document(n: int) -> dict:
+    """Crisp identity-functor document on states s0, ..., s{n-1} whose
+    opens are generated by the n singletons: the discrete topology, with
+    2^n opens, n primes and every state its own point, so it is sober.
+    sigma is the n-cycle, continuous as every map is, p is {s0}, and the
+    relation "diag" is the diagonal."""
+    states = [f"s{i}" for i in range(n)]
+
+    def singleton(i: int) -> dict:
+        return {s: f"{int(k == i)}/1" for k, s in enumerate(states)}
+
+    return {"lattice": 1, "functor": "identity", "carrier": states,
+            "generate_from": [singleton(i) for i in range(n)],
+            "sigma": {s: states[(i + 1) % n] for i, s in enumerate(states)},
+            "valuation": {"p": singleton(0)},
+            "relations": {"diag": [[s, s] for s in states]}}
+
+
+def crown_document(k: int) -> dict:
+    """Crisp identity-functor document on states a0, ..., a{k-1}, b0, ...,
+    b{k-1} whose opens are generated by the singletons {a_i} and the sets
+    {b_l, a_l, a_{l+1}, a_{l+5}}, indices mod k. These 2k sets are its
+    primes; each a_i lies below the sets of b_{i}, b_{i-1} and b_{i-5}, so
+    the comparability graph of the primes is connected, and its down-sets
+    need many memo entries to count. sigma is the identity and p is {a0}."""
+    states = [f"a{i}" for i in range(k)] + [f"b{i}" for i in range(k)]
+
+    def crisp(*names: str) -> dict:
+        return {s: f"{int(s in names)}/1" for s in states}
+
+    gens = [crisp(f"a{i}") for i in range(k)]
+    gens += [crisp(f"b{i}", *(f"a{(i + step) % k}" for step in (0, 1, 5))) for i in range(k)]
+    return {"lattice": 1, "functor": "identity", "carrier": states, "generate_from": gens,
+            "sigma": {s: s for s in states}, "valuation": {"p": crisp("a0")}}

@@ -110,7 +110,8 @@ def _coherent_basis(rel, space1, space2, kinds):
     w2 = len(space2.carrier) * d
     bases = {kind: [(_from_bits(space1.carrier, lattice, p >> w2),
                      _from_bits(space2.carrier, lattice, p & (1 << w2) - 1))
-                    for p in sorted(_read_on(kind, primes, len(primes)))] for kind in kinds}
+                    for p in sorted(_read_on(kind, primes, len(primes), 1 << len(primes), 1,
+                                             "oracle"))] for kind in kinds}
     assert bases == alternating_coherent_basis(rel, space1, space2, kinds)
     return bases
 

@@ -427,6 +427,41 @@ def test_classes_read_an_undeclared_lifting_on_every_open():
         == tuple((e,) for e in carrier)
 
 
+def test_an_undeclared_lifting_is_read_under_the_guard():
+    # an undeclared lifting is read on every member of the topology the
+    # generators generate, a binary one on every pair of them: both refuse
+    # past the guard, in `classes` and in `quotient`, as `bisim` does
+    lat = make_lattice(1)
+    base = fuzzy_powerset_functor(lat, ("dia",))[1]
+    unary = next(variant for variant in _signatures(base) if variant.names == ("both_ways",))
+    binary = next(variant for variant in _signatures(base, binary=True)
+                  if variant.names == ("but",))
+    assert unary.liftings[0].keeps is None and binary.liftings[0].arity == 2
+    four, two = Carrier(("a", "b", "c", "d")), Carrier(("a", "b"))
+
+    def crisp(carrier, *names):
+        return FuzzySet(carrier, lat, tuple(lat.grade(int(e in names)) for e in carrier))
+
+    models = [
+        (complete_powerset_model(four, lat, {"a": crisp(four, "a", "c", "d"),
+                                             "b": crisp(four, "a", "c"), "c": crisp(four, "b"),
+                                             "d": crisp(four, "a", "c", "d")},
+                                 {"p": crisp(four, "b", "c", "d")}, unary), unary,
+         ((1, 2), (4, 5)), 5),  # the fifth member first passes a guard of 4
+        (complete_powerset_model(two, lat, {"a": crisp(two), "b": crisp(two, "a", "b")},
+                                 {"p": crisp(two, "a", "b")}, binary), binary,
+         ((1, 2), (3, 4)), 4)]  # two members make four pairs
+    message = "definable open enumeration needs {} entries, above the guard of {}"
+    for m, sig, refusals, enough in models:
+        for guard, size in refusals:
+            with pytest.raises(ResourceLimitError, match=message.format(size, guard)):
+                modal_equivalence_classes(m, sig, guard)
+            with pytest.raises(ResourceLimitError, match=message.format(size, guard)):
+                quotient_model(m, sig, guard)
+        assert modal_equivalence_classes(m, sig, enough) == definable_partition(m, sig)
+        assert quotient_model(m, sig, enough).classes == definable_partition(m, sig)
+
+
 def test_binary_liftings_pull_back_old_with_new_members():
     # The first round adds only constant-0 (but(top, top)); b leaves the
     # class of a only on but(top, 0) = dia(top), an old member with a new one.

@@ -189,17 +189,20 @@ def test_subspace_topology_matches_all_opens_oracle_across_zoos():
                 all_opens_subspace_topology(rel, m.space, m.space).opens
 
 
-def _count_primes(monkeypatch):
+def _count_primes(monkeypatch, module=None):
+    """A counter of the `_primes` passes that `module`, by default
+    `fgml.topology`, makes."""
     import fgml.topology
 
+    module = module or fgml.topology
     calls = [0]
-    primes = fgml.topology._primes
+    primes = module._primes
 
     def counted(*args):
         calls[0] += 1
         return primes(*args)
 
-    monkeypatch.setattr(fgml.topology, "_primes", counted)
+    monkeypatch.setattr(module, "_primes", counted)
     return calls
 
 
@@ -211,7 +214,9 @@ def _box_document() -> dict:
 
 
 def test_one_primes_pass_per_explicit_opens_load(monkeypatch, capsys):
-    calls = _count_primes(monkeypatch)
+    import fgml.frames
+
+    calls, point_calls = _count_primes(monkeypatch), _count_primes(monkeypatch, fgml.frames)
     documents = []
     for name in ("tiny_identity.json", "dia_d2n5.json"):
         with open(f"{FIXTURES}/{name}", encoding="utf-8") as fh:
@@ -224,7 +229,8 @@ def test_one_primes_pass_per_explicit_opens_load(monkeypatch, capsys):
         assert calls[0] == 1
     calls[0] = 0
     assert run_command(["duality", "-m", f"{FIXTURES}/tiny_identity.json"]) == 0
-    assert calls[0] == 1  # sobriety reads the primes the load computed
+    assert calls[0] == 1  # sobriety and duality read the primes the load computed
+    assert point_calls[0] == 1  # and the point space's own, once
     capsys.readouterr()
 
 
