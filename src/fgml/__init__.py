@@ -68,6 +68,7 @@ from .signature import (
     check_characteristic,
     check_monotone,
     check_natural,
+    check_signature,
     dual_lifting,
     fuzzy_powerset_functor,
     identity_functor,

@@ -25,7 +25,6 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -38,7 +37,6 @@ from .fuzzyset import (
     CarrierMap,
     FuzzySet,
     Relation,
-    _fields_along,
     _from_bits,
     _pack,
 )
@@ -52,14 +50,7 @@ from .logic import (
     quotient_model,
     validate_model,
 )
-from .signature import (
-    Signature,
-    check_characteristic,
-    check_monotone,
-    check_natural,
-    fuzzy_powerset_functor,
-    identity_functor,
-)
+from .signature import Signature, check_signature, fuzzy_powerset_functor, identity_functor
 from .topology import FuzzySpace
 
 _PROP_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -258,13 +249,9 @@ def _document(lm: LoadedModel) -> dict:
 
 
 def model_to_document(lm: LoadedModel) -> dict:
-    """Canonical document: opens sorted by grade key, names sorted."""
-    doc = _document(lm)
-    doc["opens"] = list(map(_fuzzy_set_to_doc, doc["opens"].sorted_opens()))
-    for key in ("sigma", "valuation"):
-        doc[key] = {k: _fuzzy_set_to_doc(v) if isinstance(v, FuzzySet) else v
-                    for k, v in doc[key].items()}
-    return doc
+    """Canonical document: opens sorted by grade key, names sorted; the
+    document `_json` writes, read back."""
+    return json.loads(_json(_document(lm), sort=False))
 
 
 def _named_relation(lm: LoadedModel, other: LoadedModel, name: str) -> Relation:
@@ -420,39 +407,8 @@ def _cmd_bisim(args) -> int:
 
 def _cmd_sig(args) -> int:
     lm = load_model(args.model, args.max_size)
-    sig, space = lm.signature, lm.model.space
-    space.packed  # every open is read below: closed first, under the load's guard
-    n = len(space.carrier)
-    if n ** n > args.max_size:
-        raise ResourceLimitError("self-map enumeration", n ** n, args.max_size)
-    # first, so that a guard it trips refuses before the slower checks run
-    characteristic = check_characteristic(sig, space, args.max_size)
-    lines = []
-    ok = True
-    for lifting in sig.liftings:
-        mono = check_monotone(lifting, space)
-        lines.append(f"monotone[{lifting.name}]: {'PASS' if mono.ok else 'FAIL'}")
-        ok = ok and mono.ok
-    # the loaded space is a topology: every open is a join of primes, and
-    # inverse images keep joins, so a map is continuous iff each prime
-    # pulls back to an open; only a continuous map becomes a CarrierMap
-    d, last, states = space.lattice.den, n - 1, space.carrier.elements
-    primes, natural_ok = set(space.primes), True
-    for targets in product(range(n), repeat=n):
-        back = [(last - t, last - i) for i, t in enumerate(targets)]  # its CarrierMap._back
-        if not all(space.is_open(_fields_along(j, d, back)) for j in primes):
-            continue
-        f = CarrierMap(space.carrier, space.carrier, tuple(states[t] for t in targets))
-        for lifting in sig.liftings:
-            nat = check_natural(lifting, f, space, space)
-            if not nat.ok:
-                natural_ok = False
-                lines.append(f"natural[{lifting.name}] on {f.assignment}: FAIL")
-    lines.append(f"natural: {'PASS' if natural_ok else 'FAIL'} "
-                 "(all continuous self-maps)")
-    ok = ok and natural_ok
-    lines.append(f"characteristic: {'PASS' if characteristic else 'FAIL'}")
-    ok = ok and characteristic
+    lm.model.space.packed  # every open is read: closed first, under the load's guard
+    ok, lines = check_signature(lm.signature, lm.model.space, args.max_size)
     _emit(args, {"ok": ok, "lines": lines}, lines)
     return 0 if ok else 1
 

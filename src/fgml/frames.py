@@ -318,7 +318,10 @@ def duality_check(space: FuzzySpace) -> DualityReport:
     direct images, that each open's direct image is exactly the
     evaluation open of that open in the point space, and that its
     pullback is the open again. A space that is not sober raises
-    NotSoberError; sobriety is eta's bijectivity.
+    NotSoberError; sobriety is eta's bijectivity, so the "eta bijective"
+    line restates that precondition and cannot FAIL once reached. It
+    does not test that eta sends each state to its own point: eta with
+    two points swapped is still a bijection, which the other lines catch.
 
     The lines are read on the join basis B of the opens, the distinct
     primes and 0 (`topology`), on packed ints (`_eta_lines`). Each open is

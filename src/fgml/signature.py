@@ -28,8 +28,11 @@ A lifting is one packed kernel (`Lifting.kernel`): for a space S and a
 map f into values of T S, it maps packed arguments on S to the packed
 f^-1(lambda(args)) on f's source. Every reader reads it so: a model
 along its sigma (`Model._lifted`), `apply` along the identity of the
-carrier of values it is read at, `sig check` once per lifting and
-carrier, and the image subbasis along the map it is pulled back along.
+carrier of values it is read at, and the image subbasis along the map it
+is pulled back along. `sig check` (`check_signature`) builds T S once
+and lifts each tuple of opens once per lifting, at every value of T S:
+one table per lifting that the monotone, natural and characteristic
+checks all read, and one kernel along T f per continuous self-map f.
 A functor without a subbasis of its own gives every open of `on_space`.
 A map f into T S is fuzzy continuous iff every subbasis member pulls
 back to an open, provided the source opens form a topology: inverse
@@ -42,8 +45,6 @@ primes, at the at most |R| values of a candidate mediating map.
 
 from __future__ import annotations
 
-import weakref
-from copy import copy
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -53,6 +54,7 @@ from .errors import (
     ArityMismatchError,
     CarrierMismatchError,
     DiscontinuousMapError,
+    ResourceLimitError,
     UnknownModalityError,
 )
 from .fuzzyset import (
@@ -68,7 +70,7 @@ from .fuzzyset import (
     direct_image,
 )
 from .grades import GradeLattice
-from .topology import FuzzySpace, _coprimes, is_continuous
+from .topology import FuzzySpace, _basis, is_continuous
 
 
 @dataclass(frozen=True)
@@ -112,12 +114,11 @@ def _lifted_basis(kernels: Iterable[tuple[str, Callable]], space: FuzzySpace, f:
                   every_open: bool) -> list[int]:
     """For each (keeps, packed kernel) of a generating lifting, the packed
     lifts along f (`Lifting.kernel`) of the basis of S it keeps, in bits
-    order: the distinct primes for joins, the co-primes for meets; or of
-    every open."""
+    order: the distinct primes for joins, the co-primes for meets
+    (`topology._basis`); or of every open."""
     width = len(space.carrier) * space.lattice.den
     return [lift(mu) for keeps, kernel in kernels for lift in [kernel(space, f)]
-            for mu in sorted(space.packed if every_open else set(
-                space.primes if keeps == "joins" else _coprimes(space.primes, width)))]
+            for mu in sorted(space.packed if every_open else _basis(keeps, space.primes, width))]
 
 
 def _pullbacks(functor: FunctorInstance, space: FuzzySpace, f: CarrierMap,
@@ -132,12 +133,12 @@ def _pullbacks(functor: FunctorInstance, space: FuzzySpace, f: CarrierMap,
     return [_fields_along(p, d, back) for p in sorted(image.packed)]
 
 
-def image_subbasis(functor: FunctorInstance, space: FuzzySpace, at: Carrier,
-                   every_open: bool = False) -> tuple[FuzzySet, ...]:
+def image_subbasis(functor: FunctorInstance, space: FuzzySpace,
+                   at: Carrier) -> tuple[FuzzySet, ...]:
     """A subbasis of T S's topology read at the values in `at`, as fuzzy
     sets: `_pullbacks` along the identity of `at`."""
     return tuple(_from_bits(at, space.lattice, g)
-                 for g in _pullbacks(functor, space, CarrierMap.identity(at), every_open))
+                 for g in _pullbacks(functor, space, CarrierMap.identity(at)))
 
 
 @dataclass(frozen=True)
@@ -232,10 +233,9 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     """Fuzzy powerset functor with the requested generating signature.
 
     T S holds every lattice-valued fuzzy subset of S, enumerated only by
-    `on_space`, which keeps each image only while its space lives; the
-    arrow part sends a subset to its
-    direct image. Diamond is dia(m)(v) = sup_s min(v(s), m(s)); box is
-    box(m)(v) = inf_s max(1 - v(s), m(s)), which is 1 - dia(1 - m)(v).
+    `on_space`, which keeps no image; the arrow part sends a subset to
+    its direct image. Diamond is dia(m)(v) = sup_s min(v(s), m(s)); box
+    is box(m)(v) = inf_s max(1 - v(s), m(s)), which is 1 - dia(1 - m)(v).
     The topology on the image is generated by the images of the
     requested modalities over all opens, which makes the returned
     signature characteristic for the functor; `subbasis` returns, pulled
@@ -252,9 +252,6 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     if not mods:
         raise UnknownModalityError("at least one generating modality is required")
 
-    # each image by its space, held weakly: an entry goes when its space dies
-    images: weakref.WeakKeyDictionary[FuzzySpace, FuzzySpace] = weakref.WeakKeyDictionary()
-
     def kernel(kind: str, space: FuzzySpace, f: CarrierMap) -> Callable[[int], int]:
         rows = _rows(f.assignment, len(space.carrier), lattice.den, kind == "box")
         return lambda mu: _lift(kind, rows, mu, lattice.den)
@@ -270,13 +267,9 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
         return _lifted_basis(kernels, space, f, every_open)
 
     def on_space(space: FuzzySpace) -> FuzzySpace:
-        if (image := images.get(space)) is None:
-            every = CarrierMap.identity(Carrier(all_fuzzy_sets(space.carrier, lattice, max_size)))
-            twin = copy(space)  # the image's guard reads a copy, so it does not keep space alive
-            image = images[space] = FuzzySpace._generate(
-                every.target, lattice, subbasis(space, every, False),
-                lambda: subbasis(twin, every, True), max_size)
-        return image
+        every = CarrierMap.identity(Carrier(all_fuzzy_sets(space.carrier, lattice, max_size)))
+        return FuzzySpace._generate(every.target, lattice, subbasis(space, every, False),
+                                    lambda: subbasis(space, every, True), max_size)
 
     functor = FunctorInstance(
         name="fuzzy-powerset", on_space=on_space,
@@ -342,29 +335,55 @@ class LiftingCheck:
         return self.ok
 
 
-def _lifted_table(l: Lifting, space: FuzzySpace, f: CarrierMap,
-                  opens: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-    """Each tuple of the packed opens, in order, with its packed lift
-    along f: one kernel for the lifting and f."""
-    lift = l.kernel(space, f)
-    return [(args, lift(*args)) for args in product(opens, repeat=l.arity)]
+def _lift_table(l: Lifting, space: FuzzySpace, at: Carrier) -> dict[tuple[int, ...], int]:
+    """Each tuple of the packed opens, in order, with its packed lift at
+    every value in `at`: one kernel along the identity of `at`."""
+    lift = l.kernel(space, CarrierMap.identity(at))
+    return {args: lift(*args) for args in product(sorted(space.packed), repeat=l.arity)}
 
 
 def _strs(space: FuzzySpace, args: Sequence[int]) -> tuple[str, ...]:
     return tuple(str(_from_bits(space.carrier, space.lattice, a)) for a in args)
 
 
-def check_monotone(l: Lifting, space: FuzzySpace) -> LiftingCheck:
-    """Pointwise order preservation over every comparable open tuple; the
-    lifting is read once per tuple, at all of T S, on packed ints."""
-    at = image_elements(l.functor, space)
-    table = _lifted_table(l, space, CarrierMap.identity(at), sorted(space.packed))
-    for lo, lo_value in table:
-        for hi, hi_value in table:
+def _monotone(l: Lifting, space: FuzzySpace, table: dict[tuple[int, ...], int]) -> LiftingCheck:
+    """Pointwise order preservation over every comparable tuple of the
+    lift table, on packed ints."""
+    for lo, lo_value in table.items():
+        for hi, hi_value in table.items():
             if not any(a & ~b for a, b in zip(lo, hi)) and lo_value & ~hi_value:
                 return LiftingCheck(
                     False, f"{l.name} not monotone on {_strs(space, lo)} <= {_strs(space, hi)}")
     return LiftingCheck(True)
+
+
+def _natural(l: Lifting, f: CarrierMap, image_map: CarrierMap, target: FuzzySpace,
+             table: dict[tuple[int, ...], int]) -> LiftingCheck:
+    """The naturality square of the continuous map f on every tuple of
+    target opens: the lift at T S of the tuple pulled back along f, an
+    open tuple of f's source read from its lift table, against the lift
+    along T f (`image_map`), one kernel."""
+    rhs, d = l.kernel(target, image_map), target.lattice.den
+    for args in product(sorted(target.packed), repeat=l.arity):
+        if table[tuple(_fields_along(a, d, f._back) for a in args)] != rhs(*args):
+            return LiftingCheck(False, f"{l.name} naturality fails on opens {_strs(target, args)}")
+    return LiftingCheck(True)
+
+
+def _characteristic(space: FuzzySpace, image: FuzzySpace,
+                    tables: Iterable[dict[tuple[int, ...], int]], max_size: int) -> bool:
+    """Whether the lifts in the tables generate exactly the image
+    topology, closed under the guard of `generate_topology`."""
+    gens = {v for table in tables for v in table.values()}
+    generated = FuzzySpace._generate(image.carrier, space.lattice, gens, lambda: gens, max_size)
+    generated.packed  # closed now: the guard trips here
+    return generated == image
+
+
+def check_monotone(l: Lifting, space: FuzzySpace) -> LiftingCheck:
+    """Pointwise order preservation over every comparable open tuple; the
+    lifting is read once per tuple, at all of T S, on packed ints."""
+    return _monotone(l, space, _lift_table(l, space, l.functor.on_space(space).carrier))
 
 
 def check_natural(l: Lifting, f: CarrierMap, source: FuzzySpace,
@@ -374,23 +393,59 @@ def check_natural(l: Lifting, f: CarrierMap, source: FuzzySpace,
     along T f, each one kernel, on packed ints."""
     if not is_continuous(f, source, target):
         raise DiscontinuousMapError("check_natural requires a fuzzy continuous map")
-    at = image_elements(l.functor, source)
-    image_map = CarrierMap(at, image_elements(l.functor, target),
-                           tuple(map(l.functor.on_map(f, source, target), at)))
-    lhs, d = l.kernel(source, CarrierMap.identity(at)), target.lattice.den
-    for args, rhs in _lifted_table(l, target, image_map, sorted(target.packed)):
-        if lhs(*(_fields_along(a, d, f._back) for a in args)) != rhs:
-            return LiftingCheck(False, f"{l.name} naturality fails on opens {_strs(target, args)}")
-    return LiftingCheck(True)
+    at = l.functor.on_space(source).carrier
+    to = at if target is source else l.functor.on_space(target).carrier
+    image_map = CarrierMap(at, to, tuple(map(l.functor.on_map(f, source, target), at)))
+    return _natural(l, f, image_map, target, _lift_table(l, source, at))
 
 
 def check_characteristic(sig: Signature, space: FuzzySpace,
                          max_size: int = DEFAULT_MAX_SIZE) -> bool:
     """The liftings' images over opens generate exactly the image topology,
     under the guard of `generate_topology`."""
-    image_space = sig.functor.on_space(space)
-    every = CarrierMap.identity(image_space.carrier)
-    gens = {v for l in sig.liftings for _, v in _lifted_table(l, space, every, sorted(space.packed))}
-    generated = FuzzySpace._generate(image_space.carrier, space.lattice, gens, lambda: gens, max_size)
-    generated.packed  # closed now: the guard trips here
-    return generated == image_space
+    image = sig.functor.on_space(space)
+    return _characteristic(space, image, [_lift_table(l, space, image.carrier)
+                                          for l in sig.liftings], max_size)
+
+
+def check_signature(sig: Signature, space: FuzzySpace,
+                    max_size: int = DEFAULT_MAX_SIZE) -> tuple[bool, list[str]]:
+    """`sig check` on a topology: whether every lifting is monotone and
+    natural along every continuous self-map of the space, and the
+    liftings generate the image topology, with one line per lifting, one
+    per failing map and lifting, and a natural and a characteristic line.
+
+    It refuses an n-state space with more than max_size self-maps, then
+    builds T S once, lifts each tuple of opens once per lifting at every
+    value of T S, and closes the topology those lifts generate under the
+    guard, before any check reads them. The space's opens are a topology,
+    so every open is a join of primes and inverse images keep joins: a
+    self-map is continuous iff each distinct prime pulls back to an open,
+    and only a continuous one becomes a `CarrierMap`, with one T f map
+    that every lifting reads. Its pulled-back opens are opens, so the
+    left side of each square is read from the table.
+    """
+    n = len(space.carrier)
+    if n ** n > max_size:
+        raise ResourceLimitError("self-map enumeration", n ** n, max_size)
+    image = sig.functor.on_space(space)
+    at, tables = image.carrier, [_lift_table(l, space, image.carrier) for l in sig.liftings]
+    characteristic = _characteristic(space, image, tables, max_size)
+    monotone = [_monotone(l, space, table) for l, table in zip(sig.liftings, tables)]
+    lines = [f"monotone[{l.name}]: {'PASS' if m else 'FAIL'}"
+             for l, m in zip(sig.liftings, monotone)]
+    d, last, states = space.lattice.den, n - 1, space.carrier.elements
+    primes, natural = set(space.primes), True
+    for targets in product(range(n), repeat=n):
+        back = [(last - t, last - i) for i, t in enumerate(targets)]  # its CarrierMap._back
+        if not all(space.is_open(_fields_along(j, d, back)) for j in primes):
+            continue
+        f = CarrierMap(space.carrier, space.carrier, tuple(states[t] for t in targets))
+        image_map = CarrierMap(at, at, tuple(map(sig.functor.on_map(f, space, space), at)))
+        for l, table in zip(sig.liftings, tables):
+            if not _natural(l, f, image_map, space, table):
+                natural = False
+                lines.append(f"natural[{l.name}] on {f.assignment}: FAIL")
+    lines += [f"natural: {'PASS' if natural else 'FAIL'} (all continuous self-maps)",
+              f"characteristic: {'PASS' if characteristic else 'FAIL'}"]
+    return all(monotone) and natural and characteristic, lines

@@ -240,11 +240,15 @@ def _primes(family: Iterable[int], width: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _coprimes(primes: Iterable[int], width: int) -> list[int]:
-    """The co-prime c_b of each bit b of a topology with these primes: the
-    join of the distinct primes that lack bit b."""
+def _basis(keeps: str, primes: Iterable[int], width: int) -> set[int]:
+    """The basis of a topology with these primes that a map keeping
+    `keeps` is read on: for "joins" the distinct primes; for "meets" the
+    co-primes, where the co-prime c_b of bit b is the join of the distinct
+    primes that lack bit b."""
     distinct = set(primes)
-    return [reduce(or_, (j for j in distinct if not j >> b & 1), 0) for b in range(width)]
+    if keeps == "joins":
+        return distinct
+    return {reduce(or_, (j for j in distinct if not j >> b & 1), 0) for b in range(width)}
 
 
 def _closure(primes: Iterable[int], limit: int) -> set[int] | None:
@@ -323,10 +327,8 @@ def _read_on(keeps: str | None, primes: Iterable[int], width: int, limit: int, a
     `ResourceLimitError` for `what` once the opens pass `limit`, reporting
     limit + 1 before they are all closed, or once their tuples of this
     arity do, reporting the tuple count."""
-    if keeps == "joins":
-        return set(primes) | {0}
-    if keeps == "meets":
-        return set(_coprimes(primes, width)) | {(1 << width) - 1}
+    if keeps in ("joins", "meets"):
+        return _basis(keeps, primes, width) | {0 if keeps == "joins" else (1 << width) - 1}
     if (found := _closure(primes, limit)) is None:
         raise ResourceLimitError(what, limit + 1, limit)
     if (total := len(found) ** arity) > limit:

@@ -326,8 +326,8 @@ def test_cli_sig_check_refuses_before_the_lifting_checks(tmp_path, capsys, monke
     def refuse(*args):
         raise AssertionError("a lifting check ran before the guard")
 
-    monkeypatch.setattr("fgml.cli.check_monotone", refuse)
-    monkeypatch.setattr("fgml.cli.check_natural", refuse)
+    monkeypatch.setattr("fgml.signature._monotone", refuse)
+    monkeypatch.setattr("fgml.signature._natural", refuse)
     states = ["a", "b", "c", "d"]
     doc = {"lattice": 3, "functor": "fuzzy-powerset", "modalities": ["dia", "box"],
            "carrier": states,
