@@ -145,9 +145,11 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
         lattice = make_lattice(den)
     except (ValueError, FgmlError) as exc:
         raise DocumentError(f"bad lattice denominator: {exc}") from None
-    if lattice.den > max_size:  # every state holds one bit per grade above 0
-        raise ResourceLimitError("grade bits per state", lattice.den, max_size)
     carrier_names = doc["carrier"]
+    # a packed set holds d bits per state, and a space keeps one such set per bit
+    bits = max(len(carrier_names) if isinstance(carrier_names, list) else 0, 1) * lattice.den
+    if bits > max_size:
+        raise ResourceLimitError("bits per packed set", bits, max_size)
     if not isinstance(carrier_names, list) \
             or not all(isinstance(e, str) and e for e in carrier_names):
         raise DocumentError("carrier must be a list of nonempty strings")
@@ -169,7 +171,7 @@ def load_document(doc: dict, max_size: int = DEFAULT_MAX_SIZE) -> LoadedModel:
     else:  # known by its primes; a reader of every open closes it under this guard
         subbasis = _packed_from_doc(doc["generate_from"], carrier, lattice,
                                     "generate_from #{}".format)
-        space = FuzzySpace._generate(carrier, lattice, subbasis, lambda: subbasis, max_size)
+        space = FuzzySpace._generate(carrier, lattice, subbasis, max_size)
 
     sigma_doc = doc["sigma"]
     if set(sigma_doc) != set(carrier.elements):

@@ -67,7 +67,6 @@ from .fuzzyset import (
     DEFAULT_MAX_SIZE,
     CarrierMap,
     FuzzySet,
-    _fields_along,
     _from_bits,
     fs_join,
     fs_meet,
@@ -295,10 +294,21 @@ def validate_model(m: Model, sig: Signature) -> ModelCheck:
     lifted from a basis of the opens and pulled back along sigma packed
     (`signature._pullbacks`), once the opens are known to form a
     topology: an inverse image keeps constants, meets and joins, so every
-    image open pulls back to an open iff every generator does. Only a
-    negative verdict walks the subbasis lifted from every open, read at
-    sigma's values, whose first member with a pullback that is not open
-    names the witness, the one fuzzy set the check builds.
+    image open pulls back to an open iff every generator does. A negative
+    verdict names the generator at the first index k whose pullback is not
+    open, read at sigma's values: the k-th member of the same subbasis
+    along the identity of sigma's target, the one fuzzy set the check
+    builds.
+
+    When the first lifting with a failing lift keeps joins (`id`, `dia`),
+    this is the witness of the walk over each lifting's lifts of every
+    open in bits order: on that lifting, let o be the smallest failing open.
+    o is the join of the primes below it, and the lift and the pullback
+    both keep joins, so some prime j <= o fails, or o's pullback would be
+    a join of opens. j is itself a failing open, so j = o; and any failing
+    prime is a failing open, never below o. So the first failing prime is
+    o. A lifting that keeps meets (`box`) is read on the co-primes, and its
+    first failing co-prime need not be the smallest failing open.
     """
     problems: list[str] = []
     topo = is_topology(m.space)
@@ -317,11 +327,10 @@ def validate_model(m: Model, sig: Signature) -> ModelCheck:
             gens = _pullbacks(sig.functor, m.space, m.sigma)
         except (CarrierMismatchError, LatticeMismatchError) as exc:
             problems.append(f"structure map leaves the functor image: {exc}")
-    if not problems and not all(map(m.space.is_open, gens)):
-        # the witness of the walk over the liftings of every open, in order, read at sigma's values
-        at, d = m.sigma.target, m.space.lattice.den
-        every = _pullbacks(sig.functor, m.space, CarrierMap.identity(at), every_open=True)
-        witness = next(o for o in every if not m.space.is_open(_fields_along(o, d, m.sigma._back)))
+    failing = (k for k, g in enumerate(gens) if not m.space.is_open(g))
+    if not problems and (k := next(failing, None)) is not None:
+        at = m.sigma.target
+        witness = _pullbacks(sig.functor, m.space, CarrierMap.identity(at))[k]
         problems.append("structure map not continuous: pullback of "
                         f"{_from_bits(at, m.space.lattice, witness)} is not open")
     return ModelCheck(not problems, tuple(problems))

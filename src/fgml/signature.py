@@ -78,19 +78,20 @@ class FunctorInstance:
     """Concrete endofunctor: `on_space(S)` is T S with its topology, its
     carrier holding every value; `on_map(f, S, S')` is T f on single values.
 
-    Optionally, `subbasis(S, f, every_open)` gives, for a topology S and
-    a map f whose target holds values of T S, the packed pullbacks along
-    f, on f's source, of fuzzy sets that generate the topology of
-    `on_space(S)` read at f's target, raising `CarrierMismatchError` for a
-    target value outside T S: the generating liftings applied to a basis
-    of S, or to every open in order when `every_open` is true. Without
-    it, `_pullbacks` reads `on_space`.
+    Optionally, `subbasis(S, f)` gives, for a topology S and a map f
+    whose target holds values of T S, the packed pullbacks along f, on
+    f's source, of fuzzy sets that generate the topology of `on_space(S)`
+    read at f's target, raising `CarrierMismatchError` for a target value
+    outside T S: the generating liftings applied to the basis of S each
+    keeps (`_lifted_basis`). Its order depends on S alone, so the k-th
+    member along f is the pullback along f of the k-th along the identity
+    of f's target. Without it, `_pullbacks` reads `on_space`.
     """
 
     name: str
     on_space: Callable[[FuzzySpace], FuzzySpace]
     on_map: Callable[[CarrierMap, FuzzySpace, FuzzySpace], Callable[[Hashable], Hashable]]
-    subbasis: Callable[[FuzzySpace, CarrierMap, bool], list[int]] | None = None
+    subbasis: Callable[[FuzzySpace, CarrierMap], list[int]] | None = None
 
 
 def image_elements(functor: FunctorInstance, space: FuzzySpace) -> Carrier:
@@ -110,24 +111,25 @@ def _back(carrier: Carrier, f: CarrierMap) -> Sequence[tuple[int, int]]:
     return [(last - carrier.index(t), top - i) for i, t in enumerate(f.assignment)]
 
 
-def _lifted_basis(kernels: Iterable[tuple[str, Callable]], space: FuzzySpace, f: CarrierMap,
-                  every_open: bool) -> list[int]:
-    """For each (keeps, packed kernel) of a generating lifting, the packed
-    lifts along f (`Lifting.kernel`) of the basis of S it keeps, in bits
-    order: the distinct primes for joins, the co-primes for meets
-    (`topology._basis`); or of every open."""
+def _lifted_basis(kernels: Iterable[tuple[str, Callable]], space: FuzzySpace,
+                  f: CarrierMap) -> list[int]:
+    """For each (keeps, packed kernel) of a generating lifting, in order,
+    the packed lifts along f (`Lifting.kernel`) of the basis of S it
+    keeps, in bits order: the distinct primes for joins, the co-primes for
+    meets (`topology._basis`). No open of S beyond that basis is read."""
     width = len(space.carrier) * space.lattice.den
     return [lift(mu) for keeps, kernel in kernels for lift in [kernel(space, f)]
-            for mu in sorted(space.packed if every_open else _basis(keeps, space.primes, width))]
+            for mu in sorted(_basis(keeps, space.primes, width))]
 
 
-def _pullbacks(functor: FunctorInstance, space: FuzzySpace, f: CarrierMap,
-               every_open: bool = False) -> list[int]:
+def _pullbacks(functor: FunctorInstance, space: FuzzySpace, f: CarrierMap) -> list[int]:
     """A subbasis of T S's topology pulled back along f, a map into T S,
-    packed on f's source: the functor's own, on a basis of S or on every
-    open of S, or every open of `on_space(space)` in bits order."""
+    packed on f's source: the functor's own, lifted from a basis of S, or
+    every open of `on_space(space)` in bits order. Either order depends on
+    S alone, so the k-th member along f pulls the k-th along the identity
+    of f's target back along f."""
     if functor.subbasis is not None:
-        return functor.subbasis(space, f, every_open)
+        return functor.subbasis(space, f)
     image, d = functor.on_space(space), space.lattice.den
     back = _back(image.carrier, f)
     return [_fields_along(p, d, back) for p in sorted(image.packed)]
@@ -212,9 +214,8 @@ class Signature:
 
 def identity_functor() -> tuple[FunctorInstance, Signature]:
     """T S = S and T f = f, with the identity lifting named "id"; the
-    image subbasis is the distinct primes, or the opens, pulled back
-    along the given map into the states, and the kernel of "id" is that
-    pullback."""
+    image subbasis is the distinct primes pulled back along the given map
+    into the states, and the kernel of "id" is that pullback."""
 
     def pullback(space: FuzzySpace, sigma: CarrierMap) -> Callable[[int], int]:
         d, back = space.lattice.den, _back(space.carrier, sigma)
@@ -241,9 +242,9 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     signature characteristic for the functor; `subbasis` returns, pulled
     back along the given map and without generating the topology, dia's
     images of the primes and box's of the co-primes, which generate it
-    too, or the images of every open. The kernel of dia or box along a
-    map f is `_lift` on the rows of f's values, the lift and its pullback
-    in one pass.
+    too and are all that `on_space` generates from. The kernel of dia or
+    box along a map f is `_lift` on the rows of f's values, the lift and
+    its pullback in one pass.
     """
     mods = tuple(modalities)
     for m in mods:
@@ -260,16 +261,15 @@ def fuzzy_powerset_functor(lattice: GradeLattice,
     # liftings, which refer to the functor, so that no cycle keeps the functor alive
     kernels = [({"dia": "joins", "box": "meets"}[m], partial(kernel, m)) for m in mods]
 
-    def subbasis(space: FuzzySpace, f: CarrierMap, every_open: bool) -> list[int]:
+    def subbasis(space: FuzzySpace, f: CarrierMap) -> list[int]:
         for nu in f.target:
             if not (isinstance(nu, FuzzySet) and (nu.carrier, nu.lattice) == (space.carrier, lattice)):
                 raise CarrierMismatchError(f"{nu} is not a fuzzy set on the space")
-        return _lifted_basis(kernels, space, f, every_open)
+        return _lifted_basis(kernels, space, f)
 
     def on_space(space: FuzzySpace) -> FuzzySpace:
         every = CarrierMap.identity(Carrier(all_fuzzy_sets(space.carrier, lattice, max_size)))
-        return FuzzySpace._generate(every.target, lattice, subbasis(space, every, False),
-                                    lambda: subbasis(space, every, True), max_size)
+        return FuzzySpace._generate(every.target, lattice, subbasis(space, every), max_size)
 
     functor = FunctorInstance(
         name="fuzzy-powerset", on_space=on_space,
@@ -375,7 +375,7 @@ def _characteristic(space: FuzzySpace, image: FuzzySpace,
     """Whether the lifts in the tables generate exactly the image
     topology, closed under the guard of `generate_topology`."""
     gens = {v for table in tables for v in table.values()}
-    generated = FuzzySpace._generate(image.carrier, space.lattice, gens, lambda: gens, max_size)
+    generated = FuzzySpace._generate(image.carrier, space.lattice, gens, max_size)
     generated.packed  # closed now: the guard trips here
     return generated == image
 

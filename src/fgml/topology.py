@@ -130,15 +130,17 @@ class FuzzySpace:
 
     @classmethod
     def _generate(cls, carrier: Carrier, lattice: GradeLattice, basis: Iterable[int],
-                  family: Callable[[], Iterable[int]], max_size: int) -> FuzzySpace:
+                  max_size: int) -> FuzzySpace:
         """The topology that the packed sets `basis` generate, known by
-        their primes, with the guard of generate_topology for the packed
-        family `family()` for when its opens are read (`packed`); `family()`
-        generates the same topology and is built only past max_size."""
+        their primes, with the guard of generate_topology for `basis` for
+        when its opens are read or counted (`_guarded`): the guard trips
+        once the work passes max(max_size, starting family), where the
+        starting family is the two constants and the distinct generators."""
+        width, basis = len(carrier) * lattice.den, set(basis)
         space = cls.__new__(cls)
-        vars(space).update(carrier=carrier, lattice=lattice,
-                           primes=_primes(basis, len(carrier) * lattice.den),
-                           _verdict=TopologyCheck(True), _guard=(max_size, family))
+        vars(space).update(carrier=carrier, lattice=lattice, primes=_primes(basis, width),
+                           _verdict=TopologyCheck(True),
+                           _guard=(max_size, max(max_size, len(basis | {0, (1 << width) - 1}))))
         return space
 
     def __setattr__(self, name, value):
@@ -170,15 +172,11 @@ class FuzzySpace:
 
     def _guarded(self, what: str, run: Callable[[tuple[int, ...], int], T | None]) -> T:
         """run(primes, limit), which gives None once its work passes the
-        limit, under the guard of a generated topology: the guard trips
-        once the work passes max(max_size, starting family), and reports
-        that bound + 1; the starting family is built only past max_size."""
-        max_size, family = self._guard
-        if (out := run(self.primes, max_size)) is None:
-            limit = max(max_size, len({0, (1 << len(self.carrier) * self.lattice.den) - 1,
-                                       *family()}))
-            if limit == max_size or (out := run(self.primes, limit)) is None:
-                raise ResourceLimitError(what, limit + 1, max_size)
+        limit, run once under the guard of a generated topology
+        (`_generate`) and reporting that bound + 1 when it trips."""
+        max_size, limit = self._guard
+        if (out := run(self.primes, limit)) is None:
+            raise ResourceLimitError(what, limit + 1, max_size)
         return out
 
     @cached_property
@@ -356,7 +354,8 @@ def generate_topology(carrier: Carrier, lattice: GradeLattice,
     the joins of the primes. The family of all fuzzy sets here is
     finite, so closure under binary joins realizes closure under
     arbitrary joins. The guard trips once the family passes
-    max(max_size, starting family) and reports that bound + 1.
+    max(max_size, starting family), the starting family being the
+    constants and the distinct subbasis members, and reports that bound + 1.
     """
     packed = set()
     for s in subbasis:
@@ -365,7 +364,7 @@ def generate_topology(carrier: Carrier, lattice: GradeLattice,
         if s.lattice != lattice:
             raise LatticeMismatchError("subbasis member uses a foreign grade lattice")
         packed.add(s.bits)
-    space = FuzzySpace._generate(carrier, lattice, packed, lambda: packed, max_size)
+    space = FuzzySpace._generate(carrier, lattice, packed, max_size)
     space.packed  # closed now: the guard trips at the call
     return space
 
@@ -402,15 +401,14 @@ def is_continuous(f: CarrierMap, source: FuzzySpace, target: FuzzySpace) -> bool
 def _subspace(rel: Relation, left: FuzzySpace, right: FuzzySpace, max_size: int):
     """The projections, and the subspace topology on the pair carrier known
     by its primes: those of the pullbacks of both sides' distinct primes
-    (`subspace_topology`), with every open pulled back only past max_size."""
+    (`subspace_topology`), which also start its guard's family."""
     if rel.left != left.carrier or rel.right != right.carrier:
         raise CarrierMismatchError("relation does not connect the two spaces")
     if left.lattice != right.lattice:
         raise LatticeMismatchError("subbasis member uses a foreign grade lattice")
     sides, d = tuple(zip(projections := rel.projections(), (left, right))), left.lattice.den
     basis = [_fields_along(j, d, pi._back) for pi, side in sides for j in set(side.primes)]
-    return projections, FuzzySpace._generate(projections[0].source, left.lattice, basis, lambda: [
-        _fields_along(o, d, pi._back) for pi, side in sides for o in side.packed], max_size)
+    return projections, FuzzySpace._generate(projections[0].source, left.lattice, basis, max_size)
 
 
 def subspace_topology(rel: Relation, left: FuzzySpace, right: FuzzySpace,
@@ -421,8 +419,8 @@ def subspace_topology(rel: Relation, left: FuzzySpace, right: FuzzySpace,
     Each open is the join of the primes of its bits and each prime a meet
     of opens, and inverse images keep both, so the pullbacks of the
     distinct primes generate it, for any two families, and their primes
-    are its primes. Every open is pulled back only when the topology
-    passes the guard, to size it.
+    are its primes. No open of either side is read: the guard's starting
+    family is those pullbacks and the constants, as in generate_topology.
     """
     space = _subspace(rel, left, right, max_size)[1]
     space.packed  # closed now: the guard trips at the call

@@ -516,10 +516,11 @@ def test_bisim_am_with_punctuated_state_names(tmp_path, capsys):
 
 
 def test_cli_max_size_guard(capsys):
-    # a load never enumerates the 3^2 fuzzy sets of T S; `sig check` does
+    # a load never enumerates the 3^2 fuzzy sets of T S, and needs a guard
+    # of only the 2 * 2 bits of a packed set; `sig check` enumerates them
     # and is refused under a guard below 9. `bisim am` enumerates nothing
     # once the greatest candidates assemble, as they do on the diagonal
-    assert run_command(["--max-size", "2", "validate", "-m", M1]) == 0
+    assert run_command(["--max-size", "4", "validate", "-m", M1]) == 0
     assert run_command(["--max-size", "8", "sig", "check", "-m", M1]) == 2
     assert run_command(["--max-size", "8", "bisim", "am", "-m", M1, "-n", M1,
                         "-r", "diag"]) == 0

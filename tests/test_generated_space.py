@@ -38,8 +38,7 @@ def zoo(request):
 def _generated(space: FuzzySpace) -> FuzzySpace:
     """The topology the space's opens generate, known by its primes only."""
     packed = sorted(space.packed)
-    return FuzzySpace._generate(space.carrier, space.lattice, packed, lambda: packed,
-                                DEFAULT_MAX_SIZE)
+    return FuzzySpace._generate(space.carrier, space.lattice, packed, DEFAULT_MAX_SIZE)
 
 
 def _families(space: FuzzySpace):

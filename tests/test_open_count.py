@@ -52,7 +52,7 @@ def test_count_opens_on_declared_and_generated_spaces():
         declared = m.space
         packed = sorted(declared.packed)
         generated = FuzzySpace._generate(declared.carrier, declared.lattice, packed,
-                                         lambda: packed, DEFAULT_MAX_SIZE)
+                                         DEFAULT_MAX_SIZE)
         assert declared.count_opens() == generated.count_opens() == len(packed)
         assert "packed" not in vars(generated)  # counted on its primes, not closed
 

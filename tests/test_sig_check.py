@@ -91,8 +91,7 @@ def _oracle_lines(sig: Signature, space: FuzzySpace, max_size: int,
         every = CarrierMap.identity(image.carrier)
         gens = {v for l in sig.liftings
                 for _, v in table(l, space, every, sorted(space.packed))}
-        generated = FuzzySpace._generate(image.carrier, space.lattice, gens, lambda: gens,
-                                         max_size)
+        generated = FuzzySpace._generate(image.carrier, space.lattice, gens, max_size)
         generated.packed
         return generated == image
 

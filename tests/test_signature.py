@@ -1,4 +1,5 @@
 import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -283,15 +284,19 @@ def test_resource_guard():
 
 
 def test_an_image_outliving_its_space_keeps_its_guard():
-    # past max_size the guard reads the space's every open, also once the
-    # caller has let the space go: the constants and the lifted opens, 8
-    # distinct sets, start the family, so the guard trips at 9
+    # past max_size the guard starts from the image's generators, not from
+    # the space: the constants and the lifts of the primes and co-primes,
+    # 6 distinct sets, so it trips at 7, and the image keeps no reference
+    # to the space
     functor, _ = fuzzy_powerset_functor(D1, ("dia", "box"), max_size=4)
-    image = functor.on_space(discrete_space(XY, D1))
+    space = discrete_space(XY, D1)
+    image, alive = functor.on_space(space), weakref.ref(space)
+    del space
     gc.collect()
+    assert alive() is None
     with pytest.raises(ResourceLimitError) as exc:
         image.packed
-    assert (exc.value.size, exc.value.limit) == (9, 4)
+    assert (exc.value.size, exc.value.limit) == (7, 4)
 
 
 def test_unknown_modality_rejected():
