@@ -58,15 +58,20 @@ at most n1 + n2 rounds run, where dropping pairs from a relation could
 take |B1| x |B2|.
 
 The Aczel-Mendler check builds neither T R nor the opens of the
-relation space R. Every candidate structure value of a related pair
-lies below its greatest one, whose direct images decide whether the
-pair has any, and the map of the greatest values is tried first. A map
-into T R is continuous iff the functor's subbasis, lifted from the
-primes of R and read at the map's values, pulls back to opens of R,
-and a pullback is open iff it is the join of the primes of its bits.
-Only when that map fails are the candidates enumerated and their
-choices searched in order, each pair's least candidate first; the
-search is held to the guard only once that choice fails.
+relation space R. For the identity functor it builds no relation space
+and runs no search: a related pair's one candidate is the pair of its
+structure values, and R carries the initial topology of its two
+projections, so the map of those values is continuous whenever both
+structure maps are, as a validated model's are. For the fuzzy powerset
+every candidate structure value of a related pair lies below its
+greatest one, whose direct images decide whether the pair has any, and
+the map of the greatest values is tried first. A map into T R is
+continuous iff the functor's subbasis, lifted from the primes of R and
+read at the map's values, pulls back to opens of R, and a pullback is
+open iff it is the join of the primes of its bits. Only when that map
+fails are the candidates enumerated and their choices searched in
+order, each pair's least candidate first; the search is held to the
+guard only once that choice fails.
 """
 
 from __future__ import annotations
@@ -160,7 +165,8 @@ class BisimReport:
     witnesses: tuple[BisimWitness, ...] = ()
 
     def __post_init__(self):
-        assert self.verdict == (not self.witnesses)
+        if self.verdict != (not self.witnesses):
+            raise ValueError("a report holds witnesses iff its verdict is negative")
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -184,10 +190,27 @@ def _require_shared_props(m1: Model, m2: Model) -> None:
         raise LatticeMismatchError("the two spaces use different grade lattices")
 
 
+def _prop_labels(m1: Model, m2: Model) -> tuple[list[tuple[int, ...]], dict]:
+    """Each state's label on either side, numbered by its valuation
+    fields through one `ids`, and that `ids`: two states of the two
+    models agree on every prop iff their labels are equal."""
+    ids: dict = {}
+    return [_refine((0,) * len(m.space.carrier), m.space.lattice.den,
+                    [v.bits for _, v in m.valuation], ids) for m in (m1, m2)], ids
+
+
 def _prop_witnesses(rel: Relation, m1: Model, m2: Model) -> list[BisimWitness]:
+    """A witness per related pair and prop on which their grades differ,
+    in canonical pair order, then in prop order. The pairs are compared
+    on their `_prop_labels`, so `Grade`s are built only for a pair that
+    disagrees."""
+    if not m1.props:
+        return []
+    (labels1, labels2), _ = _prop_labels(m1, m2)
+    c1, c2 = m1.space.carrier, m2.space.carrier
     return [BisimWitness((b1, b2), prop=name, left_grade=g1, right_grade=g2)
-            for b1, b2 in rel.sorted_pairs() for name in m1.props
-            if (g1 := m1.prop(name)(b1)) != (g2 := m2.prop(name)(b2))]
+            for b1, b2 in rel.sorted_pairs() if labels1[c1.index(b1)] != labels2[c2.index(b2)]
+            for name in m1.props if (g1 := m1.prop(name)(b1)) != (g2 := m2.prop(name)(b2))]
 
 
 def _coherent_primes(space1: FuzzySpace, space2: FuzzySpace,
@@ -303,9 +326,8 @@ def greatest_sigma_bisimulation(m1: Model, m2: Model, sig: Signature,
     `Relation` is built, at the end.
     """
     _require_shared_props(m1, m2)
-    (c1, c2), d, ids = (m1.space.carrier, m2.space.carrier), m1.space.lattice.den, {}
-    labels = [_refine((0,) * len(m.space.carrier), d, [v.bits for _, v in m.valuation], ids)
-              for m in (m1, m2)]
+    (c1, c2), d = (m1.space.carrier, m2.space.carrier), m1.space.lattice.den
+    labels, ids = _prop_labels(m1, m2)
     while True:
         count, ids, masks = len(ids), {}, [defaultdict(int), defaultdict(int)]
         for mask, side in zip(masks, labels):
@@ -346,12 +368,22 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
     topology on R.
 
     Neither T R nor the opens of R are built. For the identity functor a
-    pair's only candidate is (sigma1(b1), sigma2(b2)), if related. For
-    the fuzzy powerset every candidate t of a pair has t <= pi1^-1(v1)
-    and t <= pi2^-1(v2), so t <= t*, their meet; direct images are
-    monotone and T pi_i(t*) <= v_i, so T pi_i(t) = v_i forces T pi_i(t*)
-    = v_i: a pair has a candidate iff t* is one, its greatest. The map of
-    the greatest candidates, onto the values it takes, is tried first.
+    pair's only candidate is v = (sigma1(b1), sigma2(b2)), if v is in R,
+    and the map of those values is the answer: no relation space is
+    generated and nothing is searched. R carries the initial topology of
+    pi1 and pi2, as it is generated by the pullbacks of both sides'
+    primes, so a map gamma into R is continuous iff pi1 gamma and pi2
+    gamma are; and pi_i gamma = sigma_i pi_i, continuous whenever sigma_i
+    is. This needs both structure maps to be continuous, as a validated
+    model's are: for a hand-built identity model whose sigma is not, the
+    map is returned all the same.
+
+    For the fuzzy powerset every candidate t of a pair has t <=
+    pi1^-1(v1) and t <= pi2^-1(v2), so t <= t*, their meet; direct
+    images are monotone and T pi_i(t*) <= v_i, so T pi_i(t) = v_i forces
+    T pi_i(t*) = v_i: a pair has a candidate iff t* is one, its
+    greatest. The map of the greatest candidates, onto the values it
+    takes, is tried first.
 
     gamma is continuous iff each member g of the functor's subbasis, read
     at gamma's values, pulls back to an open, as in `validate_model`. The
@@ -370,8 +402,11 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
         return AmBisimReport(False, tuple(witnesses))
     if not (identity := sig.functor.name == "identity") and sig.functor.name != "fuzzy-powerset":
         raise PreconditionError(f"no Aczel-Mendler search for the functor {sig.functor.name!r}")
-    (pi1, pi2), space = _subspace(rel, m1.space, m2.space, max_size)
-    d, tops = space.lattice.den, []
+    if (rel.left, rel.right) != (m1.space.carrier, m2.space.carrier):
+        raise CarrierMismatchError("relation does not connect the two spaces")
+    if not identity:
+        (pi1, pi2), space = _subspace(rel, m1.space, m2.space, max_size)
+    tops = []
     for b1, b2 in rel.sorted_pairs():
         v = m1.sigma(b1), m2.sigma(b2)
         t = v if identity else fs_meet(inverse_image(pi1, v[0]), inverse_image(pi2, v[1]))
@@ -379,10 +414,12 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
             return AmBisimReport(False, (BisimWitness(
                 (b1, b2), note="no structure value projects onto both sides"),))
         tops.append(t)
+    if identity:
+        return AmBisimReport(True, (), mediating=CarrierMap.onto(rel.pair_carrier(), tops))
 
     def search(candidates: list[list]) -> CarrierMap | None:
         at = Carrier(tuple(dict.fromkeys(t for options in candidates for t in options)))
-        gens = _pullbacks(sig.functor, space, CarrierMap.identity(at))
+        d, gens = space.lattice.den, _pullbacks(sig.functor, space, CarrierMap.identity(at))
         for tried, choice in enumerate(product(*candidates)):
             gamma = CarrierMap(space.carrier, at, choice)
             if all(space.is_open(_fields_along(g, d, gamma._back)) for g in gens):
@@ -391,9 +428,7 @@ def is_am_bisimulation(rel: Relation, m1: Model, m2: Model, sig: Signature,
                 raise ResourceLimitError("mediating map search", total, max_size)
         return None
 
-    gamma = search([[t] for t in tops])
-    if gamma is None and not identity:  # an identity model has no other candidates
-        gamma = search(_candidates(tops, pi1, pi2, max_size))
+    gamma = search([[t] for t in tops]) or search(_candidates(tops, pi1, pi2, max_size))
     if gamma is not None:
         return AmBisimReport(True, (), mediating=gamma)
     return AmBisimReport(False, (BisimWitness(

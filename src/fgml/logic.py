@@ -53,6 +53,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product, repeat
+from operator import and_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -501,7 +502,10 @@ def modal_equivalence_classes(m: Model, sig: Signature,
     for what the lifting keeps (its primes and 0, its co-primes and 1, or
     every member), pulls each lift back along sigma and adds the new ones
     to G, splitting the blocks by their grades; it stops when no lift is
-    new. Once every state is alone no family splits them further.
+    new. Once every state is alone no family splits them further. The
+    primes of G are kept across rounds: a prime is the meet of the
+    members that hold its bit, so each round meets them with the primes
+    of its new lifts alone.
 
     The partition by that fixpoint G* is the partition by the definable
     family F. Every member of G* lies in F, and so does the topology T it
@@ -525,9 +529,9 @@ def modal_equivalence_classes(m: Model, sig: Signature,
     carrier, d = m.space.carrier, m.space.lattice.den
     width = len(carrier) * d
     found = {0, (1 << width) - 1, *(v.bits for _, v in m.valuation)}
-    labels = _refine((0,) * len(carrier), d, found, ids := {})
+    labels, primes = _refine((0,) * len(carrier), d, found, ids := {}), _primes(found, width)
     while len(ids) < len(carrier):
-        primes, lifts = _primes(found, width), set()
+        lifts = set()
         for lifting in sig.liftings:
             members = _read_on(lifting.keeps, primes, width, max_size, lifting.arity,
                                "definable open enumeration")
@@ -536,6 +540,7 @@ def modal_equivalence_classes(m: Model, sig: Signature,
         if not (lifts := lifts - found):
             break
         found |= lifts
+        primes = tuple(map(and_, primes, _primes(lifts, width)))
         labels = _refine(labels, d, lifts, ids := {})
     blocks: list[list[str]] = [[] for _ in range(len(ids))]
     for s, label in zip(carrier, labels):

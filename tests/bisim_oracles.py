@@ -1,21 +1,23 @@
 """Brute-force bisimulation oracles, used only by the tests.
 
-The basis oracles are the library's earlier Sigma checks:
-`alternating_coherent_basis` reaches the least coherent pair above each
-distinct prime by alternating images and `_up`s until nothing changes,
-`basis_sigma_check` lifts each basis pair as fuzzy sets through
-`Model.lift`, and `pair_dropping_greatest` rebuilds the relation each
-round without the pairs that disagree on a basis row. The full-table
-Sigma checks lift every coherent tuple for every lifting,
-with no basis: `full_table_sigma_check` lists every disagreeing tuple as
-a witness and `full_table_greatest` refines on that table. The
-Aczel-Mendler oracle `image_am_search` builds T R and every open of the
-relation space, and tries every choice of structure values in T R's
-order. The coherence lemma check compares every pair of opens both
-ways; the implication suites enumerate every relation between two
-carriers (AM bisimulation implies Sigma-bisimulation, for monotone
-signatures) or every formula up to a depth plus the definable opens'
-defining formulas (Sigma-bisimilar states are modally equivalent).
+Every oracle compares props by `grade_prop_witnesses`, one `Grade` per
+related pair and prop. The basis oracles are the library's earlier
+Sigma checks: `alternating_coherent_basis` reaches the least coherent
+pair above each distinct prime by alternating images and `_up`s until
+nothing changes, `basis_sigma_check` lifts each basis pair as fuzzy
+sets through `Model.lift`, and `pair_dropping_greatest` rebuilds the
+relation each round without the pairs that disagree on a basis row.
+The full-table Sigma checks lift every coherent tuple for every
+lifting, with no basis: `full_table_sigma_check` lists every
+disagreeing tuple as a witness and `full_table_greatest` refines on
+that table. The Aczel-Mendler oracle `image_am_search` builds T R and
+every open of the relation space, and tries every choice of structure
+values in T R's order. The coherence lemma check compares every pair of
+opens both ways; the implication suites enumerate every relation
+between two carriers (AM bisimulation implies Sigma-bisimulation, for
+monotone signatures) or every formula up to a depth plus the definable
+opens' defining formulas (Sigma-bisimilar states are modally
+equivalent).
 """
 
 from dataclasses import dataclass
@@ -41,11 +43,19 @@ from fgml import (
     is_sigma_bisimulation,
     subspace_topology,
 )
-from fgml.bisim import AmBisimReport, _prop_witnesses, _require_shared_props
+from fgml.bisim import AmBisimReport, _require_shared_props
 from fgml.errors import PreconditionError, ResourceLimitError
 from fgml.fuzzyset import DEFAULT_MAX_SIZE, _fields_along, _from_bits
 from fgml.signature import check_monotone, image_elements, image_subbasis
 from fgml.topology import _read_on, _up
+
+
+def grade_prop_witnesses(rel: Relation, m1: Model, m2: Model) -> list[BisimWitness]:
+    """A witness per related pair, in canonical order, and prop, in model
+    order, whose two grades differ: one `Grade` per pair and prop."""
+    return [BisimWitness((b1, b2), prop=name, left_grade=g1, right_grade=g2)
+            for b1, b2 in rel.sorted_pairs() for name in m1.props
+            if (g1 := m1.prop(name)(b1)) != (g2 := m2.prop(name)(b2))]
 
 
 def alternating_coherent_basis(rel: Relation, space1: FuzzySpace, space2: FuzzySpace,
@@ -101,7 +111,7 @@ def basis_sigma_check(rel: Relation, m1: Model, m2: Model, sig: Signature,
     and then a witness per related pair and disagreeing row of every
     coherent tuple, in table order."""
     _require_shared_props(m1, m2)
-    witnesses = _prop_witnesses(rel, m1, m2)
+    witnesses = grade_prop_witnesses(rel, m1, m2)
     if not witnesses and not any(rows for _, rows in _basis_table(rel, m1, m2, sig, max_tuples)):
         return BisimReport(True)
     grades = m1.space.lattice.values
@@ -152,9 +162,7 @@ def full_table_sigma_check(rel: Relation, m1: Model, m2: Model, sig: Signature,
                            max_tuples: int = DEFAULT_MAX_SIZE) -> BisimReport:
     """Prop witnesses, then a witness per related pair and disagreeing row
     of the full table, in table order."""
-    witnesses = [BisimWitness((b1, b2), prop=name, left_grade=g1, right_grade=g2)
-                 for b1, b2 in rel.sorted_pairs() for name in m1.props
-                 if (g1 := m1.prop(name)(b1)) != (g2 := m2.prop(name)(b2))]
+    witnesses = grade_prop_witnesses(rel, m1, m2)
     witnesses += [BisimWitness(pair, lifting=lifting.name, left_opens=mus, right_opens=etas,
                                left_grade=g1, right_grade=g2)
                   for pair, rows in _full_table(rel, m1, m2, sig, max_tuples)
@@ -190,7 +198,7 @@ def image_am_search(rel: Relation, m1: Model, m2: Model, sig: Signature,
     fails. The empty relation is vacuously accepted.
     """
     _require_shared_props(m1, m2)
-    witnesses = _prop_witnesses(rel, m1, m2)
+    witnesses = grade_prop_witnesses(rel, m1, m2)
     if witnesses:
         return AmBisimReport(False, tuple(witnesses))
     rel_space = subspace_topology(rel, m1.space, m2.space, max_size)

@@ -23,7 +23,10 @@ import pytest
 import fgml
 from fgml import (
     Carrier,
+    CarrierMap,
     FuzzySet,
+    FuzzySpace,
+    Model,
     Relation,
     Signature,
     direct_image,
@@ -32,9 +35,10 @@ from fgml import (
     inverse_image,
     is_am_bisimulation,
     make_lattice,
+    validate_model,
 )
 from fgml.cli import LoadedModel, load_model, model_to_document
-from fgml.errors import ResourceLimitError
+from fgml.errors import CarrierMismatchError, ResourceLimitError
 
 from bisim_oracles import image_am_search
 from modelgen import (
@@ -220,6 +224,42 @@ def test_am_never_builds_t_r_or_the_relation_space(monkeypatch, tmp_path):
     assert [code for code, _, _ in got] == expected
     assert all(err == "" for _, _, err in got)
     assert expected.count(0) >= 3
+
+
+def test_identity_am_generates_no_relation_space(monkeypatch):
+    # the identity functor's answer is the map of the pairs of structure
+    # values: the relation space is never generated, nor searched
+    monkeypatch.setattr(fgml.bisim, "_subspace", _refuse)
+    verdicts = []
+    for m, sig in identity_zoo(3):
+        carrier = m.space.carrier
+        for rel in relations(carrier, carrier):
+            report, expected = is_am_bisimulation(rel, m, m, sig, BIG), image_am_search(rel, m, m, sig, BIG)
+            assert (report.verdict, report.witnesses) == (expected.verdict, expected.witnesses)
+            if report.verdict:
+                assert report.mediating.assignment == expected.mediating.assignment
+                check_mediating(report, rel, m, m, sig)
+            verdicts.append(report.verdict)
+        foreign = Relation.of(Carrier(carrier.elements + ("z",)), carrier, [])
+        with pytest.raises(CarrierMismatchError, match="relation does not connect"):
+            is_am_bisimulation(foreign, m, m, sig)
+    assert {True, False} <= set(verdicts)
+
+
+def test_identity_am_reads_continuity_from_the_structure_maps():
+    # a hand-built identity model whose sigma, the swap of x and y, is not
+    # continuous for the opens {}, {x}, {x, y}: validation refuses it, and
+    # `is_am_bisimulation` returns the map of the structure values on the
+    # diagonal all the same, as it holds only for continuous structure maps
+    lat, xy = make_lattice(1), Carrier(("x", "y"))
+    _, sig = identity_functor()
+    opens = [FuzzySet(xy, lat, tuple(map(lat.grade, nums))) for nums in ((0, 0), (1, 0), (1, 1))]
+    m = Model.create(FuzzySpace(xy, lat, frozenset(opens)), CarrierMap(xy, xy, ("y", "x")), {})
+    assert not validate_model(m, sig)
+    diag = Relation.diagonal(xy)
+    report = is_am_bisimulation(diag, m, m, sig)
+    assert report.verdict
+    assert report.mediating.assignment == (("y", "y"), ("x", "x"))
 
 
 def test_carriers_of_values_die_once_apply_returns():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -18,6 +21,7 @@ from fgml import (
     is_sigma_bisimulation,
     make_lattice,
 )
+from fgml.bisim import AmBisimReport, BisimReport, BisimWitness
 from fgml.errors import CarrierMismatchError, LatticeMismatchError, PreconditionError
 from fgml.signature import Signature
 from fgml.topology import generate_topology, indiscrete_space
@@ -297,6 +301,22 @@ def test_am_empty_relation_vacuous():
     m1, sig = m1_model()
     empty = Relation.of(m1.space.carrier, m1.space.carrier, [])
     assert is_am_bisimulation(empty, m1, m1, sig).verdict
+
+
+def test_reports_refuse_a_verdict_their_witnesses_contradict():
+    # a public report holds witnesses iff its verdict is negative, also
+    # under `python -O`, which drops assert statements
+    witness = BisimWitness(("x", "x"), note="a witness")
+    for report in (BisimReport, AmBisimReport):
+        for verdict, witnesses in ((True, (witness,)), (False, ())):
+            with pytest.raises(ValueError, match="witnesses iff its verdict is negative"):
+                report(verdict, witnesses)
+        assert report(True).verdict and not report(False, (witness,)).verdict
+    code = ("from fgml.bisim import BisimReport\n"
+            "try:\n    BisimReport(True, (1,))\nexcept ValueError:\n    raise SystemExit(3)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    assert subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src)).returncode == 3
 
 
 def test_am_blocking_pair_reported():
